@@ -15,7 +15,6 @@ from refsig import (
     cosine,
     extract_3grams,
     normalize,
-    partition,
     sign,
     signature_similarity,
 )
@@ -48,8 +47,8 @@ ref = ReferenceText(
     partitions=4,
 )
 print(f"\nreference: {len(ref)} grams in {ref.partitions} partitions")
-for k, part in enumerate(partition(ref)):
-    print(f"  partition {k}: {sorted(part.counts)}")
+for k, (lo, hi) in enumerate(zip(ref.starts, [*ref.starts[1:], len(ref)])):
+    print(f"  partition {k}: {sorted(set(ref.grams[lo:hi]))}")
 
 # --- signatures --------------------------------------------------------------
 

@@ -20,7 +20,13 @@ from .evaluate import (
     prf,
 )
 from .ga import DEFAULT_SEED, GaConfig
-from .reference import ClassifierConfig, load_reference, save_reference, sign
+from .reference import (
+    ClassifierConfig,
+    Signature,
+    load_reference,
+    save_reference,
+    signature_matrix,
+)
 from .store import CorpusSource, SignatureDb, db_read, db_write, ingest
 from .tfidf import save_pool, score_grams, top_k
 
@@ -93,7 +99,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sign(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
     docs = _load_corpus(args.corpus, args.html_strip)
-    sigs = [(doc.id, sign(doc, ref)) for doc in docs]
+    rows = signature_matrix(docs, ref)
+    sigs = [(doc.id, Signature(row, ref.fingerprint)) for doc, row in zip(docs, rows)]
     db_write(args.out, ref, sigs)
     print(f"signed {len(sigs)} documents into {args.out}")
     return 0
@@ -137,8 +144,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     precision_s = recall_s = f1_s = ""
     if args.labels:
         cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
-        sigs = tuple((doc.id, sign(doc, ref).scores) for doc in docs)
-        db = SignatureDb(ref.fingerprint, ref.partitions, "in-memory", sigs)
+        # The float32 rows that sign -> db_write -> dedup classifies.
+        rows = signature_matrix(docs, ref).astype("<f4")
+        db = SignatureDb(
+            ref.fingerprint, ref.partitions, "in-memory", tuple(zip((d.id for d in docs), rows))
+        )
         hits = dnd_scan(db, cfg)
         truth = _read_label_pairs(args.labels)
         n = len(docs)

@@ -9,6 +9,7 @@ so the best fitness never worsens between generations.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -18,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .gramio import escape_gram
-from .reference import ReferenceText, mean_signature_error, signature_matrix
-from .text import Document, brute_force_pairwise
+from .reference import mean_signature_error, partition_layout, partition_scores
+from .text import Document, brute_force_pairwise, count_columns
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -70,11 +71,16 @@ class Chromosome:
 
 @dataclass(frozen=True)
 class FitnessSample:
-    """The fixed documents every candidate is scored on, plus their exact
-    pairwise cosine matrix."""
+    """The fixed documents every candidate is scored on, their exact
+    pairwise cosine matrix, and their integer counts: ``counts[i, columns[g]]``
+    is document i's count of gram g, and the last column, which no gram
+    maps to, is all zero."""
 
     documents: tuple[Document, ...]
     oracle: np.ndarray
+    columns: dict[str, int]
+    counts: np.ndarray
+    sq_norms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,12 @@ def draw_fitness_sample(
     if len(corpus) < size:
         raise ValueError(f"corpus has {len(corpus)} documents, sample needs {size}")
     docs = tuple(rng.sample(list(corpus), size))
-    return FitnessSample(docs, brute_force_pairwise(docs))
+    columns, cells = count_columns(docs)
+    counts = np.zeros((size, len(columns) + 1))
+    for row, (cols, vals) in zip(counts, cells):
+        row[cols] = vals
+    sq_norms = np.array([doc.vector.sq_norm for doc in docs], dtype=float)
+    return FitnessSample(docs, brute_force_pairwise(docs), columns, counts, sq_norms)
 
 
 def init_population(pool: GramPool, cfg: GaConfig, rng: random.Random) -> list[Chromosome]:
@@ -151,13 +162,32 @@ def mutate(
 
 
 def fitness(chromosome: Chromosome, sample: FitnessSample, partitions: int) -> float:
-    """Mean absolute error of signature similarity against the sample oracle."""
-    ref = ReferenceText(chromosome.grams, partitions)
-    return mean_signature_error(signature_matrix(sample.documents, ref), sample.oracle)
+    """Mean absolute error of signature similarity against the sample oracle.
+
+    Equal bit for bit to scoring ``signature_matrix`` of the sample against
+    ``ReferenceText(chromosome.grams, partitions)``, without building one.
+    """
+    columns, positions, starts, part_sq = partition_layout(chromosome.grams, partitions)
+    absent = sample.counts.shape[1] - 1  # grams no sample document contains
+    lookup = map(sample.columns.get, columns, itertools.repeat(absent))
+    cols = np.fromiter(lookup, dtype=np.intp, count=len(columns))
+    sigs = partition_scores(sample.counts, sample.sq_norms, cols[positions], starts, part_sq)
+    return mean_signature_error(sigs, sample.oracle)
 
 
 def _select(chromosomes: list[Chromosome], size: int) -> list[Chromosome]:
-    return sorted(chromosomes, key=lambda c: (c.fitness, c.content_hash()))[:size]
+    """The ``size`` best by (fitness, content_hash); only ties are hashed."""
+    ranked: list[Chromosome] = []
+    for _, group in itertools.groupby(
+        sorted(chromosomes, key=lambda c: c.fitness), key=lambda c: c.fitness
+    ):
+        tied = list(group)
+        if len(tied) > 1:
+            tied.sort(key=Chromosome.content_hash)
+        ranked.extend(tied)
+        if len(ranked) >= size:
+            break
+    return ranked[:size]
 
 
 def _stats(generation: int, population: list[Chromosome], elapsed: float) -> GenerationStats:

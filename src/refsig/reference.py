@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .gramio import escape_gram, parse_gram_line
-from .text import NGRAM_SIZE, Document, SparseNGramVector, cosine
+from .text import NGRAM_SIZE, Document, count_cosine
 
 
 class SignatureMismatchError(ValueError):
@@ -32,36 +31,72 @@ def partition_sizes(length: int, parts: int) -> list[int]:
     return [base + 1] * rem + [base] * (parts - rem)
 
 
+def partition_layout(
+    grams: Sequence[str], partitions: int
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """The integer-count layout of ``grams`` split into ``partitions`` slices.
+
+    Returns the column of each distinct gram (in first-seen order), the
+    column of each position, the start offset of each partition, and each
+    partition's exact squared norm as a float64. A gram repeated inside
+    one slice weights it: its count there is its multiplicity.
+    """
+    if set(map(len, grams)) - {NGRAM_SIZE}:
+        bad = next(g for g in grams if len(g) != NGRAM_SIZE)
+        raise ValueError(f"token {bad!r} is not {NGRAM_SIZE} characters long")
+    if not 1 <= partitions <= len(grams):
+        raise ValueError(f"partition count must be in 1..{len(grams)}, got {partitions}")
+    index = {gram: k for k, gram in enumerate(dict.fromkeys(grams))}
+    positions = np.fromiter(map(index.__getitem__, grams), dtype=np.intp, count=len(grams))
+    sizes = partition_sizes(len(grams), partitions)
+    starts = np.zeros(partitions, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    owner = np.repeat(np.arange(partitions), sizes)
+    cells, multiplicity = np.unique(owner * len(index) + positions, return_counts=True)
+    part_sq = np.bincount(
+        cells // len(index), weights=multiplicity.astype(float) ** 2, minlength=partitions
+    )
+    return index, positions, starts, part_sq
+
+
+def partition_scores(
+    counts: np.ndarray,
+    sq_norms: np.ndarray,
+    positions: np.ndarray,
+    starts: np.ndarray,
+    part_sq: np.ndarray,
+) -> np.ndarray:
+    """Signature rows from document counts laid out by :func:`partition_layout`.
+
+    ``counts[i, positions[k]]`` is document i's count of the gram at
+    reference position k, and ``sq_norms`` are the documents' squared
+    norms. A partition's dot product is the sum of those counts over its
+    positions, so one ``reduceat`` gives them all.
+    """
+    dots = np.add.reduceat(counts[:, positions], starts, axis=1)
+    return count_cosine(dots, sq_norms, part_sq)
+
+
 class ReferenceText:
     """An ordered 3-gram sequence with a fixed partition count.
 
-    Partition vectors are count vectors, so a gram repeated inside one
-    slice weights it. The fingerprint is a content hash over the grams and
-    the partition count; signatures carry it so that scores produced
-    against different references can never be compared silently.
+    The partition layout (see :func:`partition_layout`) is computed once.
+    The fingerprint is a content hash over the grams and the partition
+    count; signatures carry it so that scores produced against different
+    references can never be compared silently.
     """
 
-    __slots__ = ("grams", "partitions", "partition_vectors", "fingerprint")
+    __slots__ = ("grams", "partitions", "columns", "positions", "starts", "part_sq", "fingerprint")
 
     def __init__(self, grams: Sequence[str], partitions: int):
         grams = tuple(grams)
         if not grams:
             raise ValueError("reference text needs at least one 3-gram")
-        for gram in grams:
-            if len(gram) != NGRAM_SIZE:
-                raise ValueError(f"token {gram!r} is not {NGRAM_SIZE} characters long")
-        if not 1 <= partitions <= len(grams):
-            raise ValueError(
-                f"partition count must be in 1..{len(grams)}, got {partitions}"
-            )
         self.grams = grams
         self.partitions = partitions
-        vectors = []
-        start = 0
-        for size in partition_sizes(len(grams), partitions):
-            vectors.append(SparseNGramVector(Counter(grams[start : start + size])))
-            start += size
-        self.partition_vectors: tuple[SparseNGramVector, ...] = tuple(vectors)
+        self.columns, self.positions, self.starts, self.part_sq = partition_layout(
+            grams, partitions
+        )
         self.fingerprint = hashlib.sha256(_serialize(grams, partitions).encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:
@@ -80,11 +115,6 @@ def _serialize(grams: tuple[str, ...], partitions: int) -> str:
     return f"P={partitions}\n" + "".join(escape_gram(g) + "\n" for g in grams)
 
 
-def partition(ref: ReferenceText) -> tuple[SparseNGramVector, ...]:
-    """The reference's partition count vectors, in order."""
-    return ref.partition_vectors
-
-
 @dataclass(frozen=True, eq=False)
 class Signature:
     """A document's fingerprint: one cosine score per reference partition."""
@@ -95,15 +125,34 @@ class Signature:
 
 def sign(doc: Document, ref: ReferenceText) -> Signature:
     """Score ``doc`` against every partition; empty documents sign all-zero."""
-    scores = np.array(
-        [cosine(doc.vector, part) for part in ref.partition_vectors], dtype=float
-    )
-    return Signature(scores, ref.fingerprint)
+    return Signature(signature_matrix([doc], ref)[0], ref.fingerprint)
+
+
+# Documents per count matrix in signature_matrix, which bounds its memory.
+SIGN_BLOCK = 64
 
 
 def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray:
-    """Stack the signatures of ``docs`` into an N x P matrix."""
-    return np.array([sign(doc, ref).scores for doc in docs])
+    """Stack the signatures of ``docs`` into an N x P matrix.
+
+    Each row equals ``text.cosine`` of the document against each partition
+    bit for bit: counts, dots and squared norms are exact integers.
+    """
+    columns = ref.columns
+    out = np.empty((len(docs), ref.partitions))
+    for lo in range(0, len(docs), SIGN_BLOCK):
+        block = docs[lo : lo + SIGN_BLOCK]
+        counts = np.zeros((len(block), len(columns)))
+        for row, doc in zip(counts, block):
+            for gram, count in doc.vector.counts.items():
+                col = columns.get(gram)
+                if col is not None:
+                    row[col] = count
+        sq_norms = np.array([doc.vector.sq_norm for doc in block], dtype=float)
+        out[lo : lo + len(block)] = partition_scores(
+            counts, sq_norms, ref.positions, ref.starts, ref.part_sq
+        )
+    return out
 
 
 def _score_cosine(x: np.ndarray, y: np.ndarray) -> float:
@@ -187,13 +236,16 @@ class DndVerdict:
 
 
 def classify(similarity: float, cfg: ClassifierConfig) -> DndVerdict:
-    """Map a similarity in [0, 1] to duplicate / near-duplicate / distinct."""
+    """Map a similarity in [0, 1] to duplicate / near-duplicate / distinct;
+    raises ValueError on NaN."""
     if similarity >= cfg.t1:
         label = Verdict.DUPLICATE
     elif similarity >= cfg.t2:
         label = Verdict.NEAR_DUPLICATE
-    else:
+    elif similarity < cfg.t2:
         label = Verdict.DISTINCT
+    else:
+        raise ValueError(f"similarity {similarity!r} is not a number")
     return DndVerdict(label, similarity)
 
 

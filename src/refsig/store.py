@@ -28,6 +28,7 @@ KIND_DIRECTORY = "directory"
 KIND_RECORDS = "records"
 
 _TAG_RE = re.compile(r"<[^>]*>")
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class CorruptDbError(ValueError):
@@ -134,7 +135,10 @@ def db_write(
         raw_id = doc_id.encode("utf-8")
         if b"\x00" in raw_id:
             raise ValueError(f"document id {doc_id!r} contains a NUL byte")
-        encoded.append((raw_id, np.asarray(sig.scores, dtype="<f4")))
+        scores = np.asarray(sig.scores, dtype="<f4")
+        if not np.isfinite(scores).all():
+            raise ValueError(f"signature for {doc_id!r} has a non-finite score")
+        encoded.append((raw_id, scores))
     id_width = max((len(raw_id) for raw_id, _ in encoded), default=1)
     header = (
         f"{_DB_MAGIC}\n"
@@ -181,6 +185,10 @@ def db_read(path: str | Path) -> SignatureDb:
         writer = fields.get("writer", "")
     except (KeyError, ValueError) as exc:
         raise CorruptDbError(f"{path}: bad header field ({exc})") from None
+    if partitions < 1 or id_width < 1:
+        raise CorruptDbError(f"{path}: bad header (partitions={partitions}, id_bytes={id_width})")
+    if not _FINGERPRINT_RE.fullmatch(fingerprint):
+        raise CorruptDbError(f"{path}: fingerprint {fingerprint!r} is not 64 lowercase hex digits")
     payload = body[sep + 3 :]
     record_size = id_width + 4 * partitions
     if len(payload) != count * record_size:
@@ -193,6 +201,8 @@ def db_read(path: str | Path) -> SignatureDb:
         chunk = payload[k * record_size : (k + 1) * record_size]
         doc_id = chunk[:id_width].rstrip(b"\x00").decode("utf-8")
         scores = np.frombuffer(chunk[id_width:], dtype="<f4").copy()
+        if not np.isfinite(scores).all():
+            raise CorruptDbError(f"{path}: record {doc_id!r} has a non-finite score")
         records.append((doc_id, scores))
     ids = [doc_id for doc_id, _ in records]
     if len(set(ids)) != len(ids):

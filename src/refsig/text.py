@@ -6,6 +6,7 @@ signature-space similarity is trained and evaluated against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import unicodedata
 from collections import Counter
@@ -116,25 +117,66 @@ def cosine(a: SparseNGramVector, b: SparseNGramVector) -> float:
     return min(1.0, a.dot(b) / math.sqrt(a.sq_norm * b.sq_norm))
 
 
+def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    """Cosines from integer dot products and squared norms held in float64.
+
+    ``dots[i, j]`` pairs row ``i`` of ``sq_a`` with column ``j`` of
+    ``sq_b``; a zero squared norm (an empty vector) scores 0.0. Integers
+    below 2**53 are exact in float64 whatever order they were summed in,
+    and sqrt(float(a) * float(b)) rounds as math.sqrt(a * b) does, so every
+    entry is bit-identical to :func:`cosine`.
+    """
+    denom = np.sqrt(np.multiply.outer(sq_a, sq_b))
+    out = np.zeros(denom.shape)
+    np.divide(dots, denom, out=out, where=denom > 0)
+    return np.minimum(out, 1.0, out=out)
+
+
+def count_columns(
+    docs: Sequence[Document],
+) -> tuple[dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
+    """A column per distinct 3-gram of ``docs`` (first-seen order), and for
+    each document the columns and counts of its grams."""
+    vectors = [doc.vector.counts for doc in docs]
+    vocab = {g: k for k, g in enumerate(dict.fromkeys(itertools.chain.from_iterable(vectors)))}
+    cells = [
+        (
+            np.fromiter(map(vocab.__getitem__, counts), dtype=np.intp, count=len(counts)),
+            np.fromiter(counts.values(), dtype=float, count=len(counts)),
+        )
+        for counts in vectors
+    ]
+    return vocab, cells
+
+
+# Vocabulary columns per dense block of the exact-cosine oracle: memory is
+# O(N * block) instead of O(N * V).
+ORACLE_BLOCK = 512
+
+
 def brute_force_pairwise(corpus: Sequence[Document]) -> np.ndarray:
     """Exact cosine between every document pair; the ground-truth oracle.
 
     Returns a symmetric N x N float matrix. The diagonal is 1.0 for
-    non-empty documents and 0.0 for empty ones.
+    non-empty documents and 0.0 for empty ones. Dot products are summed
+    as count-matrix products over blocks of vocabulary columns, so they
+    are exact integers and every entry is bit-identical to :func:`cosine`.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
-    out = np.zeros((n, n), dtype=float)
-    for i, doc in enumerate(corpus):
-        if not doc.vector.is_empty:
-            out[i, i] = 1.0
-    for i in range(n):
-        vi = corpus[i].vector
-        for j in range(i + 1, n):
-            score = cosine(vi, corpus[j].vector)
-            out[i, j] = score
-            out[j, i] = score
+    vocab, cells = count_columns(corpus)
+    dots = np.zeros((n, n))
+    block = np.empty((n, min(ORACLE_BLOCK, len(vocab))))
+    for lo in range(0, len(vocab), ORACLE_BLOCK):
+        block[:] = 0.0
+        for row, (cols, vals) in zip(block, cells):
+            inside = (cols >= lo) & (cols < lo + ORACLE_BLOCK)
+            row[cols[inside] - lo] = vals[inside]
+        dots += block @ block.T
+    sq = np.array([doc.vector.sq_norm for doc in corpus], dtype=float)
+    out = count_cosine(dots, sq, sq)
+    np.fill_diagonal(out, sq > 0)
     return out
 
 

@@ -1,4 +1,5 @@
 from refsig.cli import build_parser, main
+from refsig.evaluate import dnd_scan
 from refsig.reference import ReferenceText, save_reference
 from refsig.store import db_read
 from refsig.tfidf import load_pool
@@ -128,3 +129,35 @@ def test_missing_corpus_fails_cleanly(tmp_path, capsys):
     assert _run("topk", "--corpus", tmp_path / "nope", "--k", 5,
                 "--out", tmp_path / "pool.txt") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
+    synthetic = tmp_path / "synthetic"
+    assert _run("synth", "--bases", 40, "--near-dups", 12, "--dups", 8,
+                "--seed", 9, "--words", 90, "--out", synthetic) == 0
+    docs = synthetic / "docs"
+    pool = tmp_path / "pool.txt"
+    assert _run("topk", "--corpus", docs, "--k", 400, "--out", pool) == 0
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(load_pool(pool).grams[:150], 15), ref)
+    db, pairs = tmp_path / "sigs.db", tmp_path / "pairs.tsv"
+    assert _run("sign", "--ref", ref, "--corpus", docs, "--out", db) == 0
+    assert _run("dedup", "--db", db, "--t1", 0.999, "--t2", 0.93, "--out", pairs) == 0
+
+    scans = []
+
+    def recording_scan(db, cfg):
+        scans.append(dnd_scan(db, cfg))
+        return scans[-1]
+
+    monkeypatch.setattr("refsig.cli.dnd_scan", recording_scan)
+    assert _run("eval", "--ref", ref, "--corpus", docs, "--labels", synthetic / "labels.tsv",
+                "--t1", 0.999, "--t2", 0.93, "--out", tmp_path / "report.tsv") == 0
+    eval_rows = [
+        f"{h.id_a}\t{h.id_b}\t{h.verdict.similarity:.9f}\t{h.verdict.label.value}"
+        for h in scans[0]
+    ]
+    dedup_rows = pairs.read_text(encoding="utf-8").split("\n")[1:-1]
+    labels = {row.split("\t")[3] for row in dedup_rows}
+    assert labels == {"duplicate", "near-duplicate"}
+    assert eval_rows == dedup_rows

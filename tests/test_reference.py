@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from refsig.reference import (
     load_reference,
     mean_signature_error,
     pairwise_signature_similarity,
-    partition,
+    partition_layout,
     partition_sizes,
     save_reference,
     sign,
@@ -24,11 +25,19 @@ from refsig.reference import (
 from refsig.text import Document, brute_force_pairwise, corpus_grams
 
 
+def _partition_counts(ref):
+    """Each partition's gram counts, read back from the reference's layout."""
+    grams, ends = list(ref.columns), [*ref.starts[1:], len(ref)]
+    return [Counter(grams[c] for c in ref.positions[lo:hi]) for lo, hi in zip(ref.starts, ends)]
+
+
 def test_partition_examples():
     ref = ReferenceText(["abc", "bcd", "cde", "def"], 2)
-    parts = partition(ref)
-    assert parts[0].counts == {"abc": 1, "bcd": 1}
-    assert parts[1].counts == {"cde": 1, "def": 1}
+    assert ref.columns == {"abc": 0, "bcd": 1, "cde": 2, "def": 3}
+    assert ref.positions.tolist() == [0, 1, 2, 3]
+    assert ref.starts.tolist() == [0, 2]
+    assert _partition_counts(ref) == [{"abc": 1, "bcd": 1}, {"cde": 1, "def": 1}]
+    assert ref.part_sq.tolist() == [2.0, 2.0]
 
     assert partition_sizes(5, 2) == [3, 2]
     assert partition_sizes(4, 2) == [2, 2]
@@ -36,13 +45,22 @@ def test_partition_examples():
     sizes = partition_sizes(1000, 150)
     assert sizes == [7] * 100 + [6] * 50
     assert sum(sizes) == 1000
+    starts = ReferenceText(["abc"] * 1000, 150).starts
+    assert starts.tolist() == [sum(sizes[:k]) for k in range(150)]
 
 
 def test_partition_accumulates_duplicate_grams():
     ref = ReferenceText(["abc", "abc", "xyz"], 2)
-    parts = partition(ref)
-    assert parts[0].counts == {"abc": 2}
-    assert parts[1].counts == {"xyz": 1}
+    assert ref.columns == {"abc": 0, "xyz": 1}
+    assert ref.positions.tolist() == [0, 0, 1]
+    assert _partition_counts(ref) == [{"abc": 2}, {"xyz": 1}]
+    assert ref.part_sq.tolist() == [4.0, 1.0]
+    # a gram shared between partitions is one column counted in each
+    columns, positions, starts, part_sq = partition_layout(["abc", "xyz", "abc", "abc"], 2)
+    assert columns == {"abc": 0, "xyz": 1}
+    assert positions.tolist() == [0, 1, 0, 0]
+    assert starts.tolist() == [0, 2]
+    assert part_sq.tolist() == [2.0, 4.0]
 
 
 def test_reference_validation():
@@ -153,6 +171,11 @@ def test_classify_boundaries():
     assert classify(0.80, cfg).label is Verdict.NEAR_DUPLICATE
     assert classify(0.79, cfg).label is Verdict.DISTINCT
     assert classify(0.5, cfg).similarity == 0.5
+
+
+def test_classify_rejects_nan():
+    with pytest.raises(ValueError, match="not a number"):
+        classify(float("nan"), ClassifierConfig(t1=0.95, t2=0.80))
 
 
 def test_reference_file_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -150,4 +152,54 @@ def test_db_rejects_nondb_file(tmp_path):
     path = tmp_path / "junk.db"
     path.write_bytes(b"x" * 100)
     with pytest.raises(CorruptDbError):
+        db_read(path)
+
+
+def _forge_db(
+    path, fingerprint="a" * 64, partitions=2, id_bytes=1, records=((b"x", (0.5, 0.25)),)
+):
+    """A database file with a valid checksum around an arbitrary header."""
+    body = (
+        f"refsig-db 1\nfingerprint={fingerprint}\npartitions={partitions}\n"
+        f"records={len(records)}\nid_bytes={id_bytes}\nwriter=forged\n%%\n"
+    ).encode("ascii")
+    for raw_id, scores in records:
+        body += raw_id + np.asarray(scores, dtype="<f4").tobytes()
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+def test_forged_db_control_loads(tmp_path):
+    db = db_read(_forge_db(tmp_path / "ok.db"))
+    assert db.partitions == 2
+    assert db.records[0][0] == "x"
+    assert db.records[0][1].tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        (dict(partitions=0, records=((b"x", ()),)), "partitions=0"),
+        (dict(partitions=-1, records=()), "partitions=-1"),
+        (dict(id_bytes=0, records=((b"", (0.5, 0.25)),)), "id_bytes=0"),
+        (dict(fingerprint="A" * 64), "fingerprint"),
+        (dict(fingerprint="a" * 63), "fingerprint"),
+        (dict(fingerprint="g" * 64), "fingerprint"),
+    ],
+)
+def test_db_read_rejects_bad_header(tmp_path, header, match):
+    path = _forge_db(tmp_path / "forged.db", **header)
+    with pytest.raises(CorruptDbError, match=match):
+        db_read(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_db_rejects_non_finite_scores(tmp_path, bad):
+    ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
+    scores = sigs[0][1].scores.copy()
+    scores[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        db_write(tmp_path / "bad.db", ref, [(sigs[0][0], Signature(scores, ref.fingerprint))])
+    path = _forge_db(tmp_path / "forged.db", records=((b"x", (0.5, bad)),))
+    with pytest.raises(CorruptDbError, match="non-finite"):
         db_read(path)
