@@ -146,9 +146,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
         # The float32 rows that sign -> db_write -> dedup classifies.
         rows = signature_matrix(docs, ref).astype("<f4")
-        db = SignatureDb(
-            ref.fingerprint, ref.partitions, "in-memory", tuple(zip((d.id for d in docs), rows))
-        )
+        ids = tuple(d.id for d in docs)
+        db = SignatureDb(ref.fingerprint, ref.partitions, "in-memory", ids, rows)
         hits = dnd_scan(db, cfg)
         truth = _read_label_pairs(args.labels)
         n = len(docs)
@@ -259,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dedup", help="scan a signature database for DND pairs")
     p.add_argument("--db", required=True)
-    p.add_argument("--t1", type=float, default=0.95)
-    p.add_argument("--t2", type=float, default=0.80)
+    p.add_argument("--t1", type=float, default=ClassifierConfig.t1)
+    p.add_argument("--t2", type=float, default=ClassifierConfig.t2)
     p.add_argument("--ref", help="verify the database against this reference file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dedup)
@@ -271,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--labels", help="ground-truth pairs TSV; adds precision/recall/F1")
-    p.add_argument("--t1", type=float, default=0.95)
-    p.add_argument("--t2", type=float, default=0.80)
+    p.add_argument("--t1", type=float, default=ClassifierConfig.t1)
+    p.add_argument("--t2", type=float, default=ClassifierConfig.t2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

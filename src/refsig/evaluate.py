@@ -273,22 +273,23 @@ class ScanPair:
     verdict: DndVerdict
 
 
+SCAN_BLOCK = 256  # rows per block: dnd_scan holds SCAN_BLOCK x N similarities
+
+
 def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> list[ScanPair]:
     """Classify every pair in the database; emit duplicate and near-duplicate
     pairs, canonicalized and sorted by id."""
     if db.record_count == 0:
         raise ValueError("signature database is empty")
-    ids = [doc_id for doc_id, _ in db.records]
-    matrix = np.array([scores for _, scores in db.records], dtype=float)
-    sims = pairwise_signature_similarity(matrix)
+    matrix = np.asarray(db.scores, dtype=float)
     hits: list[ScanPair] = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            verdict = classify(float(sims[i, j]), cfg)
-            if verdict.label is Verdict.DISTINCT:
-                continue
-            id_a, id_b = sorted((ids[i], ids[j]))
-            hits.append(ScanPair(id_a, id_b, verdict))
+    for lo in range(0, db.record_count, SCAN_BLOCK):
+        # A block of rows against itself and every later row; triu keeps j > i.
+        sims = pairwise_signature_similarity(matrix[lo : lo + SCAN_BLOCK], matrix[lo:])
+        rows, cols = np.nonzero(np.triu(sims >= cfg.t2, k=1))
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            id_a, id_b = sorted((db.ids[lo + i], db.ids[lo + j]))
+            hits.append(ScanPair(id_a, id_b, classify(float(sims[i, j]), cfg)))
     hits.sort(key=lambda h: (h.id_a, h.id_b))
     return hits
 

@@ -9,7 +9,6 @@ signatures and classified against a pair of thresholds.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -155,14 +154,6 @@ def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray
     return out
 
 
-def _score_cosine(x: np.ndarray, y: np.ndarray) -> float:
-    sx = float(np.dot(x, x))
-    sy = float(np.dot(y, y))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return min(1.0, float(np.dot(x, y)) / math.sqrt(sx * sy))
-
-
 def signature_similarity(a: Signature, b: Signature) -> float:
     """Cosine of two signature vectors; 0.0 when either is all-zero.
 
@@ -176,17 +167,23 @@ def signature_similarity(a: Signature, b: Signature) -> float:
         )
     if len(a.scores) != len(b.scores):
         raise SignatureMismatchError("signatures have different lengths")
-    return _score_cosine(a.scores, b.scores)
+    return float(pairwise_signature_similarity(a.scores[None], b.scores[None])[0, 0])
 
 
-def pairwise_signature_similarity(matrix: np.ndarray) -> np.ndarray:
-    """All-pairs signature cosine for an N x P signature matrix."""
-    m = np.asarray(matrix, dtype=float)
-    sq = np.einsum("ij,ij->i", m, m)
-    dots = m @ m.T
-    denom = np.sqrt(np.outer(sq, sq))
+def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row of ``a`` against each row of ``b``: 0.0 where either
+    row is all-zero, exactly 1.0 where two non-zero rows are equal."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    dots = a @ b.T
+    denom = np.sqrt(np.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)))
     sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    return np.minimum(sims, 1.0)
+    np.minimum(sims, 1.0, out=sims)
+    # Equal rows land within a few ulps of 1.0, so only those entries are compared.
+    rows, cols = np.nonzero(sims >= 1.0 - 1e-9)
+    equal = (a[rows] == b[cols]).all(axis=1)
+    sims[rows[equal], cols[equal]] = 1.0
+    return sims
 
 
 def mean_signature_error(sig_matrix: np.ndarray, oracle: np.ndarray) -> float:
@@ -200,7 +197,7 @@ def mean_signature_error(sig_matrix: np.ndarray, oracle: np.ndarray) -> float:
         raise ValueError("need at least 2 documents to compare")
     if oracle.shape != (n, n):
         raise ValueError(f"oracle shape {oracle.shape} does not match {n} documents")
-    sims = pairwise_signature_similarity(sig_matrix)
+    sims = pairwise_signature_similarity(sig_matrix, sig_matrix)
     iu = np.triu_indices(n, k=1)
     return float(np.mean(np.abs(sims[iu] - oracle[iu])))
 

@@ -104,24 +104,28 @@ def ingest(source: CorpusSource | str | Path) -> list[Document]:
 
 @dataclass(frozen=True)
 class SignatureDb:
-    """In-memory view of a signature database file."""
+    """In-memory view of a signature database file: ids and an (N, P) float32 matrix."""
 
     fingerprint: str
     partitions: int
     writer: str
-    records: tuple[tuple[str, np.ndarray], ...]
+    ids: tuple[str, ...]
+    scores: np.ndarray
 
     @property
     def record_count(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+
+def _record_dtype(id_bytes: int, partitions: int) -> np.dtype:
+    return np.dtype([("id", f"S{id_bytes}"), ("scores", "<f4", (partitions,))])
 
 
 def db_write(
     path: str | Path, ref: ReferenceText, sigs: Sequence[tuple[str, Signature]]
 ) -> None:
     """Persist signatures bound to ``ref``; rejects foreign fingerprints."""
-    encoded: list[tuple[bytes, np.ndarray]] = []
-    seen: set[str] = set()
+    raw_ids: dict[str, bytes] = {}
     for doc_id, sig in sigs:
         if sig.ref_fingerprint != ref.fingerprint:
             raise SignatureMismatchError(
@@ -129,32 +133,33 @@ def db_write(
             )
         if len(sig.scores) != ref.partitions:
             raise ValueError(f"signature for {doc_id!r} has wrong length")
-        if doc_id in seen:
+        if doc_id in raw_ids:
             raise ValueError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
         raw_id = doc_id.encode("utf-8")
+        if not raw_id:
+            raise ValueError("document id is empty")
         if b"\x00" in raw_id:
             raise ValueError(f"document id {doc_id!r} contains a NUL byte")
-        scores = np.asarray(sig.scores, dtype="<f4")
-        if not np.isfinite(scores).all():
-            raise ValueError(f"signature for {doc_id!r} has a non-finite score")
-        encoded.append((raw_id, scores))
-    id_width = max((len(raw_id) for raw_id, _ in encoded), default=1)
+        raw_ids[doc_id] = raw_id
+    id_bytes = max(map(len, raw_ids.values()), default=1)
+    records = np.zeros(len(raw_ids), dtype=_record_dtype(id_bytes, ref.partitions))
+    records["id"] = list(raw_ids.values())
+    records["scores"] = np.reshape([sig.scores for _, sig in sigs], (-1, ref.partitions))
+    finite = np.isfinite(records["scores"]).all(axis=1)
+    if not finite.all():
+        bad = sigs[int(np.argmin(finite))][0]
+        raise ValueError(f"signature for {bad!r} has a non-finite score")
     header = (
         f"{_DB_MAGIC}\n"
         f"fingerprint={ref.fingerprint}\n"
         f"partitions={ref.partitions}\n"
-        f"records={len(encoded)}\n"
-        f"id_bytes={id_width}\n"
+        f"records={len(records)}\n"
+        f"id_bytes={id_bytes}\n"
         f"writer={_WRITER}\n"
         "%%\n"
     ).encode("ascii")
-    buf = bytearray(header)
-    for raw_id, scores in encoded:
-        buf += raw_id.ljust(id_width, b"\x00")
-        buf += scores.tobytes()
-    buf += hashlib.sha256(bytes(buf)).digest()
-    Path(path).write_bytes(bytes(buf))
+    body = header + records.tobytes()
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def db_read(path: str | Path) -> SignatureDb:
@@ -190,21 +195,18 @@ def db_read(path: str | Path) -> SignatureDb:
     if not _FINGERPRINT_RE.fullmatch(fingerprint):
         raise CorruptDbError(f"{path}: fingerprint {fingerprint!r} is not 64 lowercase hex digits")
     payload = body[sep + 3 :]
-    record_size = id_width + 4 * partitions
-    if len(payload) != count * record_size:
+    record = _record_dtype(id_width, partitions)
+    if len(payload) != count * record.itemsize:
         raise CorruptDbError(
-            f"{path}: expected {count} records of {record_size} bytes, "
+            f"{path}: expected {count} records of {record.itemsize} bytes, "
             f"found {len(payload)} payload bytes"
         )
-    records: list[tuple[str, np.ndarray]] = []
-    for k in range(count):
-        chunk = payload[k * record_size : (k + 1) * record_size]
-        doc_id = chunk[:id_width].rstrip(b"\x00").decode("utf-8")
-        scores = np.frombuffer(chunk[id_width:], dtype="<f4").copy()
-        if not np.isfinite(scores).all():
-            raise CorruptDbError(f"{path}: record {doc_id!r} has a non-finite score")
-        records.append((doc_id, scores))
-    ids = [doc_id for doc_id, _ in records]
+    records = np.frombuffer(payload, dtype=record)
+    ids = tuple(raw_id.decode("utf-8") for raw_id in records["id"])
+    finite = np.isfinite(records["scores"]).all(axis=1)
+    if not finite.all():
+        bad = ids[int(np.argmin(finite))]
+        raise CorruptDbError(f"{path}: record {bad!r} has a non-finite score")
     if len(set(ids)) != len(ids):
         raise CorruptDbError(f"{path}: duplicate document ids in records")
-    return SignatureDb(fingerprint, partitions, writer, tuple(records))
+    return SignatureDb(fingerprint, partitions, writer, ids, records["scores"].copy())

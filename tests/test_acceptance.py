@@ -51,7 +51,8 @@ def test_criterion_1_full_vocabulary_equivalence():
     )
     grams = corpus_grams(docs)
     ref = ReferenceText(grams, len(grams))  # one gram per partition
-    sims = pairwise_signature_similarity(signature_matrix(docs, ref))
+    sigs = signature_matrix(docs, ref)
+    sims = pairwise_signature_similarity(sigs, sigs)
     oracle = brute_force_pairwise(docs)
     n = len(docs)
     iu = np.triu_indices(n, k=1)
@@ -316,7 +317,10 @@ def test_criterion_7_determinism_and_format(tmp_path):
     db_write(
         rewritten,
         ref_obj,
-        [(doc_id, Signature(scores, loaded.fingerprint)) for doc_id, scores in loaded.records],
+        [
+            (doc_id, Signature(scores, loaded.fingerprint))
+            for doc_id, scores in zip(loaded.ids, loaded.scores)
+        ],
     )
     round_trip = rewritten.read_bytes() == db_a
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from refsig import evaluate
 from refsig.evaluate import (
     ConfusionCounts,
     SplitSpec,
@@ -17,8 +18,17 @@ from refsig.evaluate import (
     split_corpus,
 )
 from refsig.ga import GaConfig
-from refsig.reference import ClassifierConfig, ReferenceText, Verdict, sign
-from refsig.store import SignatureDb
+from refsig.reference import (
+    ClassifierConfig,
+    ReferenceText,
+    Signature,
+    Verdict,
+    classify,
+    pairwise_signature_similarity,
+    sign,
+    signature_matrix,
+)
+from refsig.store import SignatureDb, db_read, db_write
 from refsig.text import Document, corpus_grams, cosine
 
 
@@ -196,8 +206,8 @@ def test_synthetic_deterministic():
 
 
 def _db_from(ref, docs):
-    records = tuple((d.id, sign(d, ref).scores) for d in docs)
-    return SignatureDb(ref.fingerprint, ref.partitions, "test", records)
+    scores = np.array([sign(d, ref).scores for d in docs], dtype="<f4")
+    return SignatureDb(ref.fingerprint, ref.partitions, "test", tuple(d.id for d in docs), scores)
 
 
 def test_dnd_scan_identical_documents():
@@ -211,10 +221,7 @@ def test_dnd_scan_identical_documents():
 
 
 def test_dnd_scan_orthogonal_signatures_empty():
-    db = SignatureDb(
-        "f" * 64, 2, "test",
-        (("x", np.array([1.0, 0.0])), ("y", np.array([0.0, 1.0]))),
-    )
+    db = SignatureDb("f" * 64, 2, "test", ("x", "y"), np.eye(2, dtype="<f4"))
     assert dnd_scan(db, ClassifierConfig(0.95, 0.80)) == []
 
 
@@ -230,8 +237,57 @@ def test_dnd_scan_order_independent():
     assert any(h.id_a == "0" and h.id_b == "dup" for h in forward)
 
 
+def test_dnd_scan_exact_duplicates_score_one_after_db_round_trip(tmp_path):
+    docs, planted = generate_synthetic_corpus(
+        SyntheticCorpusSpec(base_doc_count=60, near_dup_count=0, dup_count=30, rng_seed=3)
+    )
+    ref = ReferenceText(sorted(corpus_grams(docs))[:1000], 150)
+    rows = signature_matrix(docs, ref)
+    path = tmp_path / "sigs.db"
+    db_write(path, ref, [(d.id, Signature(row, ref.fingerprint)) for d, row in zip(docs, rows)])
+    scan = dnd_scan(db_read(path), ClassifierConfig(1.0, 0.93))
+    hits = {(h.id_a, h.id_b): h.verdict for h in scan}
+    for pair in planted:
+        verdict = hits[tuple(sorted((pair.id_a, pair.id_b)))]
+        assert verdict.label is Verdict.DUPLICATE and verdict.similarity == 1.0
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["integer-scores", "float-scores"])
+def test_dnd_scan_blocks_match_full_matrix_loop(exact):
+    # Small-integer scores make every dot product and norm exact, so the blocked
+    # products must equal the full N x N product bit for bit. Other scores may
+    # round differently per block shape, because BLAS picks its summation
+    # order by shape; there the similarities must agree within 1e-15.
+    block = evaluate.SCAN_BLOCK
+    rng = np.random.default_rng(4)
+    size = (2 * block + 37, 5)
+    scores = rng.integers(0, 4, size=size) if exact else rng.uniform(0, 1, size=size)
+    scores = scores.astype("<f4")
+    scores[[3, block + 1, 2 * block + 5]] = 0.0  # all-zero rows in every block
+    scores[[block - 1, block, 2 * block + 36]] = scores[7]  # copies across block edges
+    ids = tuple(f"doc-{k:04d}" for k in range(len(scores)))
+    cfg = ClassifierConfig(0.95, 0.80)
+    sims = pairwise_signature_similarity(scores, scores)
+    expected = []
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            verdict = classify(float(sims[i, j]), cfg)
+            if verdict.label is not Verdict.DISTINCT:
+                expected.append(evaluate.ScanPair(ids[i], ids[j], verdict))
+    hits = dnd_scan(SignatureDb("f" * 64, 5, "test", ids, scores), cfg)
+    if exact:
+        assert hits == expected
+    assert [(h.id_a, h.id_b, h.verdict.label) for h in hits] == [
+        (e.id_a, e.id_b, e.verdict.label) for e in expected
+    ]
+    gaps = [abs(h.verdict.similarity - e.verdict.similarity) for h, e in zip(hits, expected)]
+    assert max(gaps) <= 1e-15
+    assert {h.verdict.label for h in hits} == {Verdict.DUPLICATE, Verdict.NEAR_DUPLICATE}
+    assert sum(h.verdict.similarity == 1.0 for h in hits) >= 6  # the four copies of row 7
+
+
 def test_dnd_scan_rejects_empty_db():
-    db = SignatureDb("f" * 64, 2, "test", ())
+    db = SignatureDb("f" * 64, 2, "test", (), np.empty((0, 2), dtype="<f4"))
     with pytest.raises(ValueError):
         dnd_scan(db, ClassifierConfig(0.95, 0.80))
 

@@ -120,12 +120,18 @@ def test_pairwise_matches_scalar():
     rng = np.random.default_rng(8)
     matrix = rng.uniform(0, 1, size=(12, 9))
     matrix[3] = 0.0  # one all-zero signature
-    sims = pairwise_signature_similarity(matrix)
+    matrix[[7, 10]] = matrix[5]  # three identical signatures
+    matrix[11] = matrix[5]
+    matrix[11, 0] += 1e-6  # near-identical: within 1e-9 of 1.0, but not equal
+    sims = pairwise_signature_similarity(matrix, matrix)
     fp = "c" * 64
     for i in range(12):
         for j in range(12):
             scalar = signature_similarity(Signature(matrix[i], fp), Signature(matrix[j], fp))
             assert abs(sims[i, j] - scalar) <= 1e-12
+            if i != 3 and (matrix[i] == matrix[j]).all():
+                assert sims[i, j] == 1.0 and scalar == 1.0
+    assert 1.0 - 1e-9 < sims[5, 11] < 1.0
 
 
 def test_full_vocabulary_exactness_small():
@@ -134,7 +140,8 @@ def test_full_vocabulary_exactness_small():
     docs = [Document.from_raw(str(i), t) for i, t in enumerate(texts)]
     grams = corpus_grams(docs)
     ref = ReferenceText(grams, len(grams))
-    sims = pairwise_signature_similarity(signature_matrix(docs, ref))
+    sigs = signature_matrix(docs, ref)
+    sims = pairwise_signature_similarity(sigs, sigs)
     oracle = brute_force_pairwise(docs)
     assert np.max(np.abs(sims - oracle)) <= 1e-9
 

@@ -81,10 +81,16 @@ def test_db_round_trip_bit_exact(tmp_path):
     assert db.fingerprint == ref.fingerprint
     assert db.partitions == ref.partitions
     assert db.record_count == 3
-    for (doc_id, sig), (read_id, scores) in zip(sigs, db.records):
+    for (doc_id, sig), (read_id, scores) in zip(sigs, zip(db.ids, db.scores)):
         assert read_id == doc_id
         assert scores.dtype == np.dtype("<f4")
         assert scores.tobytes() == np.asarray(sig.scores, dtype="<f4").tobytes()
+
+
+def test_db_write_rejects_empty_id(tmp_path):
+    ref, sigs = _ref_and_sigs(["one doc here"])
+    with pytest.raises(ValueError, match="empty"):
+        db_write(tmp_path / "sigs.db", ref, [("", sigs[0][1])])
 
 
 def test_db_write_idempotent(tmp_path):
@@ -172,8 +178,8 @@ def _forge_db(
 def test_forged_db_control_loads(tmp_path):
     db = db_read(_forge_db(tmp_path / "ok.db"))
     assert db.partitions == 2
-    assert db.records[0][0] == "x"
-    assert db.records[0][1].tolist() == [0.5, 0.25]
+    assert db.ids == ("x",)
+    assert db.scores.tolist() == [[0.5, 0.25]]
 
 
 @pytest.mark.parametrize(
@@ -198,8 +204,9 @@ def test_db_rejects_non_finite_scores(tmp_path, bad):
     ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
     scores = sigs[0][1].scores.copy()
     scores[0] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        db_write(tmp_path / "bad.db", ref, [(sigs[0][0], Signature(scores, ref.fingerprint))])
-    path = _forge_db(tmp_path / "forged.db", records=((b"x", (0.5, bad)),))
-    with pytest.raises(CorruptDbError, match="non-finite"):
+    bad_sig = (sigs[0][0], Signature(scores, ref.fingerprint))
+    with pytest.raises(ValueError, match="'doc-0' has a non-finite"):
+        db_write(tmp_path / "bad.db", ref, [sigs[1], bad_sig])
+    path = _forge_db(tmp_path / "forged.db", records=((b"w", (0.5, 0.25)), (b"x", (0.5, bad))))
+    with pytest.raises(CorruptDbError, match="'x' has a non-finite"):
         db_read(path)
