@@ -18,6 +18,7 @@ from refsig import (
     sign,
     signature_similarity,
 )
+from refsig.text import gram_strings
 
 # --- normalization and 3-grams ---------------------------------------------
 
@@ -26,9 +27,10 @@ text = normalize(raw)
 print("raw:       ", repr(raw))
 print("normalized:", repr(text))
 
+# Grams are counted as sorted packed int64 keys; gram_strings turns them back into text.
 vec = extract_3grams(text)
-print(f"\n{len(vec)} distinct 3-grams, total mass {sum(vec.counts.values())}")
-print("a few of them:", dict(list(vec.counts.items())[:6]))
+print(f"\n{len(vec)} distinct 3-grams, total mass {vec.counts.sum()}")
+print("a few of them:", dict(zip(gram_strings(vec.keys[:6]), vec.counts[:6].tolist())))
 
 # exact cosine is the ground truth the signatures approximate
 a = Document.from_raw("a", "the quick brown fox jumps over the lazy dog")

@@ -20,9 +20,11 @@ from .evaluate import (
     prf,
 )
 from .ga import DEFAULT_SEED, GaConfig
+from .gramio import read_lines
 from .reference import (
     ClassifierConfig,
     Signature,
+    Verdict,
     load_reference,
     save_reference,
     signature_matrix,
@@ -178,16 +180,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_label_pairs(path: str) -> list[tuple[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().split("\n")
+    """The positive pairs of an ``id_a id_b label`` TSV; ``distinct`` rows are skipped."""
     pairs = []
-    for line in lines[1:]:
-        if not line:
-            continue
+    for line in read_lines(path)[1:]:
         parts = line.split("\t")
-        if len(parts) < 2:
+        if len(parts) < 3 or parts[2] not in {v.value for v in Verdict}:
             raise ValueError(f"{path}: bad label line {line!r}")
-        pairs.append((parts[0], parts[1]))
+        if parts[2] != Verdict.DISTINCT.value:
+            pairs.append((parts[0], parts[1]))
     return pairs
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gramio import escape_gram
 from .reference import mean_signature_error, partition_layout, partition_scores
-from .text import Document, brute_force_pairwise, count_columns
+from .text import Document, brute_force_pairwise, count_cells, key_columns
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -72,13 +72,13 @@ class Chromosome:
 @dataclass(frozen=True)
 class FitnessSample:
     """The fixed documents every candidate is scored on, their exact
-    pairwise cosine matrix, and their integer counts: ``counts[i, columns[g]]``
-    is document i's count of gram g, and the last column, which no gram
-    maps to, is all zero."""
+    pairwise cosine matrix, and their integer counts: ``counts[i, k]`` is
+    document i's count of the gram with packed key ``keys[k]`` (sorted),
+    and the last column, which no key maps to, is all zero."""
 
     documents: tuple[Document, ...]
     oracle: np.ndarray
-    columns: dict[str, int]
+    keys: np.ndarray
     counts: np.ndarray
     sq_norms: np.ndarray
 
@@ -108,12 +108,12 @@ def draw_fitness_sample(
     if len(corpus) < size:
         raise ValueError(f"corpus has {len(corpus)} documents, sample needs {size}")
     docs = tuple(rng.sample(list(corpus), size))
-    columns, cells = count_columns(docs)
-    counts = np.zeros((size, len(columns) + 1))
-    for row, (cols, vals) in zip(counts, cells):
-        row[cols] = vals
+    rows, keys, cells = count_cells(docs)
+    vocab, cols = np.unique(keys, return_inverse=True)
+    counts = np.zeros((size, len(vocab) + 1))
+    counts[rows, cols] = cells
     sq_norms = np.array([doc.vector.sq_norm for doc in docs], dtype=float)
-    return FitnessSample(docs, brute_force_pairwise(docs), columns, counts, sq_norms)
+    return FitnessSample(docs, brute_force_pairwise(docs), vocab, counts, sq_norms)
 
 
 def init_population(pool: GramPool, cfg: GaConfig, rng: random.Random) -> list[Chromosome]:
@@ -167,10 +167,8 @@ def fitness(chromosome: Chromosome, sample: FitnessSample, partitions: int) -> f
     Equal bit for bit to scoring ``signature_matrix`` of the sample against
     ``ReferenceText(chromosome.grams, partitions)``, without building one.
     """
-    columns, positions, starts, part_sq = partition_layout(chromosome.grams, partitions)
-    absent = sample.counts.shape[1] - 1  # grams no sample document contains
-    lookup = map(sample.columns.get, columns, itertools.repeat(absent))
-    cols = np.fromiter(lookup, dtype=np.intp, count=len(columns))
+    keys, positions, starts, part_sq = partition_layout(chromosome.grams, partitions)
+    cols = key_columns(sample.keys, keys)  # absent grams read the zero last column
     sigs = partition_scores(sample.counts, sample.sq_norms, cols[positions], starts, part_sq)
     return mean_signature_error(sigs, sample.oracle)
 

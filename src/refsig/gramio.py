@@ -8,6 +8,8 @@ their UTF-8 bytes. A line therefore decodes to exactly 3 characters.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .text import NGRAM_SIZE
 
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t"}
@@ -64,3 +66,11 @@ def parse_gram_line(line: str) -> str:
     if len(gram) != NGRAM_SIZE:
         raise ValueError(f"line {line!r} decodes to {len(gram)} characters, expected {NGRAM_SIZE}")
     return gram
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The ``\\n``-split lines of a UTF-8 file, less the empty one after a final newline."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

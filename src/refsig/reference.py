@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gramio import escape_gram, parse_gram_line
-from .text import NGRAM_SIZE, Document, count_cosine
+from .gramio import escape_gram, parse_gram_line, read_lines
+from .text import NGRAM_SIZE, Document, count_cells, count_cosine, gram_keys, key_columns
 
 
 class SignatureMismatchError(ValueError):
@@ -32,10 +32,10 @@ def partition_sizes(length: int, parts: int) -> list[int]:
 
 def partition_layout(
     grams: Sequence[str], partitions: int
-) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The integer-count layout of ``grams`` split into ``partitions`` slices.
 
-    Returns the column of each distinct gram (in first-seen order), the
+    Returns the sorted distinct packed keys of the grams (the columns), the
     column of each position, the start offset of each partition, and each
     partition's exact squared norm as a float64. A gram repeated inside
     one slice weights it: its count there is its multiplicity.
@@ -45,17 +45,16 @@ def partition_layout(
         raise ValueError(f"token {bad!r} is not {NGRAM_SIZE} characters long")
     if not 1 <= partitions <= len(grams):
         raise ValueError(f"partition count must be in 1..{len(grams)}, got {partitions}")
-    index = {gram: k for k, gram in enumerate(dict.fromkeys(grams))}
-    positions = np.fromiter(map(index.__getitem__, grams), dtype=np.intp, count=len(grams))
+    columns, positions = np.unique(gram_keys("".join(grams), NGRAM_SIZE), return_inverse=True)
     sizes = partition_sizes(len(grams), partitions)
     starts = np.zeros(partitions, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
     owner = np.repeat(np.arange(partitions), sizes)
-    cells, multiplicity = np.unique(owner * len(index) + positions, return_counts=True)
+    cells, multiplicity = np.unique(owner * len(columns) + positions, return_counts=True)
     part_sq = np.bincount(
-        cells // len(index), weights=multiplicity.astype(float) ** 2, minlength=partitions
+        cells // len(columns), weights=multiplicity.astype(float) ** 2, minlength=partitions
     )
-    return index, positions, starts, part_sq
+    return columns, positions, starts, part_sq
 
 
 def partition_scores(
@@ -137,16 +136,13 @@ def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray
     Each row equals ``text.cosine`` of the document against each partition
     bit for bit: counts, dots and squared norms are exact integers.
     """
-    columns = ref.columns
     out = np.empty((len(docs), ref.partitions))
     for lo in range(0, len(docs), SIGN_BLOCK):
         block = docs[lo : lo + SIGN_BLOCK]
-        counts = np.zeros((len(block), len(columns)))
-        for row, doc in zip(counts, block):
-            for gram, count in doc.vector.counts.items():
-                col = columns.get(gram)
-                if col is not None:
-                    row[col] = count
+        rows, keys, cells = count_cells(block)
+        # Grams the reference lacks land in a spare last column no position reads.
+        counts = np.zeros((len(block), len(ref.columns) + 1))
+        counts[rows, key_columns(ref.columns, keys)] = cells
         sq_norms = np.array([doc.vector.sq_norm for doc in block], dtype=float)
         out[lo : lo + len(block)] = partition_scores(
             counts, sq_norms, ref.positions, ref.starts, ref.part_sq
@@ -255,11 +251,7 @@ def save_reference(ref: ReferenceText, path: str | Path) -> None:
 
 
 def load_reference(path: str | Path) -> ReferenceText:
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if len(lines) < 3:
         raise ValueError(f"{path}: not a reference file (too few lines)")
     header, trailer = lines[0], lines[-1]

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gramio import read_lines
 from .reference import ReferenceText, Signature, SignatureMismatchError
 from .text import Document
 
@@ -90,11 +91,7 @@ def ingest(source: CorpusSource | str | Path) -> list[Document]:
             raw = p.read_bytes().decode("utf-8")
             docs.append(_make_document(doc_id, raw, source.html_strip))
     else:
-        text = source.path.read_bytes().decode("utf-8")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for index, line in enumerate(lines):
+        for index, line in enumerate(read_lines(source.path)):
             docs.append(_make_document(str(index), line, source.html_strip))
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):

@@ -1,17 +1,16 @@
 """Text normalization, character 3-grams, and exact cosine similarity.
 
-Exact cosine over sparse 3-gram count vectors is the ground truth that
-signature-space similarity is trained and evaluated against.
+Grams are counted as packed int64 keys (:func:`gram_keys`) and are str only
+at file and API edges. Exact cosine over sparse 3-gram count vectors is the
+ground truth that signature-space similarity is trained and evaluated against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,42 +44,62 @@ def normalize(raw: str) -> str:
     return text
 
 
+# A code point fits in 21 bits, so a 3-gram packs exactly into one int64 as
+# (c0 << 42) | (c1 << 21) | c2, and key order is str order.
+_CODE_BITS = 21
+_CODE_MASK = (1 << _CODE_BITS) - 1
+
+
+def gram_keys(text: str, step: int = 1) -> np.ndarray:
+    """The packed key of each 3-character window of ``text`` that starts at
+    a multiple of ``step``: 1 gives every window of a document, 3 the grams
+    of a joined sequence of 3-grams."""
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
+    n = max(len(code) - NGRAM_SIZE + 1, 0)
+    c0, c1, c2 = (code[k : k + n : step] for k in range(NGRAM_SIZE))
+    return (c0 << 2 * _CODE_BITS) | (c1 << _CODE_BITS) | c2
+
+
+def gram_strings(keys: np.ndarray) -> list[str]:
+    """The 3-gram of each packed key: the inverse of :func:`gram_keys`."""
+    code = np.stack([keys >> 2 * _CODE_BITS, keys >> _CODE_BITS, keys], -1) & _CODE_MASK
+    flat = code.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return [flat[i : i + NGRAM_SIZE] for i in range(0, len(flat), NGRAM_SIZE)]
+
+
 class SparseNGramVector:
-    """Sparse counts of 3-gram tokens with a cached Euclidean norm."""
+    """3-gram counts: sorted, unique packed ``keys`` and their ``counts``,
+    with the exact integer squared norm and its square root."""
 
-    __slots__ = ("counts", "sq_norm", "norm")
+    __slots__ = ("keys", "counts", "sq_norm", "norm")
 
-    def __init__(self, counts: Mapping[str, int]):
-        for gram, count in counts.items():
-            if len(gram) != NGRAM_SIZE:
-                raise ValueError(f"token {gram!r} is not {NGRAM_SIZE} characters long")
-            if count < 1:
-                raise ValueError(f"count for {gram!r} must be >= 1, got {count}")
-        self.counts: dict[str, int] = dict(counts)
-        # Exact integer sum of squares; norm is its (float) square root.
-        self.sq_norm: int = sum(c * c for c in self.counts.values())
+    def __init__(self, keys: np.ndarray, counts: np.ndarray):
+        keys = np.asarray(keys, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if keys.ndim != 1 or keys.shape != counts.shape:
+            raise ValueError(f"keys {keys.shape} and counts {counts.shape} are not one row each")
+        if len(keys) and (keys[0] < 0 or (keys[1:] <= keys[:-1]).any()):
+            raise ValueError("keys must be non-negative, sorted and unique")
+        if (counts < 1).any():
+            raise ValueError(f"counts must be >= 1, got {counts.min()}")
+        self.keys, self.counts = keys, counts
+        self.sq_norm: int = int(counts @ counts)
         self.norm: float = math.sqrt(self.sq_norm)
 
     @property
     def is_empty(self) -> bool:
-        return not self.counts
-
-    def dot(self, other: "SparseNGramVector") -> int:
-        a, b = self.counts, other.counts
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(count * b.get(gram, 0) for gram, count in a.items())
+        return len(self.keys) == 0
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseNGramVector):
             return NotImplemented
-        return self.counts == other.counts
+        return np.array_equal(self.keys, other.keys) and np.array_equal(self.counts, other.counts)
 
     def __repr__(self) -> str:
-        return f"SparseNGramVector({len(self.counts)} grams, norm={self.norm:.4f})"
+        return f"SparseNGramVector({len(self.keys)} grams, norm={self.norm:.4f})"
 
 
 def extract_3grams(text: str) -> SparseNGramVector:
@@ -88,8 +107,7 @@ def extract_3grams(text: str) -> SparseNGramVector:
 
     Text shorter than 3 characters yields an empty vector.
     """
-    counts = Counter(text[i : i + NGRAM_SIZE] for i in range(len(text) - NGRAM_SIZE + 1))
-    return SparseNGramVector(counts)
+    return SparseNGramVector(*np.unique(gram_keys(text), return_counts=True))
 
 
 @dataclass(frozen=True)
@@ -114,7 +132,9 @@ def cosine(a: SparseNGramVector, b: SparseNGramVector) -> float:
     """
     if a.is_empty or b.is_empty:
         return 0.0
-    return min(1.0, a.dot(b) / math.sqrt(a.sq_norm * b.sq_norm))
+    _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
+    dot = int(a.counts[ia] @ b.counts[ib])
+    return min(1.0, dot / math.sqrt(a.sq_norm * b.sq_norm))
 
 
 def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
@@ -132,21 +152,18 @@ def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.nda
     return np.minimum(out, 1.0, out=out)
 
 
-def count_columns(
-    docs: Sequence[Document],
-) -> tuple[dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
-    """A column per distinct 3-gram of ``docs`` (first-seen order), and for
-    each document the columns and counts of its grams."""
-    vectors = [doc.vector.counts for doc in docs]
-    vocab = {g: k for k, g in enumerate(dict.fromkeys(itertools.chain.from_iterable(vectors)))}
-    cells = [
-        (
-            np.fromiter(map(vocab.__getitem__, counts), dtype=np.intp, count=len(counts)),
-            np.fromiter(counts.values(), dtype=float, count=len(counts)),
-        )
-        for counts in vectors
-    ]
-    return vocab, cells
+def count_cells(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row, packed key and count of each (document, gram) cell of ``docs``."""
+    rows = np.repeat(np.arange(len(docs)), [len(doc.vector) for doc in docs])
+    keys = np.concatenate([doc.vector.keys for doc in docs])
+    return rows, keys, np.concatenate([doc.vector.counts for doc in docs])
+
+
+def key_columns(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The column of each key in the sorted ``vocab``; ``len(vocab)`` where absent."""
+    cols = np.searchsorted(vocab, keys)
+    cols[np.append(vocab, -1)[cols] != keys] = len(vocab)
+    return cols
 
 
 # Vocabulary columns per dense block of the exact-cosine oracle: memory is
@@ -165,24 +182,16 @@ def brute_force_pairwise(corpus: Sequence[Document]) -> np.ndarray:
     if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
-    vocab, cells = count_columns(corpus)
+    rows, keys, counts = count_cells(corpus)
+    vocab, cols = np.unique(keys, return_inverse=True)
     dots = np.zeros((n, n))
     block = np.empty((n, min(ORACLE_BLOCK, len(vocab))))
     for lo in range(0, len(vocab), ORACLE_BLOCK):
         block[:] = 0.0
-        for row, (cols, vals) in zip(block, cells):
-            inside = (cols >= lo) & (cols < lo + ORACLE_BLOCK)
-            row[cols[inside] - lo] = vals[inside]
+        inside = (cols >= lo) & (cols < lo + ORACLE_BLOCK)
+        block[rows[inside], cols[inside] - lo] = counts[inside]
         dots += block @ block.T
     sq = np.array([doc.vector.sq_norm for doc in corpus], dtype=float)
     out = count_cosine(dots, sq, sq)
     np.fill_diagonal(out, sq > 0)
     return out
-
-
-def corpus_grams(corpus: Iterable[Document]) -> list[str]:
-    """All distinct 3-grams appearing in ``corpus``, sorted."""
-    seen: set[str] = set()
-    for doc in corpus:
-        seen.update(doc.vector.counts)
-    return sorted(seen)

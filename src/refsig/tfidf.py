@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .gramio import escape_gram, parse_gram_line
-from .text import Document
+import numpy as np
+
+from .gramio import escape_gram, parse_gram_line, read_lines
+from .text import Document, count_cells, gram_strings
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,10 @@ class GramScore:
 
 @dataclass(frozen=True)
 class GramPool:
-    """Distinct 3-grams in descending tf-idf order.
-
-    ``underfilled`` is set when the corpus had fewer distinct grams than
-    were requested.
-    """
+    """Distinct 3-grams in descending tf-idf order."""
 
     grams: tuple[str, ...]
     requested: int
-    underfilled: bool = False
 
     def __post_init__(self) -> None:
         if len(set(self.grams)) != len(self.grams):
@@ -44,6 +40,11 @@ class GramPool:
 
     def __len__(self) -> int:
         return len(self.grams)
+
+    @property
+    def underfilled(self) -> bool:
+        """The corpus had fewer distinct grams than were requested."""
+        return len(self.grams) < self.requested
 
 
 def score_grams(corpus: Sequence[Document]) -> list[GramScore]:
@@ -56,18 +57,17 @@ def score_grams(corpus: Sequence[Document]) -> list[GramScore]:
     if len(corpus) == 0:
         raise ValueError("cannot score an empty corpus")
     n = len(corpus)
-    total_tf: Counter[str] = Counter()
-    df: Counter[str] = Counter()
-    for doc in corpus:
-        for gram, count in doc.vector.counts.items():
-            total_tf[gram] += count
-            df[gram] += 1
-    scores = [
-        GramScore(gram, tf * (math.log((1 + n) / (1 + df[gram])) + 1.0), df[gram])
-        for gram, tf in total_tf.items()
-    ]
-    scores.sort(key=lambda s: (-s.score, s.gram))
-    return scores
+    _, keys, counts = count_cells(corpus)
+    grams, cols = np.unique(keys, return_inverse=True)
+    tf = np.bincount(cols, weights=counts)
+    df = np.bincount(cols)
+    # math.log per distinct df: np.log may differ in the last bit and reorder ties.
+    df_values, df_index = np.unique(df, return_inverse=True)
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])
+    score = tf * idf[df_index]
+    order = np.lexsort((grams, -score))  # packed-key order is gram order
+    ranked = zip(gram_strings(grams[order]), score[order].tolist(), df[order].tolist())
+    return [GramScore(*entry) for entry in ranked]
 
 
 def top_k(scores: Iterable[GramScore], k: int) -> GramPool:
@@ -75,14 +75,13 @@ def top_k(scores: Iterable[GramScore], k: int) -> GramPool:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ranked = sorted(scores, key=lambda s: (-s.score, s.gram))
-    grams = tuple(s.gram for s in ranked[:k])
-    underfilled = len(grams) < k
-    if underfilled:
+    pool = GramPool(tuple(s.gram for s in ranked[:k]), k)
+    if pool.underfilled:
         warnings.warn(
-            f"corpus has only {len(grams)} distinct 3-grams, requested {k}",
+            f"corpus has only {len(pool)} distinct 3-grams, requested {k}",
             stacklevel=2,
         )
-    return GramPool(grams, k, underfilled)
+    return pool
 
 
 def save_pool(pool: GramPool, path: str | Path) -> None:
@@ -93,10 +92,5 @@ def save_pool(pool: GramPool, path: str | Path) -> None:
 
 
 def load_pool(path: str | Path) -> GramPool:
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    grams = tuple(parse_gram_line(line) for line in lines)
+    grams = tuple(parse_gram_line(line) for line in read_lines(path))
     return GramPool(grams, requested=max(len(grams), 1))

@@ -32,7 +32,7 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import db_read, db_write
-from refsig.text import brute_force_pairwise, corpus_grams, cosine
+from refsig.text import brute_force_pairwise, cosine, gram_strings
 from refsig.tfidf import score_grams, top_k
 
 
@@ -49,7 +49,7 @@ def test_criterion_1_full_vocabulary_equivalence():
     docs, _ = generate_synthetic_corpus(
         SyntheticCorpusSpec(base_doc_count=50, near_dup_count=0, dup_count=0, rng_seed=71)
     )
-    grams = corpus_grams(docs)
+    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     ref = ReferenceText(grams, len(grams))  # one gram per partition
     sigs = signature_matrix(docs, ref)
     sims = pairwise_signature_similarity(sigs, sigs)
@@ -228,9 +228,8 @@ def _naive_fitness(chromosome, docs, partitions) -> float:
             part[gram] = part.get(gram, 0) + 1
         slices.append(part)
         start += size
-    signatures = [
-        [_naive_cosine(doc.vector.counts, part) for part in slices] for doc in docs
-    ]
+    counts = [dict(zip(gram_strings(d.vector.keys), d.vector.counts.tolist())) for d in docs]
+    signatures = [[_naive_cosine(doc, part) for part in slices] for doc in counts]
 
     def sig_sim(x, y):
         sx = math.fsum(v * v for v in x)
@@ -242,7 +241,7 @@ def _naive_fitness(chromosome, docs, partitions) -> float:
     errors = []
     for i in range(len(docs)):
         for j in range(i + 1, len(docs)):
-            oracle = _naive_cosine(docs[i].vector.counts, docs[j].vector.counts)
+            oracle = _naive_cosine(counts[i], counts[j])
             errors.append(abs(sig_sim(signatures[i], signatures[j]) - oracle))
     return math.fsum(errors) / len(errors)
 

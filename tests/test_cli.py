@@ -161,3 +161,29 @@ def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
     labels = {row.split("\t")[3] for row in dedup_rows}
     assert labels == {"duplicate", "near-duplicate"}
     assert eval_rows == dedup_rows
+
+
+def test_eval_skips_distinct_label_rows(tmp_path, capsys):
+    synthetic = tmp_path / "synthetic"
+    assert _run("synth", "--bases", 20, "--near-dups", 6, "--dups", 4,
+                "--seed", 5, "--words", 60, "--out", synthetic) == 0
+    docs = synthetic / "docs"
+    pool = tmp_path / "pool.txt"
+    assert _run("topk", "--corpus", docs, "--k", 200, "--out", pool) == 0
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(load_pool(pool).grams[:100], 10), ref)
+    labels = (synthetic / "labels.tsv").read_text(encoding="utf-8")
+    assert "base-0000.txt\tbase-0001.txt" not in labels
+
+    def scores(rows):
+        path = tmp_path / "labels.tsv"
+        path.write_text(labels + rows, encoding="utf-8")
+        code = _run("eval", "--ref", ref, "--corpus", docs, "--labels", path,
+                    "--out", tmp_path / "report.tsv")
+        report = (tmp_path / "report.tsv").read_text(encoding="utf-8").split("\n")[1]
+        return code, report.split("\t")[6:9]
+
+    assert scores("base-0000.txt\tbase-0001.txt\tdistinct\n") == scores("")
+    capsys.readouterr()
+    assert scores("base-0000.txt\tbase-0001.txt\tsimilar\n")[0] == 1
+    assert "'base-0000.txt\\tbase-0001.txt\\tsimilar'" in capsys.readouterr().err

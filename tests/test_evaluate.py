@@ -29,7 +29,12 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import SignatureDb, db_read, db_write
-from refsig.text import Document, corpus_grams, cosine
+from refsig.text import Document, cosine, gram_strings
+
+
+def _corpus_grams(docs):
+    """All distinct 3-grams of ``docs``, sorted."""
+    return sorted({g for d in docs for g in gram_strings(d.vector.keys)})
 
 
 def _word_salad_docs(count, seed, length=120):
@@ -43,7 +48,7 @@ def _word_salad_docs(count, seed, length=120):
 
 def test_mae_full_vocabulary_reference_is_exact():
     docs = _word_salad_docs(8, seed=1, length=80)
-    grams = corpus_grams(docs)
+    grams = _corpus_grams(docs)
     ref = ReferenceText(grams, len(grams))
     assert mae(ref, docs) <= 1e-9
 
@@ -212,7 +217,7 @@ def _db_from(ref, docs):
 
 def test_dnd_scan_identical_documents():
     docs = [Document.from_raw("a", "shared text body"), Document.from_raw("b", "shared text body")]
-    ref = ReferenceText(corpus_grams(docs), 3)
+    ref = ReferenceText(_corpus_grams(docs), 3)
     hits = dnd_scan(_db_from(ref, docs), ClassifierConfig(0.95, 0.80))
     assert len(hits) == 1
     assert hits[0].id_a == "a" and hits[0].id_b == "b"
@@ -229,7 +234,7 @@ def test_dnd_scan_order_independent():
     docs = _word_salad_docs(8, seed=7) + [
         Document.from_raw("dup", _word_salad_docs(8, seed=7)[0].text)
     ]
-    ref = ReferenceText(corpus_grams(docs), 5)
+    ref = ReferenceText(_corpus_grams(docs), 5)
     cfg = ClassifierConfig(0.95, 0.80)
     forward = dnd_scan(_db_from(ref, docs), cfg)
     backward = dnd_scan(_db_from(ref, list(reversed(docs))), cfg)
@@ -241,7 +246,7 @@ def test_dnd_scan_exact_duplicates_score_one_after_db_round_trip(tmp_path):
     docs, planted = generate_synthetic_corpus(
         SyntheticCorpusSpec(base_doc_count=60, near_dup_count=0, dup_count=30, rng_seed=3)
     )
-    ref = ReferenceText(sorted(corpus_grams(docs))[:1000], 150)
+    ref = ReferenceText(sorted(_corpus_grams(docs))[:1000], 150)
     rows = signature_matrix(docs, ref)
     path = tmp_path / "sigs.db"
     db_write(path, ref, [(d.id, Signature(row, ref.fingerprint)) for d, row in zip(docs, rows)])

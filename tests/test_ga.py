@@ -14,7 +14,7 @@ from refsig.ga import (
     mutation_count,
 )
 from refsig.reference import ReferenceText, sign, signature_similarity
-from refsig.text import Document, corpus_grams, cosine
+from refsig.text import Document, cosine, gram_strings
 from refsig.tfidf import GramPool
 
 
@@ -160,7 +160,7 @@ def test_fitness_single_pair_formula():
 def test_fitness_zero_for_full_vocabulary_reference():
     docs = _word_salad_docs(10, seed=2, length=60)
     sample = draw_fitness_sample(docs, 10, random.Random(0))
-    grams = corpus_grams(docs)
+    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     chromosome = Chromosome(tuple(grams))
     assert fitness(chromosome, sample, partitions=len(grams)) <= 1e-9
 

@@ -1,0 +1,88 @@
+"""Packed int64 3-gram keys against the str grams they stand for.
+
+The str-keyed implementations the packed keys replaced are kept here as
+oracles: a ``Counter`` of string slices for extraction, and ``Counter``
+tf/df sums for tf-idf scoring.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from refsig.text import Document, extract_3grams, gram_keys, gram_strings
+from refsig.tfidf import GramScore, score_grams
+
+# Every code point, lone surrogates included, plus the characters the gram
+# file format escapes and the ends of the code space.
+_char = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(["\n", "\t", "\\", " ", "\x00", "\ud800", "\udfff", "\uffff", "\U0010ffff"]),
+)
+_gram = st.text(alphabet=_char, min_size=3, max_size=3)
+_texts = st.text(alphabet=st.one_of(st.sampled_from("ab \n😀"), _char), max_size=40)
+
+
+def _window_counts(text: str) -> Counter:
+    return Counter(text[i : i + 3] for i in range(len(text) - 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gram)
+def test_pack_unpack_round_trip(gram):
+    keys = gram_keys(gram, 3)
+    assert keys.dtype == np.int64 and len(keys) == 1 and keys[0] >= 0
+    assert gram_strings(keys) == [gram]
+    assert gram_keys(gram).tolist() == keys.tolist()  # one window, either step
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_gram, max_size=12))
+def test_sequence_packing_round_trip(grams):
+    assert gram_strings(gram_keys("".join(grams), 3)) == grams
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gram, _gram)
+def test_key_order_is_str_order(a, b):
+    (ka,), (kb,) = gram_keys(a), gram_keys(b)
+    assert (ka < kb) == (a < b)
+    assert (ka == kb) == (a == b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_extract_3grams_equals_counter_of_slices(text):
+    expected = _window_counts(text)
+    vec = extract_3grams(text)
+    assert gram_strings(vec.keys) == sorted(expected)
+    assert vec.counts.tolist() == [expected[g] for g in sorted(expected)]
+    assert vec.sq_norm == sum(c * c for c in expected.values())
+    assert vec.is_empty == (len(text) < 3)
+
+
+def _score_grams_reference(corpus):
+    """tf-idf scores as str-keyed Counter sums, ordered by (-score, gram)."""
+    n = len(corpus)
+    total_tf: Counter = Counter()
+    df: Counter = Counter()
+    for doc in corpus:
+        for gram, count in _window_counts(doc.text).items():
+            total_tf[gram] += count
+            df[gram] += 1
+    scores = [
+        GramScore(gram, tf * (math.log((1 + n) / (1 + df[gram])) + 1.0), df[gram])
+        for gram, tf in total_tf.items()
+    ]
+    scores.sort(key=lambda s: (-s.score, s.gram))
+    return scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet=st.one_of(st.sampled_from("abc "), _char), max_size=30),
+                min_size=1, max_size=8))
+def test_score_grams_equals_str_keyed_reference(texts):
+    docs = [Document(str(i), t, extract_3grams(t)) for i, t in enumerate(texts)]
+    assert score_grams(docs) == _score_grams_reference(docs)

@@ -22,18 +22,18 @@ from refsig.reference import (
     signature_matrix,
     signature_similarity,
 )
-from refsig.text import Document, brute_force_pairwise, corpus_grams
+from refsig.text import Document, brute_force_pairwise, gram_strings
 
 
 def _partition_counts(ref):
     """Each partition's gram counts, read back from the reference's layout."""
-    grams, ends = list(ref.columns), [*ref.starts[1:], len(ref)]
+    grams, ends = gram_strings(ref.columns), [*ref.starts[1:], len(ref)]
     return [Counter(grams[c] for c in ref.positions[lo:hi]) for lo, hi in zip(ref.starts, ends)]
 
 
 def test_partition_examples():
     ref = ReferenceText(["abc", "bcd", "cde", "def"], 2)
-    assert ref.columns == {"abc": 0, "bcd": 1, "cde": 2, "def": 3}
+    assert gram_strings(ref.columns) == ["abc", "bcd", "cde", "def"]
     assert ref.positions.tolist() == [0, 1, 2, 3]
     assert ref.starts.tolist() == [0, 2]
     assert _partition_counts(ref) == [{"abc": 1, "bcd": 1}, {"cde": 1, "def": 1}]
@@ -51,13 +51,13 @@ def test_partition_examples():
 
 def test_partition_accumulates_duplicate_grams():
     ref = ReferenceText(["abc", "abc", "xyz"], 2)
-    assert ref.columns == {"abc": 0, "xyz": 1}
+    assert gram_strings(ref.columns) == ["abc", "xyz"]
     assert ref.positions.tolist() == [0, 0, 1]
     assert _partition_counts(ref) == [{"abc": 2}, {"xyz": 1}]
     assert ref.part_sq.tolist() == [4.0, 1.0]
     # a gram shared between partitions is one column counted in each
     columns, positions, starts, part_sq = partition_layout(["abc", "xyz", "abc", "abc"], 2)
-    assert columns == {"abc": 0, "xyz": 1}
+    assert gram_strings(columns) == ["abc", "xyz"]
     assert positions.tolist() == [0, 1, 0, 0]
     assert starts.tolist() == [0, 2]
     assert part_sq.tolist() == [2.0, 4.0]
@@ -138,7 +138,7 @@ def test_full_vocabulary_exactness_small():
     rng = random.Random(5)
     texts = ["".join(rng.choice("abcde ") for _ in range(rng.randint(20, 80))) for _ in range(10)]
     docs = [Document.from_raw(str(i), t) for i, t in enumerate(texts)]
-    grams = corpus_grams(docs)
+    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     ref = ReferenceText(grams, len(grams))
     sigs = signature_matrix(docs, ref)
     sims = pairwise_signature_similarity(sigs, sigs)

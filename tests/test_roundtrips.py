@@ -1,0 +1,69 @@
+"""Property tests for the file round trips (gram lines, reference files,
+signature databases) and for the idempotence of ``normalize``."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from refsig.gramio import escape_gram, parse_gram_line
+from refsig.reference import ReferenceText, Signature, load_reference, save_reference
+from refsig.store import db_read, db_write
+from refsig.text import normalize
+
+# Unicode scalar values: files are UTF-8, which cannot carry lone surrogates.
+_char = st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    st.sampled_from(["\n", "\t", "\\", "\r", "\x00", "\x7f", "\u200b", "\U0010ffff"]),
+)
+_gram = st.text(alphabet=_char, min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gram)
+def test_gram_line_round_trip(gram):
+    line = escape_gram(gram)
+    assert "\n" not in line and "\t" not in line
+    assert parse_gram_line(line) == gram
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_gram, min_size=1, max_size=30), st.data())
+def test_reference_file_round_trip(grams, data):
+    ref = ReferenceText(grams, data.draw(st.integers(1, len(grams))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.txt"
+        save_reference(ref, path)
+        loaded = load_reference(path)
+    assert loaded == ref
+    assert loaded.fingerprint == ref.fingerprint
+
+
+_id = st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+              min_size=1, max_size=12)
+_score = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_id, min_size=1, max_size=8, unique=True), st.integers(1, 5), st.data())
+def test_db_round_trip(ids, partitions, data):
+    ref = ReferenceText(["abc"] * partitions, partitions)
+    rows = np.array(
+        [data.draw(st.lists(_score, min_size=partitions, max_size=partitions)) for _ in ids]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sigs.db"
+        db_write(path, ref, [(i, Signature(row, ref.fingerprint)) for i, row in zip(ids, rows)])
+        db = db_read(path)
+    assert db.ids == tuple(ids)
+    assert db.fingerprint == ref.fingerprint and db.partitions == partitions
+    assert db.scores.tobytes() == rows.astype("<f4").tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.one_of(st.characters(exclude_categories=()), st.sampled_from(" \t\n\r"))))
+def test_normalize_idempotent(raw):
+    text = normalize(raw)
+    assert normalize(text) == text

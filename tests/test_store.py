@@ -12,7 +12,7 @@ from refsig.store import (
     ingest,
     strip_html,
 )
-from refsig.text import Document
+from refsig.text import Document, gram_strings
 
 
 def test_ingest_directory(tmp_path):
@@ -68,7 +68,7 @@ def test_ingest_bad_encoding_reports_offset(tmp_path):
 
 def _ref_and_sigs(doc_texts):
     docs = [Document.from_raw(f"doc-{i}", t) for i, t in enumerate(doc_texts)]
-    grams = sorted({g for d in docs for g in d.vector.counts})
+    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     ref = ReferenceText(grams, min(4, len(grams)))
     return ref, [(d.id, sign(d, ref)) for d in docs]
 

@@ -8,11 +8,23 @@ from refsig.text import (
     Document,
     SparseNGramVector,
     brute_force_pairwise,
-    corpus_grams,
     cosine,
+    count_cells,
     extract_3grams,
+    gram_keys,
+    gram_strings,
     normalize,
 )
+
+
+def _vec(counts: dict[str, int]) -> SparseNGramVector:
+    """A vector from str gram counts."""
+    grams = sorted(counts)
+    return SparseNGramVector(gram_keys("".join(grams), 3), [counts[g] for g in grams])
+
+
+def _counts(vec: SparseNGramVector) -> dict[str, int]:
+    return dict(zip(gram_strings(vec.keys), vec.counts.tolist()))
 
 
 def test_normalize_examples():
@@ -58,9 +70,9 @@ def test_normalize_idempotent_and_invariant():
 
 
 def test_extract_3grams_examples():
-    assert extract_3grams("abcd").counts == {"abc": 1, "bcd": 1}
-    assert extract_3grams("aaaa").counts == {"aaa": 2}
-    assert extract_3grams("ab").counts == {}
+    assert _counts(extract_3grams("abcd")) == {"abc": 1, "bcd": 1}
+    assert _counts(extract_3grams("aaaa")) == {"aaa": 2}
+    assert _counts(extract_3grams("ab")) == {}
     assert extract_3grams("").is_empty
 
 
@@ -70,41 +82,45 @@ def test_window_count_conservation():
         text = normalize(_random_text(rng, max_len=120))
         vec = extract_3grams(text)
         if len(text) >= 3:
-            assert sum(vec.counts.values()) == len(text) - 2
+            assert vec.counts.sum() == len(text) - 2
         else:
             assert vec.is_empty
 
 
 def test_vector_validation():
     with pytest.raises(ValueError):
-        SparseNGramVector({"ab": 1})
+        _vec({"ab": 1})  # "ab" packs to no key, so keys and counts no longer match
     with pytest.raises(ValueError):
-        SparseNGramVector({"abc": 0})
+        _vec({"abc": 0})
+    keys = gram_keys("abcbcd", 3)
+    for bad_keys in (keys[::-1], keys[[0, 0]], keys - keys[1], keys[None]):
+        with pytest.raises(ValueError):
+            SparseNGramVector(bad_keys, [1, 1])
 
 
 def test_vector_norm_cache():
     rng = random.Random(21)
     for _ in range(100):
         counts = {f"g{i:02d}": rng.randint(1, 40) for i in range(rng.randint(1, 30))}
-        vec = SparseNGramVector(counts)
+        vec = _vec(counts)
         assert vec.sq_norm == sum(c * c for c in counts.values())
         assert abs(vec.norm**2 - vec.sq_norm) <= 1e-12 * vec.sq_norm
 
 
 def test_cosine_examples():
-    a = SparseNGramVector({"abc": 1, "bcd": 1})
-    b = SparseNGramVector({"bcd": 1, "cde": 1})
+    a = _vec({"abc": 1, "bcd": 1})
+    b = _vec({"bcd": 1, "cde": 1})
     assert cosine(a, b) == pytest.approx(0.5, abs=1e-15)
-    assert cosine(a, SparseNGramVector({"abc": 1, "bcd": 1})) == 1.0
-    assert cosine(SparseNGramVector({"abc": 1}), SparseNGramVector({"xyz": 1})) == 0.0
-    assert cosine(SparseNGramVector({}), a) == 0.0
-    assert cosine(SparseNGramVector({}), SparseNGramVector({})) == 0.0
+    assert cosine(a, _vec({"abc": 1, "bcd": 1})) == 1.0
+    assert cosine(_vec({"abc": 1}), _vec({"xyz": 1})) == 0.0
+    assert cosine(_vec({}), a) == 0.0
+    assert cosine(_vec({}), _vec({})) == 0.0
 
 
 def _random_vector(rng: random.Random) -> SparseNGramVector:
     grams = [f"t{i:02d}" for i in range(12)]
     picked = rng.sample(grams, rng.randint(0, 8))
-    return SparseNGramVector({g: rng.randint(1, 9) for g in picked})
+    return _vec({g: rng.randint(1, 9) for g in picked})
 
 
 def test_cosine_properties():
@@ -116,7 +132,7 @@ def test_cosine_properties():
         assert cosine(b, a) == s
         if not a.is_empty:
             k = rng.randint(2, 7)
-            scaled = SparseNGramVector({g: k * c for g, c in a.counts.items()})
+            scaled = SparseNGramVector(a.keys, k * a.counts)
             assert abs(cosine(scaled, b) - s) <= 1e-12
 
 
@@ -147,6 +163,8 @@ def test_document_from_raw_consistency():
     assert doc.vector == extract_3grams(doc.text)
 
 
-def test_corpus_grams_sorted_union():
+def test_count_cells_vocabulary_is_sorted_union():
     docs = [Document.from_raw("0", "abcd"), Document.from_raw("1", "bcde")]
-    assert corpus_grams(docs) == ["abc", "bcd", "cde"]
+    rows, keys, counts = count_cells(docs)
+    assert gram_strings(np.unique(keys)) == ["abc", "bcd", "cde"]
+    assert rows.tolist() == [0, 0, 1, 1] and counts.tolist() == [1, 1, 1, 1]

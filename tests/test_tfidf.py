@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from refsig.text import Document
+from refsig.text import Document, gram_strings
 from refsig.tfidf import GramPool, load_pool, save_pool, score_grams, top_k
 
 
@@ -43,9 +43,10 @@ def test_scores_match_direct_recomputation():
     docs = _docs(*texts)
     scores = score_grams(docs)
     n = len(docs)
+    vectors = [dict(zip(gram_strings(d.vector.keys), d.vector.counts.tolist())) for d in docs]
     for entry in scores:
-        tf = sum(d.vector.counts.get(entry.gram, 0) for d in docs)
-        df = sum(1 for d in docs if entry.gram in d.vector.counts)
+        tf = sum(v.get(entry.gram, 0) for v in vectors)
+        df = sum(1 for v in vectors if entry.gram in v)
         assert entry.document_frequency == df
         assert entry.score == pytest.approx(tf * (math.log((1 + n) / (1 + df)) + 1.0), rel=1e-12)
 
