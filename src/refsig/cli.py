@@ -7,6 +7,7 @@ import argparse
 import random
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from .evaluate import (
@@ -22,6 +23,7 @@ from .evaluate import (
 from .ga import DEFAULT_SEED, GaConfig
 from .gramio import read_lines
 from .reference import (
+    SIGN_BLOCK,
     ClassifierConfig,
     Signature,
     Verdict,
@@ -29,7 +31,7 @@ from .reference import (
     save_reference,
     signature_matrix,
 )
-from .store import CorpusSource, SignatureDb, db_read, db_write, ingest
+from .store import CorpusSource, SignatureDb, db_read, db_write, ingest, iter_documents
 from .tfidf import save_pool, score_grams, top_k
 
 _REPORT_COLUMNS = (
@@ -100,9 +102,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sign(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
-    docs = _load_corpus(args.corpus, args.html_strip)
-    rows = signature_matrix(docs, ref)
-    sigs = [(doc.id, Signature(row, ref.fingerprint)) for doc, row in zip(docs, rows)]
+    docs = iter_documents(CorpusSource.detect(args.corpus, html_strip=args.html_strip))
+    # Only one block of documents is held at a time; their signatures are kept.
+    sigs = []
+    while block := list(islice(docs, SIGN_BLOCK)):
+        rows = signature_matrix(block, ref)
+        sigs.extend((doc.id, Signature(row, ref.fingerprint)) for doc, row in zip(block, rows))
     db_write(args.out, ref, sigs)
     print(f"signed {len(sigs)} documents into {args.out}")
     return 0

@@ -24,7 +24,13 @@ def escape_gram(gram: str) -> str:
         elif ch.isprintable():
             out.append(ch)
         else:
-            out.extend(f"\\x{byte:02x}" for byte in ch.encode("utf-8"))
+            try:
+                raw = ch.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(
+                    f"gram {gram!r} holds a lone surrogate, which UTF-8 cannot encode"
+                ) from None
+            out.extend(f"\\x{byte:02x}" for byte in raw)
     return "".join(out)
 
 

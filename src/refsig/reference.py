@@ -126,7 +126,8 @@ def sign(doc: Document, ref: ReferenceText) -> Signature:
     return Signature(signature_matrix([doc], ref)[0], ref.fingerprint)
 
 
-# Documents per count matrix in signature_matrix, which bounds its memory.
+# Documents per count matrix in signature_matrix, and per block that
+# `refsig sign` reads and signs: it bounds the memory of both.
 SIGN_BLOCK = 64
 
 

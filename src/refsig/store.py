@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import html
+import os
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,38 +62,66 @@ class CorpusSource:
         raise FileNotFoundError(f"corpus path does not exist: {path}")
 
 
-def _make_document(doc_id: str, raw: str, html_strip: bool) -> Document:
-    if html_strip:
-        raw = strip_html(raw)
-    doc = Document.from_raw(doc_id, raw)
-    if doc.text == "":
-        warnings.warn(f"document {doc_id!r} is empty after normalization", stacklevel=3)
-    return doc
+def _list_directory(root: Path) -> list[tuple[str, str]]:
+    """Each regular file under ``root`` as (relative POSIX path, path), sorted
+    by the relative path. Symlinked files are listed, symlinked directories
+    are not descended and broken links are skipped, as with ``Path.rglob``."""
+    files = []
+    for dirpath, _dirnames, filenames in os.walk(root):
+        rel = os.path.relpath(dirpath, root)
+        prefix = "" if rel == os.curdir else rel.replace(os.sep, "/") + "/"
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            if os.path.isfile(path):
+                files.append((prefix + name, path))
+    files.sort()
+    return files
 
 
-def ingest(source: CorpusSource | str | Path) -> list[Document]:
-    """Read a corpus into normalized, vectorized documents.
+def _read_utf8(path: str) -> str:
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+# Ids of empty documents named in the one warning that counts them.
+_EMPTY_IDS_SHOWN = 3
+
+
+def iter_documents(source: CorpusSource | str | Path) -> Iterator[Document]:
+    """Read a corpus one normalized, vectorized document at a time.
 
     Directories yield one document per file, id = relative POSIX path,
     sorted. A plain file is read as line-delimited records with ids
     "0", "1", ... Files must decode as UTF-8; decode errors carry the
-    offending byte offset.
+    offending byte offset. Once the corpus is exhausted, one warning
+    counts the documents that are empty after normalization.
     """
     if not isinstance(source, CorpusSource):
         source = CorpusSource.detect(source)
-    docs: list[Document] = []
     if source.kind == KIND_DIRECTORY:
-        paths = sorted(
-            (p for p in source.path.rglob("*") if p.is_file()),
-            key=lambda p: p.relative_to(source.path).as_posix(),
-        )
-        for p in paths:
-            doc_id = p.relative_to(source.path).as_posix()
-            raw = p.read_bytes().decode("utf-8")
-            docs.append(_make_document(doc_id, raw, source.html_strip))
+        entries = ((doc_id, _read_utf8(path)) for doc_id, path in _list_directory(source.path))
     else:
-        for index, line in enumerate(read_lines(source.path)):
-            docs.append(_make_document(str(index), line, source.html_strip))
+        entries = ((str(index), line) for index, line in enumerate(read_lines(source.path)))
+    empty: list[str] = []
+    for doc_id, raw in entries:
+        if source.html_strip:
+            raw = strip_html(raw)
+        doc = Document.from_raw(doc_id, raw)
+        if doc.text == "":
+            empty.append(doc_id)
+        yield doc
+    if empty:
+        shown = ", ".join(map(repr, empty[:_EMPTY_IDS_SHOWN]))
+        more = ", ..." if len(empty) > _EMPTY_IDS_SHOWN else ""
+        verb = "document is" if len(empty) == 1 else "documents are"
+        warnings.warn(
+            f"{len(empty)} {verb} empty after normalization: {shown}{more}", stacklevel=2
+        )
+
+
+def ingest(source: CorpusSource | str | Path) -> list[Document]:
+    """All of :func:`iter_documents` as a list; rejects duplicate ids."""
+    docs = list(iter_documents(source))
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValueError("corpus produced duplicate document ids")

@@ -37,6 +37,10 @@ def normalize(raw: str) -> str:
     """
     text = _fold_pass(raw)
     for _ in range(_MAX_FOLD_PASSES):
+        # A pass's output is NFC and whitespace-collapsed, so one that
+        # casefolding leaves unchanged is a fixed point: skip the confirming pass.
+        if text.casefold() == text:
+            break
         again = _fold_pass(text)
         if again == text:
             break

@@ -1,7 +1,16 @@
+import pytest
+
+from refsig import cli
 from refsig.cli import build_parser, main
 from refsig.evaluate import dnd_scan
-from refsig.reference import ReferenceText, save_reference
-from refsig.store import db_read
+from refsig.reference import (
+    SIGN_BLOCK,
+    ReferenceText,
+    Signature,
+    save_reference,
+    signature_matrix,
+)
+from refsig.store import db_read, db_write, ingest
 from refsig.tfidf import load_pool
 
 
@@ -187,3 +196,53 @@ def test_eval_skips_distinct_label_rows(tmp_path, capsys):
     capsys.readouterr()
     assert scores("base-0000.txt\tbase-0001.txt\tsimilar\n")[0] == 1
     assert "'base-0000.txt\\tbase-0001.txt\\tsimilar'" in capsys.readouterr().err
+
+
+def _sign_reference(tmp_path):
+    ref = ReferenceText(["the", "he ", " qu", "qui", "uic", "ick", "ck ", "fox", "dog", "laz"], 4)
+    path = tmp_path / "ref.txt"
+    save_reference(ref, path)
+    return ref, path
+
+
+def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
+    ref, ref_path = _sign_reference(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    n = 2 * SIGN_BLOCK + 5
+    empty = {SIGN_BLOCK - 1, SIGN_BLOCK, 2 * SIGN_BLOCK}  # both sides of a block edge
+    for i in range(n):
+        text = "" if i in empty else f"The quick fox {i} jumps over the lazy dog {i * i}"
+        (corpus / f"doc-{i:03d}.txt").write_text(text, encoding="utf-8")
+    block_sizes = []
+
+    def recording_matrix(docs, reference):
+        block_sizes.append(len(docs))
+        return signature_matrix(docs, reference)
+
+    monkeypatch.setattr(cli, "signature_matrix", recording_matrix)
+    db_path = tmp_path / "sigs.db"
+    with pytest.warns(UserWarning, match="3 documents are empty") as caught:
+        assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
+    assert len(caught) == 1
+    assert block_sizes == [SIGN_BLOCK, SIGN_BLOCK, 5]
+
+    with pytest.warns(UserWarning):
+        docs = ingest(corpus)
+    rows = signature_matrix(docs, ref)
+    expected = tmp_path / "expected.db"
+    db_write(expected, ref, [(d.id, Signature(r, ref.fingerprint)) for d, r in zip(docs, rows)])
+    assert db_path.read_bytes() == expected.read_bytes()
+    assert not rows[sorted(empty)].any()
+
+
+def test_sign_empty_corpus_writes_empty_db(tmp_path):
+    ref, ref_path = _sign_reference(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    db_path = tmp_path / "sigs.db"
+    assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
+    expected = tmp_path / "expected.db"
+    db_write(expected, ref, [])
+    assert db_path.read_bytes() == expected.read_bytes()
+    assert db_read(db_path).record_count == 0

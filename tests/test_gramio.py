@@ -1,6 +1,7 @@
 import pytest
 
 from refsig.gramio import escape_gram, parse_gram_line, unescape_gram
+from refsig.reference import ReferenceText
 
 TRICKY_GRAMS = [
     "abc",
@@ -48,3 +49,11 @@ def test_unescape_rejects_malformed():
         unescape_gram("a\\x1")
     with pytest.raises(ValueError):
         unescape_gram("a\\xzz")
+
+
+def test_lone_surrogate_gram_is_rejected_by_name():
+    for make in (lambda: escape_gram("\ud800ab"), lambda: ReferenceText(["\ud800ab"], 1)):
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        assert not isinstance(excinfo.value, UnicodeError)
+        assert repr("\ud800ab") in str(excinfo.value)

@@ -1,0 +1,133 @@
+"""Ingest: ``normalize`` against the loop it replaced and the benchmark's
+oracle, the directory listing against ``Path.rglob``, and the empty-document
+warning."""
+
+import importlib.util
+import sys
+import unicodedata
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from refsig.store import _list_directory, ingest
+from refsig.text import normalize
+
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
+
+def _bench_oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+_oracle_normalize = _bench_oracle().normalize
+
+
+def _fold(text):
+    text = unicodedata.normalize("NFC", text).casefold()
+    return " ".join(unicodedata.normalize("NFC", text).split())
+
+
+def _confirming_normalize(raw):
+    """The loop before the casefold check: every text takes one more pass to
+    confirm its fixed point."""
+    text = _fold(raw)
+    for _ in range(8):
+        again = _fold(text)
+        if again == text:
+            break
+        text = again
+    return text
+
+
+# Code points whose case folding decomposes, composes, expands or depends on
+# context, combining marks, Hangul jamo, and the whitespace str.split knows.
+_TRICKY = (
+    "aAzZ ß"
+    + "".join(map(chr, range(0x300, 0x370)))
+    + "ͅǰİẞσςΣᾳᾼ"
+    + "".join(map(chr, [*range(0x1100, 0x1113), *range(0x1161, 0x1176), *range(0x11A8, 0x11C3)]))
+    + "가\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u2028\u3000"
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(alphabet=st.sampled_from(_TRICKY), max_size=24), st.text()))
+def test_normalize_matches_confirming_loop_and_bench_oracle(raw):
+    out = normalize(raw)
+    assert out == _confirming_normalize(raw)
+    assert out == _oracle_normalize(raw)
+
+
+def test_normalize_fixed_point_that_casefolding_changes():
+    # U+01F0 casefolds to j + U+030C, which NFC composes back.
+    assert "ǰ".casefold() != "ǰ"
+    assert normalize("ǰ X") == "ǰ x" == _confirming_normalize("ǰ X")
+
+
+def _rglob_listing(root):
+    """The listing before os.walk, kept as the oracle."""
+    paths = sorted(
+        (p for p in root.rglob("*") if p.is_file()),
+        key=lambda p: p.relative_to(root).as_posix(),
+    )
+    return [p.relative_to(root).as_posix() for p in paths]
+
+
+def test_directory_listing_matches_rglob(tmp_path):
+    root = tmp_path / "corpus"
+    files = {
+        "a.txt": "A",
+        "a-b.txt": "A-B",
+        "a/b.txt": "A/B",
+        "a0": "A0",
+        ".hidden": "hidden",
+        ".dot/inner.txt": "inner",
+        "nested/deeper/x.txt": "deep",
+    }
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    (root / "link-file").symlink_to(root / "a.txt")
+    (root / "link-dir").symlink_to(root / "nested", target_is_directory=True)
+    (root / "broken").symlink_to(root / "nowhere")
+
+    expected = [
+        ".dot/inner.txt", ".hidden", "a-b.txt", "a.txt", "a/b.txt", "a0",
+        "link-file", "nested/deeper/x.txt",
+    ]
+    assert _rglob_listing(root) == expected
+    assert [doc_id for doc_id, _ in _list_directory(root)] == expected
+    docs = ingest(root)
+    assert [d.id for d in docs] == expected
+    assert {d.id: d.text for d in docs}["link-file"] == "a"
+
+
+def test_three_empty_documents_warn_once(tmp_path):
+    for name in ("e1.txt", "e2.txt", "e3.txt"):
+        (tmp_path / name).write_text(" \n\t", encoding="utf-8")
+    (tmp_path / "full.txt").write_text("content", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        docs = ingest(tmp_path)
+    assert len(docs) == 4
+    assert [str(w.message) for w in caught] == [
+        "3 documents are empty after normalization: 'e1.txt', 'e2.txt', 'e3.txt'"
+    ]
+    assert all(w.category is UserWarning for w in caught)
+
+
+def test_empty_document_warning_names_the_first_few(tmp_path):
+    path = tmp_path / "records.txt"
+    path.write_text("x\n\n\nabc\n\n\n\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ingest(path)
+    assert [str(w.message) for w in caught] == [
+        "5 documents are empty after normalization: '1', '2', '4', ..."
+    ]

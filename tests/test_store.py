@@ -64,6 +64,11 @@ def test_ingest_bad_encoding_reports_offset(tmp_path):
     with pytest.raises(UnicodeDecodeError) as excinfo:
         ingest(tmp_path)
     assert excinfo.value.start == 11
+    # An offset past the first read chunk is still an offset into the file.
+    (tmp_path / "bad.txt").write_bytes(b"x" * 20000 + b"\xff")
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        ingest(tmp_path)
+    assert excinfo.value.start == 20000
 
 
 def _ref_and_sigs(doc_texts):
