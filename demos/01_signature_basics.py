@@ -66,5 +66,5 @@ print("signature similarity a~c:", round(signature_similarity(sig_a, sig_c), 4))
 
 cfg = ClassifierConfig(t1=0.99, t2=0.90)
 for name, other in [("b", sig_b), ("c", sig_c)]:
-    verdict = classify(signature_similarity(sig_a, other), cfg)
-    print(f"a vs {name}: {verdict.label.value} (similarity {verdict.similarity:.4f})")
+    similarity = signature_similarity(sig_a, other)
+    print(f"a vs {name}: {classify(similarity, cfg).value} (similarity {similarity:.4f})")

@@ -59,18 +59,20 @@ with tempfile.TemporaryDirectory() as tmp:
 
     hits = dnd_scan(db, ClassifierConfig(t1=0.999, t2=0.93))
 
-duplicates = [h for h in hits if h.verdict.label is Verdict.DUPLICATE]
+# Hits are one array of db rows `first` and `second`, `similarity`, `duplicate`.
+rows = [(db.ids[i], db.ids[j], s, d) for i, j, s, d in hits.tolist()]
+duplicates = [row for row in rows if row[3]]
 print(f"\nscan found {len(duplicates)} duplicate and "
-      f"{len(hits) - len(duplicates)} near-duplicate pairs; a few of them:")
-for hit in duplicates[:3] + [h for h in hits if "near" in h.id_b][:3]:
-    print(f"  {hit.id_a} ~ {hit.id_b}: {hit.verdict.label.value} "
-          f"({hit.verdict.similarity:.4f})")
+      f"{len(rows) - len(duplicates)} near-duplicate pairs; a few of them:")
+for id_a, id_b, similarity, duplicate in duplicates[:3] + [r for r in rows if "near" in r[1]][:3]:
+    label = Verdict.DUPLICATE if duplicate else Verdict.NEAR_DUPLICATE
+    print(f"  {id_a} ~ {id_b}: {label.value} ({similarity:.4f})")
 
 # --- score against the generator's ground truth --------------------------------
 
 n = len(target_docs)
 counts = confusion_from_pairs(
-    [(h.id_a, h.id_b) for h in hits],
+    [(id_a, id_b) for id_a, id_b, _, _ in rows],
     [(p.id_a, p.id_b) for p in truth_pairs],
     total_pairs=n * (n - 1) // 2,
 )

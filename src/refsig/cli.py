@@ -9,6 +9,9 @@ import sys
 import time
 from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .evaluate import (
     SplitSpec,
@@ -31,7 +34,7 @@ from .reference import (
     save_reference,
     signature_matrix,
 )
-from .store import CorpusSource, SignatureDb, db_read, db_write, ingest, iter_documents
+from .store import SignatureDb, db_read, db_write, ingest, iter_documents
 from .tfidf import save_pool, score_grams, top_k
 
 _REPORT_COLUMNS = (
@@ -48,19 +51,27 @@ _REPORT_COLUMNS = (
 )
 
 
-def _write_tsv(path: str | Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+def _write_tsv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(str(cell) for cell in row) + "\n")
 
 
-def _load_corpus(path: str, html_strip: bool):
-    return ingest(CorpusSource.detect(path, html_strip=html_strip))
+# Hits that `dedup` turns into Python rows at a time: it bounds their memory.
+TSV_SLICE = 65536
+
+
+def _pair_rows(ids: tuple[str, ...], hits: np.ndarray) -> Iterator[tuple[str, str, str, str]]:
+    """The ``pairs.tsv`` rows of :func:`dnd_scan` hits, one slice of hits at a time."""
+    labels = (Verdict.NEAR_DUPLICATE.value, Verdict.DUPLICATE.value)
+    for lo in range(0, len(hits), TSV_SLICE):
+        for i, j, similarity, duplicate in hits[lo : lo + TSV_SLICE].tolist():
+            yield ids[i], ids[j], f"{similarity:.9f}", labels[duplicate]
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args.corpus, args.html_strip)
+    docs = ingest(args.corpus, args.html_strip)
     pool = top_k(score_grams(docs), args.k)
     save_pool(pool, args.out)
     note = " (corpus exhausted)" if pool.underfilled else ""
@@ -69,7 +80,7 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args.corpus, args.html_strip)
+    docs = ingest(args.corpus, args.html_strip)
     cfg = GaConfig(
         population_size=args.population,
         ref_len=args.ref_len,
@@ -102,7 +113,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sign(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
-    docs = iter_documents(CorpusSource.detect(args.corpus, html_strip=args.html_strip))
+    docs = iter_documents(args.corpus, args.html_strip)
     # Only one block of documents is held at a time; their signatures are kept.
     sigs = []
     while block := list(islice(docs, SIGN_BLOCK)):
@@ -125,12 +136,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             )
             return 1
     hits = dnd_scan(db, cfg)
-    rows = [
-        (h.id_a, h.id_b, f"{h.verdict.similarity:.9f}", h.verdict.label.value)
-        for h in hits
-    ]
-    _write_tsv(args.out, ("id_a", "id_b", "similarity", "label"), rows)
-    duplicates = sum(1 for h in hits if h.verdict.label.value == "duplicate")
+    _write_tsv(args.out, ("id_a", "id_b", "similarity", "label"), _pair_rows(db.ids, hits))
+    duplicates = int(hits["duplicate"].sum())
     print(f"found {duplicates} duplicate and {len(hits) - duplicates} "
           f"near-duplicate pairs; wrote {args.out}")
     return 0
@@ -138,7 +145,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
-    docs = _load_corpus(args.corpus, args.html_strip)
+    docs = ingest(args.corpus, args.html_strip)
     if len(docs) < 2:
         print("error: need at least 2 documents to evaluate", file=sys.stderr)
         return 1
@@ -158,9 +165,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         hits = dnd_scan(db, cfg)
         truth = _read_label_pairs(args.labels)
         n = len(docs)
-        counts = confusion_from_pairs(
-            [(h.id_a, h.id_b) for h in hits], truth, n * (n - 1) // 2
+        predicted = (
+            (ids[i], ids[j]) for i, j in zip(hits["first"].tolist(), hits["second"].tolist())
         )
+        counts = confusion_from_pairs(predicted, truth, n * (n - 1) // 2)
         report = prf(counts)
         precision_s = f"{report.precision:.6f}"
         recall_s = f"{report.recall:.6f}"
@@ -187,7 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _read_label_pairs(path: str) -> list[tuple[str, str]]:
     """The positive pairs of an ``id_a id_b label`` TSV; ``distinct`` rows are skipped."""
     pairs = []
-    for line in read_lines(path)[1:]:
+    for line in islice(read_lines(path), 1, None):
         parts = line.split("\t")
         if len(parts) < 3 or parts[2] not in {v.value for v in Verdict}:
             raise ValueError(f"{path}: bad label line {line!r}")

@@ -14,10 +14,8 @@ import numpy as np
 from .ga import EvolveResult, GaConfig, GenerationStats, evolve
 from .reference import (
     ClassifierConfig,
-    DndVerdict,
     ReferenceText,
     Verdict,
-    classify,
     mean_signature_error,
     pairwise_signature_similarity,
     signature_matrix,
@@ -59,7 +57,6 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    mae: float | None = None
     pair_count: int = 0
 
 
@@ -266,31 +263,40 @@ def generate_synthetic_corpus(
 # ---------------------------------------------------------------------------
 # All-pairs DND scan over a signature database.
 
-@dataclass(frozen=True)
-class ScanPair:
-    id_a: str
-    id_b: str
-    verdict: DndVerdict
-
-
 SCAN_BLOCK = 256  # rows per block: dnd_scan holds SCAN_BLOCK x N similarities
 
+# One scan hit: the db rows of a pair, the smaller id's row first.
+SCAN_HIT = np.dtype(
+    [("first", np.intp), ("second", np.intp), ("similarity", float), ("duplicate", bool)]
+)
 
-def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> list[ScanPair]:
-    """Classify every pair in the database; emit duplicate and near-duplicate
-    pairs, canonicalized and sorted by id."""
+
+def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> np.ndarray:
+    """Every duplicate and near-duplicate pair in the database, as one
+    :data:`SCAN_HIT` array sorted by (id of ``first``, id of ``second``).
+
+    ``duplicate`` is ``similarity >= cfg.t1`` on the same float64 values
+    compared with ``cfg.t2``, so each hit's label equals :func:`classify`'s.
+    """
     if db.record_count == 0:
         raise ValueError("signature database is empty")
-    matrix = np.asarray(db.scores, dtype=float)
-    hits: list[ScanPair] = []
+    # Rows are scanned in id order, so each hit's first row has the smaller
+    # id and the blocks emit the hits already sorted.
+    by_id = np.argsort(np.array(db.ids))
+    matrix = np.asarray(db.scores, dtype=float)[by_id]
+    firsts, seconds, sims_kept = [], [], []
     for lo in range(0, db.record_count, SCAN_BLOCK):
         # A block of rows against itself and every later row; triu keeps j > i.
         sims = pairwise_signature_similarity(matrix[lo : lo + SCAN_BLOCK], matrix[lo:])
         rows, cols = np.nonzero(np.triu(sims >= cfg.t2, k=1))
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            id_a, id_b = sorted((db.ids[lo + i], db.ids[lo + j]))
-            hits.append(ScanPair(id_a, id_b, classify(float(sims[i, j]), cfg)))
-    hits.sort(key=lambda h: (h.id_a, h.id_b))
+        firsts.append(by_id[rows + lo])
+        seconds.append(by_id[cols + lo])
+        sims_kept.append(sims[rows, cols])
+    hits = np.empty(sum(map(len, firsts)), dtype=SCAN_HIT)
+    hits["first"] = np.concatenate(firsts)
+    hits["second"] = np.concatenate(seconds)
+    hits["similarity"] = np.concatenate(sims_kept)
+    hits["duplicate"] = hits["similarity"] >= cfg.t1
     return hits
 
 

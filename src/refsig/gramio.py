@@ -9,6 +9,7 @@ their UTF-8 bytes. A line therefore decodes to exactly 3 characters.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 from .text import NGRAM_SIZE
 
@@ -74,9 +75,19 @@ def parse_gram_line(line: str) -> str:
     return gram
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The ``\\n``-split lines of a UTF-8 file, less the empty one after a final newline."""
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The ``\\n``-split lines of a UTF-8 file, read one at a time, less the
+    empty one after a final newline. A decode error's offsets are byte
+    offsets in the file, and its reason names the file and line."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                reason = f"{exc.reason} (line {number} of {path})"
+                raise UnicodeDecodeError(
+                    exc.encoding, line, offset + exc.start, offset + exc.end, reason
+                ) from None
+            yield text.removesuffix("\n")
+            offset += len(line)

@@ -26,9 +26,6 @@ _DB_MAGIC = "refsig-db 1"
 _WRITER = "refsig/0.1.0"
 _DIGEST_BYTES = 32
 
-KIND_DIRECTORY = "directory"
-KIND_RECORDS = "records"
-
 _TAG_RE = re.compile(r"<[^>]*>")
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
 
@@ -42,27 +39,7 @@ def strip_html(text: str) -> str:
     return html.unescape(_TAG_RE.sub(" ", text))
 
 
-@dataclass(frozen=True)
-class CorpusSource:
-    kind: str
-    path: Path
-    html_strip: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_DIRECTORY, KIND_RECORDS):
-            raise ValueError(f"unknown corpus kind {self.kind!r}")
-
-    @classmethod
-    def detect(cls, path: str | Path, html_strip: bool = False) -> "CorpusSource":
-        path = Path(path)
-        if path.is_dir():
-            return cls(KIND_DIRECTORY, path, html_strip)
-        if path.is_file():
-            return cls(KIND_RECORDS, path, html_strip)
-        raise FileNotFoundError(f"corpus path does not exist: {path}")
-
-
-def _list_directory(root: Path) -> list[tuple[str, str]]:
+def _list_directory(root: str | Path) -> list[tuple[str, str]]:
     """Each regular file under ``root`` as (relative POSIX path, path), sorted
     by the relative path. Symlinked files are listed, symlinked directories
     are not descended and broken links are skipped, as with ``Path.rglob``."""
@@ -87,24 +64,25 @@ def _read_utf8(path: str) -> str:
 _EMPTY_IDS_SHOWN = 3
 
 
-def iter_documents(source: CorpusSource | str | Path) -> Iterator[Document]:
+def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Document]:
     """Read a corpus one normalized, vectorized document at a time.
 
-    Directories yield one document per file, id = relative POSIX path,
+    A directory yields one document per file, id = relative POSIX path,
     sorted. A plain file is read as line-delimited records with ids
     "0", "1", ... Files must decode as UTF-8; decode errors carry the
-    offending byte offset. Once the corpus is exhausted, one warning
-    counts the documents that are empty after normalization.
+    offending byte offset. ``html_strip`` applies :func:`strip_html` before
+    normalizing. Once the corpus is exhausted, one warning counts the
+    documents that are empty after normalization.
     """
-    if not isinstance(source, CorpusSource):
-        source = CorpusSource.detect(source)
-    if source.kind == KIND_DIRECTORY:
-        entries = ((doc_id, _read_utf8(path)) for doc_id, path in _list_directory(source.path))
+    if os.path.isdir(path):
+        entries = ((doc_id, _read_utf8(file)) for doc_id, file in _list_directory(path))
+    elif os.path.isfile(path):
+        entries = ((str(index), line) for index, line in enumerate(read_lines(path)))
     else:
-        entries = ((str(index), line) for index, line in enumerate(read_lines(source.path)))
+        raise FileNotFoundError(f"corpus path does not exist: {path}")
     empty: list[str] = []
     for doc_id, raw in entries:
-        if source.html_strip:
+        if html_strip:
             raw = strip_html(raw)
         doc = Document.from_raw(doc_id, raw)
         if doc.text == "":
@@ -119,9 +97,9 @@ def iter_documents(source: CorpusSource | str | Path) -> Iterator[Document]:
         )
 
 
-def ingest(source: CorpusSource | str | Path) -> list[Document]:
+def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
     """All of :func:`iter_documents` as a list; rejects duplicate ids."""
-    docs = list(iter_documents(source))
+    docs = list(iter_documents(path, html_strip))
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValueError("corpus produced duplicate document ids")

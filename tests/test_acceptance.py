@@ -160,8 +160,9 @@ def test_criterion_4_planted_dnd_recall(tmp_path):
 
     db_path = tmp_path / "sigs.db"
     db_write(db_path, ref, [(d.id, sign(d, ref)) for d in test_docs])
-    hits = dnd_scan(db_read(db_path), ClassifierConfig(t1=0.999, t2=0.93))
-    detected = {(h.id_a, h.id_b) for h in hits}
+    db = db_read(db_path)
+    hits = dnd_scan(db, ClassifierConfig(t1=0.999, t2=0.93))
+    detected = {(db.ids[i], db.ids[j]) for i, j in zip(hits["first"], hits["second"])}
     truth = {tuple(sorted((p.id_a, p.id_b))) for p in pairs}
     recall = len(detected & truth) / len(truth)
     _verdict(

@@ -156,20 +156,45 @@ def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
     scans = []
 
     def recording_scan(db, cfg):
-        scans.append(dnd_scan(db, cfg))
-        return scans[-1]
+        scans.append((db.ids, dnd_scan(db, cfg)))
+        return scans[-1][1]
 
     monkeypatch.setattr("refsig.cli.dnd_scan", recording_scan)
     assert _run("eval", "--ref", ref, "--corpus", docs, "--labels", synthetic / "labels.tsv",
                 "--t1", 0.999, "--t2", 0.93, "--out", tmp_path / "report.tsv") == 0
+    ids, hits = scans[0]
     eval_rows = [
-        f"{h.id_a}\t{h.id_b}\t{h.verdict.similarity:.9f}\t{h.verdict.label.value}"
-        for h in scans[0]
+        f"{ids[i]}\t{ids[j]}\t{s:.9f}\t{'duplicate' if d else 'near-duplicate'}"
+        for i, j, s, d in hits.tolist()
     ]
     dedup_rows = pairs.read_text(encoding="utf-8").split("\n")[1:-1]
     labels = {row.split("\t")[3] for row in dedup_rows}
     assert labels == {"duplicate", "near-duplicate"}
     assert eval_rows == dedup_rows
+
+
+def test_dedup_default_thresholds_are_the_tuned_ones(tmp_path, monkeypatch):
+    synthetic = tmp_path / "synthetic"
+    assert _run("synth", "--bases", 30, "--near-dups", 8, "--dups", 6,
+                "--seed", 4, "--words", 90, "--out", synthetic) == 0
+    docs = synthetic / "docs"
+    pool = tmp_path / "pool.txt"
+    assert _run("topk", "--corpus", docs, "--k", 300, "--out", pool) == 0
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(load_pool(pool).grams[:150], 15), ref)
+    db = tmp_path / "sigs.db"
+    assert _run("sign", "--ref", ref, "--corpus", docs, "--out", db) == 0
+    default, explicit = tmp_path / "default.tsv", tmp_path / "explicit.tsv"
+    assert _run("dedup", "--db", db, "--out", default) == 0
+    assert _run("dedup", "--db", db, "--t1", 0.999, "--t2", 0.93, "--out", explicit) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    labels = {row.split("\t")[3] for row in explicit.read_text().split("\n")[1:-1]}
+    assert labels == {"duplicate", "near-duplicate"}
+    # Rows are written a slice of hits at a time; the slice size is invisible.
+    monkeypatch.setattr("refsig.cli.TSV_SLICE", 7)
+    sliced = tmp_path / "sliced.tsv"
+    assert _run("dedup", "--db", db, "--out", sliced) == 0
+    assert sliced.read_bytes() == explicit.read_bytes()
 
 
 def test_eval_skips_distinct_label_rows(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -215,19 +216,38 @@ def _db_from(ref, docs):
     return SignatureDb(ref.fingerprint, ref.partitions, "test", tuple(d.id for d in docs), scores)
 
 
+def _scan_rows(db, hits):
+    """Scan hits as (id_a, id_b, similarity, label) tuples."""
+    return [
+        (db.ids[i], db.ids[j], s, Verdict.DUPLICATE if d else Verdict.NEAR_DUPLICATE)
+        for i, j, s, d in hits.tolist()
+    ]
+
+
+def _loop_scan_rows(ids, scores, cfg):
+    """The scalar reference: classify every pair of one full-matrix product."""
+    sims = pairwise_signature_similarity(scores, scores)
+    expected = []
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            label = classify(float(sims[i, j]), cfg)
+            if label is not Verdict.DISTINCT:
+                expected.append((*sorted((ids[i], ids[j])), float(sims[i, j]), label))
+    return sorted(expected)
+
+
 def test_dnd_scan_identical_documents():
     docs = [Document.from_raw("a", "shared text body"), Document.from_raw("b", "shared text body")]
     ref = ReferenceText(_corpus_grams(docs), 3)
     hits = dnd_scan(_db_from(ref, docs), ClassifierConfig(0.95, 0.80))
-    assert len(hits) == 1
-    assert hits[0].id_a == "a" and hits[0].id_b == "b"
-    assert hits[0].verdict.label is Verdict.DUPLICATE
-    assert hits[0].verdict.similarity == 1.0
+    assert hits.dtype == evaluate.SCAN_HIT
+    assert hits.tolist() == [(0, 1, 1.0, True)]
 
 
 def test_dnd_scan_orthogonal_signatures_empty():
     db = SignatureDb("f" * 64, 2, "test", ("x", "y"), np.eye(2, dtype="<f4"))
-    assert dnd_scan(db, ClassifierConfig(0.95, 0.80)) == []
+    hits = dnd_scan(db, ClassifierConfig(0.95, 0.80))
+    assert len(hits) == 0 and hits.dtype == evaluate.SCAN_HIT
 
 
 def test_dnd_scan_order_independent():
@@ -236,10 +256,12 @@ def test_dnd_scan_order_independent():
     ]
     ref = ReferenceText(_corpus_grams(docs), 5)
     cfg = ClassifierConfig(0.95, 0.80)
-    forward = dnd_scan(_db_from(ref, docs), cfg)
-    backward = dnd_scan(_db_from(ref, list(reversed(docs))), cfg)
+    db_forward = _db_from(ref, docs)
+    db_backward = _db_from(ref, list(reversed(docs)))
+    forward = _scan_rows(db_forward, dnd_scan(db_forward, cfg))
+    backward = _scan_rows(db_backward, dnd_scan(db_backward, cfg))
     assert forward == backward
-    assert any(h.id_a == "0" and h.id_b == "dup" for h in forward)
+    assert ("0", "dup", 1.0, Verdict.DUPLICATE) in forward
 
 
 def test_dnd_scan_exact_duplicates_score_one_after_db_round_trip(tmp_path):
@@ -250,11 +272,11 @@ def test_dnd_scan_exact_duplicates_score_one_after_db_round_trip(tmp_path):
     rows = signature_matrix(docs, ref)
     path = tmp_path / "sigs.db"
     db_write(path, ref, [(d.id, Signature(row, ref.fingerprint)) for d, row in zip(docs, rows)])
-    scan = dnd_scan(db_read(path), ClassifierConfig(1.0, 0.93))
-    hits = {(h.id_a, h.id_b): h.verdict for h in scan}
+    db = db_read(path)
+    scan = _scan_rows(db, dnd_scan(db, ClassifierConfig(1.0, 0.93)))
+    hits = {(a, b): (s, label) for a, b, s, label in scan}
     for pair in planted:
-        verdict = hits[tuple(sorted((pair.id_a, pair.id_b)))]
-        assert verdict.label is Verdict.DUPLICATE and verdict.similarity == 1.0
+        assert hits[tuple(sorted((pair.id_a, pair.id_b)))] == (1.0, Verdict.DUPLICATE)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["integer-scores", "float-scores"])
@@ -270,25 +292,53 @@ def test_dnd_scan_blocks_match_full_matrix_loop(exact):
     scores = scores.astype("<f4")
     scores[[3, block + 1, 2 * block + 5]] = 0.0  # all-zero rows in every block
     scores[[block - 1, block, 2 * block + 36]] = scores[7]  # copies across block edges
-    ids = tuple(f"doc-{k:04d}" for k in range(len(scores)))
     cfg = ClassifierConfig(0.95, 0.80)
-    sims = pairwise_signature_similarity(scores, scores)
-    expected = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            verdict = classify(float(sims[i, j]), cfg)
-            if verdict.label is not Verdict.DISTINCT:
-                expected.append(evaluate.ScanPair(ids[i], ids[j], verdict))
-    hits = dnd_scan(SignatureDb("f" * 64, 5, "test", ids, scores), cfg)
-    if exact:
-        assert hits == expected
-    assert [(h.id_a, h.id_b, h.verdict.label) for h in hits] == [
-        (e.id_a, e.id_b, e.verdict.label) for e in expected
-    ]
-    gaps = [abs(h.verdict.similarity - e.verdict.similarity) for h, e in zip(hits, expected)]
-    assert max(gaps) <= 1e-15
-    assert {h.verdict.label for h in hits} == {Verdict.DUPLICATE, Verdict.NEAR_DUPLICATE}
-    assert sum(h.verdict.similarity == 1.0 for h in hits) >= 6  # the four copies of row 7
+    # Ids in row order, then in reverse row order, which the scan permutes.
+    for names in (range(len(scores)), range(len(scores), 0, -1)):
+        ids = tuple(f"doc-{k:04d}" for k in names)
+        expected = _loop_scan_rows(ids, scores, cfg)
+        db = SignatureDb("f" * 64, 5, "test", ids, scores)
+        hits = _scan_rows(db, dnd_scan(db, cfg))
+        if exact:
+            assert hits == expected
+        assert [(a, b, label) for a, b, _, label in hits] == [
+            (a, b, label) for a, b, _, label in expected
+        ]
+        gaps = [abs(h[2] - e[2]) for h, e in zip(hits, expected)]
+        assert max(gaps) <= 1e-15
+        assert {h[3] for h in hits} == {Verdict.DUPLICATE, Verdict.NEAR_DUPLICATE}
+        assert sum(h[2] == 1.0 for h in hits) >= 6  # the four copies of row 7
+
+
+def test_dnd_scan_labels_equal_classify_at_threshold_boundaries():
+    # One block, so the scan's similarities are the full product's bit for bit;
+    # the thresholds are set to similarities the scan meets, and to their
+    # nearest floats on either side.
+    rng = np.random.default_rng(11)
+    scores = rng.integers(0, 5, size=(60, 6)).astype("<f4")
+    ids = tuple(f"{k:02d}" for k in range(len(scores)))
+    db = SignatureDb("f" * 64, 6, "test", ids, scores)
+    sims = np.unique(pairwise_signature_similarity(scores, scores)[np.triu_indices(60, k=1)])
+    high, low = sims[-len(sims) // 10], sims[len(sims) // 2]
+    for t1 in (np.nextafter(high, 0.0), high, np.nextafter(high, 2.0)):
+        for t2 in (np.nextafter(low, 0.0), low, np.nextafter(low, 2.0)):
+            cfg = ClassifierConfig(float(t1), float(t2))
+            hits = _scan_rows(db, dnd_scan(db, cfg))
+            assert hits == _loop_scan_rows(ids, scores, cfg)
+            labels = {s: label for _, _, s, label in hits}
+            assert labels[high] is (Verdict.DUPLICATE if t1 <= high else Verdict.NEAR_DUPLICATE)
+            assert (low in labels) == (t2 <= low)
+
+
+def test_dnd_scan_sorts_by_python_str_order():
+    # Equal rows make every pair a hit; ids mix ASCII, Latin-1, fullwidth,
+    # the last BMP code point and non-BMP code points, in no order.
+    ids = ("z", "é", "\U0001f600", "a", "\uff41", "\U00010000", "\uffff", "Z", "ß", "a\u0301")
+    db = SignatureDb("f" * 64, 3, "test", ids, np.ones((len(ids), 3), dtype="<f4"))
+    hits = _scan_rows(db, dnd_scan(db, ClassifierConfig(0.95, 0.80)))
+    pairs = [(a, b) for a, b, _, _ in hits]
+    assert pairs == sorted(tuple(sorted(p)) for p in itertools.combinations(ids, 2))
+    assert len(pairs) == len(ids) * (len(ids) - 1) // 2
 
 
 def test_dnd_scan_rejects_empty_db():

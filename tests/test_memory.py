@@ -1,6 +1,10 @@
-"""Memory stays bounded as the corpus grows: ``refsig sign`` holds one block
-of documents at a time, so its peak grows with the signatures (P floats per
-document), not with the documents' text and gram vectors.
+"""Memory stays bounded as the input grows.
+
+``refsig sign`` holds one block of documents at a time, from a directory
+or a records file, so its peak grows with the signatures (P floats per
+document), not with the documents' text and gram vectors. ``refsig dedup``
+keeps its hits as arrays and writes them a slice at a time, so its peak
+grows by tens of bytes per hit, not by a Python object per hit.
 
 The peak is the ``VmHWM`` of a fresh interpreter, read from
 ``/proc/self/status``. ``ru_maxrss`` would not do: on Linux a child reports
@@ -14,54 +18,112 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import refsig
-from refsig.reference import ReferenceText, save_reference
+from refsig.reference import ReferenceText, Signature, save_reference
+from refsig.store import db_write
 
 SMALL, LARGE = 300, 1300
+# A records file is read whole if it is not streamed: its peak then grows by
+# about 1.2 times the file, which at 3,300 documents (13 MB) passes the bound.
+LARGE_RECORDS = 3300
 DOC_CHARS = 4000
 # Holding every document costs about 55 kB each at this size (55 MB over
 # the 1,000 extra documents); holding their 10-float signatures, under 1 kB.
 GROWTH_BOUND_KB = 8 * 1024
 
-_SIGN_AND_REPORT_PEAK = """
+# Every pair of DEDUP_ROWS rows near one direction is a hit at low thresholds.
+DEDUP_ROWS = 1000
+# Python objects per hit cost about 400 B; the hit arrays, under 100 B.
+DEDUP_BOUND_BYTES_PER_HIT = 150
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+)
+
+_RUN_AND_REPORT_PEAK = """
 import re, sys
 from refsig.cli import main
-assert main(["sign", "--ref", sys.argv[1], "--corpus", sys.argv[2], "--out", sys.argv[3]]) == 0
+assert main(sys.argv[1:]) == 0
 status = open("/proc/self/status").read()
 print(re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
 """
 
 
-def _write_corpus(path: Path, n: int, vocab: list[str], rng: random.Random) -> None:
-    path.mkdir()
-    for i in range(n):
-        (path / f"{i:05d}.txt").write_text(" ".join(rng.choices(vocab, k=DOC_CHARS // 6)))
-
-
-def _peak_kb(ref: Path, corpus: Path, out: Path) -> int:
+def _peak_kb(*argv) -> int:
+    """The VmHWM of a fresh interpreter that runs ``refsig *argv``."""
     src = str(Path(refsig.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _SIGN_AND_REPORT_PEAK, str(ref), str(corpus), str(out)],
+        [sys.executable, "-c", _RUN_AND_REPORT_PEAK, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return int(done.stdout.split()[-1])
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_sign_peak_memory_grows_with_signatures_not_documents(tmp_path):
+def _texts(n: int, vocab: list[str], rng: random.Random):
+    for _ in range(n):
+        yield " ".join(rng.choices(vocab, k=DOC_CHARS // 6))
+
+
+def _sign_growth_kb(tmp_path: Path, write_corpus, large: int) -> int:
     rng = random.Random(0)
     letters = string.ascii_lowercase
     vocab = ["".join(rng.choices(letters, k=rng.randint(2, 8))) for _ in range(5000)]
     ref = tmp_path / "ref.txt"
     save_reference(ReferenceText(["".join(rng.choices(letters, k=3)) for _ in range(200)], 10), ref)
     peaks = []
-    for n in (SMALL, LARGE):
+    for n in (SMALL, large):
         corpus = tmp_path / f"corpus-{n}"
-        _write_corpus(corpus, n, vocab, rng)
-        peaks.append(_peak_kb(ref, corpus, tmp_path / f"sigs-{n}.db"))
-    growth = peaks[1] - peaks[0]
+        write_corpus(corpus, _texts(n, vocab, rng))
+        peaks.append(_peak_kb("sign", "--ref", ref, "--corpus", corpus,
+                              "--out", tmp_path / f"sigs-{n}.db"))
+    return peaks[1] - peaks[0]
+
+
+def _write_directory(path: Path, texts) -> None:
+    path.mkdir()
+    for i, text in enumerate(texts):
+        (path / f"{i:05d}.txt").write_text(text)
+
+
+def _write_records(path: Path, texts) -> None:
+    path.write_text("".join(text + "\n" for text in texts))
+
+
+@needs_proc
+def test_sign_peak_memory_grows_with_signatures_not_documents(tmp_path):
+    growth = _sign_growth_kb(tmp_path, _write_directory, LARGE)
     assert growth < GROWTH_BOUND_KB, f"peak grew {growth} kB from {SMALL} to {LARGE} documents"
+
+
+@needs_proc
+def test_sign_records_file_peak_memory_grows_with_signatures_not_file(tmp_path):
+    growth = _sign_growth_kb(tmp_path, _write_records, LARGE_RECORDS)
+    assert growth < GROWTH_BOUND_KB, (
+        f"peak grew {growth} kB from {SMALL} to {LARGE_RECORDS} records"
+    )
+
+
+@needs_proc
+def test_dedup_peak_memory_does_not_grow_per_hit(tmp_path):
+    rng = np.random.default_rng(0)
+    # Rows near one direction: every pair scores above 0.5, none reaches 0.9999.
+    rows = 1.0 + 0.3 * rng.random((DEDUP_ROWS, 10))
+    ref = ReferenceText([f"{c}ab" for c in string.ascii_lowercase[:10]], 10)
+    db = tmp_path / "sigs.db"
+    db_write(db, ref, [(f"doc-{k:05d}", Signature(row, ref.fingerprint))
+                       for k, row in enumerate(rows)])
+    few, many = tmp_path / "few.tsv", tmp_path / "many.tsv"
+    base = _peak_kb("dedup", "--db", db, "--t1", 1.0, "--t2", 0.9999, "--out", few)
+    peak = _peak_kb("dedup", "--db", db, "--t1", 0.99, "--t2", 0.5, "--out", many)
+    hits = len(many.read_text().split("\n")) - 2
+    assert hits == DEDUP_ROWS * (DEDUP_ROWS - 1) // 2
+    assert len(few.read_text().split("\n")) - 2 <= 10
+    per_hit = (peak - base) * 1024 / hits
+    assert per_hit < DEDUP_BOUND_BYTES_PER_HIT, (
+        f"peak grew {peak - base} kB for {hits} hits ({per_hit:.0f} B per hit)"
+    )

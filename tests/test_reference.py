@@ -172,12 +172,11 @@ def test_classifier_config_validation():
 
 def test_classify_boundaries():
     cfg = ClassifierConfig(t1=0.95, t2=0.80)
-    assert classify(0.97, cfg).label is Verdict.DUPLICATE
-    assert classify(0.95, cfg).label is Verdict.DUPLICATE
-    assert classify(0.94, cfg).label is Verdict.NEAR_DUPLICATE
-    assert classify(0.80, cfg).label is Verdict.NEAR_DUPLICATE
-    assert classify(0.79, cfg).label is Verdict.DISTINCT
-    assert classify(0.5, cfg).similarity == 0.5
+    assert classify(0.97, cfg) is Verdict.DUPLICATE
+    assert classify(0.95, cfg) is Verdict.DUPLICATE
+    assert classify(0.94, cfg) is Verdict.NEAR_DUPLICATE
+    assert classify(0.80, cfg) is Verdict.NEAR_DUPLICATE
+    assert classify(0.79, cfg) is Verdict.DISTINCT
 
 
 def test_classify_rejects_nan():

@@ -5,7 +5,6 @@ import pytest
 
 from refsig.reference import ReferenceText, Signature, SignatureMismatchError, sign
 from refsig.store import (
-    CorpusSource,
     CorruptDbError,
     db_read,
     db_write,
@@ -36,7 +35,7 @@ def test_ingest_records_file(tmp_path):
 
 def test_ingest_html_strip(tmp_path):
     (tmp_path / "page.html").write_text("<p>Hi</p>", encoding="utf-8")
-    docs = ingest(CorpusSource.detect(tmp_path, html_strip=True))
+    docs = ingest(tmp_path, html_strip=True)
     assert docs[0].text == "hi"
 
 
@@ -69,6 +68,19 @@ def test_ingest_bad_encoding_reports_offset(tmp_path):
     with pytest.raises(UnicodeDecodeError) as excinfo:
         ingest(tmp_path)
     assert excinfo.value.start == 20000
+
+
+def test_ingest_records_bad_encoding_reports_file_offset(tmp_path):
+    # Records are read one line at a time; the offset still counts from the
+    # start of the file, not of the line.
+    path = tmp_path / "records.txt"
+    first = "café first record\n".encode("utf-8")
+    path.write_bytes(first + b"y" * 20000 + b"\xff tail\nthird\n")
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        ingest(path)
+    assert excinfo.value.start == len(first) + 20000
+    assert excinfo.value.end == len(first) + 20001
+    assert excinfo.value.reason == f"invalid start byte (line 2 of {path})"
 
 
 def _ref_and_sigs(doc_texts):
