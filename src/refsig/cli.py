@@ -16,7 +16,7 @@ import numpy as np
 from .evaluate import (
     SplitSpec,
     SyntheticCorpusSpec,
-    confusion_from_pairs,
+    confusion_from_hits,
     cross_validate,
     dnd_scan,
     generate_synthetic_corpus,
@@ -163,13 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ids = tuple(d.id for d in docs)
         db = SignatureDb(ref.fingerprint, ref.partitions, "in-memory", ids, rows)
         hits = dnd_scan(db, cfg)
-        truth = _read_label_pairs(args.labels)
-        n = len(docs)
-        predicted = (
-            (ids[i], ids[j]) for i, j in zip(hits["first"].tolist(), hits["second"].tolist())
-        )
-        counts = confusion_from_pairs(predicted, truth, n * (n - 1) // 2)
-        report = prf(counts)
+        report = prf(confusion_from_hits(hits, ids, _read_label_pairs(args.labels)))
         precision_s = f"{report.precision:.6f}"
         recall_s = f"{report.recall:.6f}"
         f1_s = f"{report.f1:.6f}"

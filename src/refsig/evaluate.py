@@ -21,7 +21,7 @@ from .reference import (
     signature_matrix,
 )
 from .store import SignatureDb
-from .text import Document, brute_force_pairwise
+from .text import Document, brute_force_pairwise, key_columns
 
 
 def mae(ref: ReferenceText, docs: Sequence[Document]) -> float:
@@ -314,4 +314,37 @@ def confusion_from_pairs(
     tn = total_pairs - tp - fp - fn
     if tn < 0:
         raise ValueError("total_pairs is smaller than the observed pair sets")
+    return ConfusionCounts(tp, fp, fn, tn)
+
+
+def confusion_from_hits(
+    hits: np.ndarray, ids: Sequence[str], truth: Iterable[tuple[str, str]]
+) -> ConfusionCounts:
+    """:func:`confusion_from_pairs` of :func:`dnd_scan` hits over rows with
+    ``ids``, against ground-truth id pairs, over every pair of the rows.
+
+    Truth ids are mapped to rows and each unordered row pair to one int64
+    code, so the hits are matched as arrays: memory grows by a few words per
+    hit, not by a Python tuple. A truth pair naming an id outside ``ids``
+    can never be predicted and counts as a false negative.
+    """
+    n = len(ids)
+    row = {doc_id: index for index, doc_id in enumerate(ids)}
+    codes, outside = [], set()
+    for a, b in truth:
+        if a in row and b in row:
+            i, j = sorted((row[a], row[b]))
+            codes.append(i * n + j)
+        else:
+            outside.add(tuple(sorted((a, b))))
+    truth_codes = np.unique(np.array(codes, dtype=np.int64))
+    predicted = np.minimum(hits["first"], hits["second"], dtype=np.int64)
+    predicted *= n
+    predicted += np.maximum(hits["first"], hits["second"])
+    tp = int(np.count_nonzero(key_columns(truth_codes, predicted) < len(truth_codes)))
+    fp = len(hits) - tp
+    fn = len(truth_codes) + len(outside) - tp
+    tn = n * (n - 1) // 2 - tp - fp - fn
+    if tn < 0:
+        raise ValueError("the rows have fewer pairs than the observed pair sets")
     return ConfusionCounts(tp, fp, fn, tn)

@@ -42,22 +42,34 @@ def strip_html(text: str) -> str:
 def _list_directory(root: str | Path) -> list[tuple[str, str]]:
     """Each regular file under ``root`` as (relative POSIX path, path), sorted
     by the relative path. Symlinked files are listed, symlinked directories
-    are not descended and broken links are skipped, as with ``Path.rglob``."""
+    are not descended and broken links are skipped, as with ``Path.rglob``.
+    The type of each entry comes from its directory listing, so only links
+    cost a stat."""
     files = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        rel = os.path.relpath(dirpath, root)
-        prefix = "" if rel == os.curdir else rel.replace(os.sep, "/") + "/"
-        for name in filenames:
-            path = os.path.join(dirpath, name)
-            if os.path.isfile(path):
-                files.append((prefix + name, path))
+    pending = [(os.fspath(root), "")]
+    while pending:
+        dirpath, prefix = pending.pop()
+        with os.scandir(dirpath) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((entry.path, prefix + entry.name + "/"))
+                elif entry.is_file():
+                    files.append((prefix + entry.name, entry.path))
     files.sort()
     return files
 
 
 def _read_utf8(path: str) -> str:
-    with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+    """The text of a UTF-8 file, read unbuffered in one presized call. A
+    decode error's offsets are byte offsets in the file, and its reason
+    names the file."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} (in {path})"
+        raise UnicodeDecodeError(exc.encoding, data, exc.start, exc.end, reason) from None
 
 
 # Ids of empty documents named in the one warning that counts them.

@@ -21,11 +21,15 @@ NGRAM_SIZE = 3
 _MAX_FOLD_PASSES = 8
 
 
-def _fold_pass(text: str) -> str:
+def _fold_pass(text: str) -> tuple[str, bool]:
+    """One NFC, casefold, NFC, whitespace-collapse pass, and whether the
+    second NFC left casefold's output unchanged. Casefolding is idempotent
+    code point by code point and collapsing whitespace neither composes nor
+    casefolds, so when it did, the pass's output is a fixed point."""
     text = unicodedata.normalize("NFC", text)
-    text = text.casefold()
-    text = unicodedata.normalize("NFC", text)
-    return " ".join(text.split())
+    folded = text.casefold()
+    text = unicodedata.normalize("NFC", folded)
+    return " ".join(text.split()), text == folded
 
 
 def normalize(raw: str) -> str:
@@ -35,13 +39,14 @@ def normalize(raw: str) -> str:
     whitespace is dropped. The pipeline is applied until it stops changing
     the string, so normalize(normalize(t)) == normalize(t).
     """
-    text = _fold_pass(raw)
+    text, settled = _fold_pass(raw)
     for _ in range(_MAX_FOLD_PASSES):
-        # A pass's output is NFC and whitespace-collapsed, so one that
-        # casefolding leaves unchanged is a fixed point: skip the confirming pass.
-        if text.casefold() == text:
+        # A settled pass's output is a fixed point, and so is any pass output
+        # that casefolding leaves unchanged, as it is NFC and whitespace-
+        # collapsed: either way, skip the confirming pass.
+        if settled or text.casefold() == text:
             break
-        again = _fold_pass(text)
+        again, settled = _fold_pass(text)
         if again == text:
             break
         text = again
@@ -61,7 +66,10 @@ def gram_keys(text: str, step: int = 1) -> np.ndarray:
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
     n = max(len(code) - NGRAM_SIZE + 1, 0)
     c0, c1, c2 = (code[k : k + n : step] for k in range(NGRAM_SIZE))
-    return (c0 << 2 * _CODE_BITS) | (c1 << _CODE_BITS) | c2
+    keys = c0 << 2 * _CODE_BITS
+    keys |= c1 << _CODE_BITS
+    keys |= c2
+    return keys
 
 
 def gram_strings(keys: np.ndarray) -> list[str]:
@@ -106,12 +114,24 @@ class SparseNGramVector:
         return f"SparseNGramVector({len(self.keys)} grams, norm={self.norm:.4f})"
 
 
+def _sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys``, ascending, and how often each occurs:
+    ``np.unique(keys, return_counts=True)`` as one sort and its run lengths."""
+    keys = np.sort(keys)
+    # edges[i] marks where a run starts (or, at len(keys), where the last ends).
+    edges = np.empty(len(keys) + 1, bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = edges.nonzero()[0]
+    return keys[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
 def extract_3grams(text: str) -> SparseNGramVector:
     """Count every 3-character window of ``text`` (stride 1, spaces included).
 
     Text shorter than 3 characters yields an empty vector.
     """
-    return SparseNGramVector(*np.unique(gram_keys(text), return_counts=True))
+    return SparseNGramVector(*_sorted_counts(gram_keys(text)))
 
 
 @dataclass(frozen=True)

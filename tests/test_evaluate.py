@@ -6,9 +6,11 @@ import pytest
 
 from refsig import evaluate
 from refsig.evaluate import (
+    SCAN_HIT,
     ConfusionCounts,
     SplitSpec,
     SyntheticCorpusSpec,
+    confusion_from_hits,
     confusion_from_pairs,
     cross_validate,
     dnd_scan,
@@ -357,3 +359,33 @@ def test_confusion_from_pairs():
     assert counts.true_negatives == 6
     with pytest.raises(ValueError):
         confusion_from_pairs(predicted, truth, total_pairs=3)
+
+
+def test_confusion_from_hits_equals_confusion_from_pairs():
+    rng = random.Random(5)
+    ids = [f"d{k:02d}" for k in rng.sample(range(100), 30)]
+    n = len(ids)
+    for trial in range(40):
+        chosen = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, 60))
+        hits = np.zeros(len(chosen), dtype=SCAN_HIT)
+        # dnd_scan puts the smaller id first, which is not always the smaller row.
+        hits["first"] = [i if ids[i] < ids[j] else j for i, j in chosen]
+        hits["second"] = [j if ids[i] < ids[j] else i for i, j in chosen]
+        # Truth: some hits, either way round, repeated, self pairs and unknown ids.
+        truth = [(ids[i], ids[j])[:: rng.choice((1, -1))] for i, j in chosen if rng.random() < 0.5]
+        truth += [(ids[rng.randrange(n)], ids[rng.randrange(n)]) for _ in range(rng.randint(0, 20))]
+        truth += [("gone", ids[0]), (ids[1], "gone"), ("gone", "gone"), ("x", "y"), ("y", "x")]
+        truth += truth[: rng.randint(0, 5)]
+        expected = confusion_from_pairs(
+            [(ids[i], ids[j]) for i, j in chosen], truth, n * (n - 1) // 2
+        )
+        assert confusion_from_hits(hits, ids, truth) == expected, trial
+
+
+def test_confusion_from_hits_rejects_more_pairs_than_rows_have():
+    ids = ["a", "b"]
+    hits = np.zeros(1, dtype=SCAN_HIT)
+    hits["second"] = 1
+    assert confusion_from_hits(hits, ids, [("a", "b")]) == ConfusionCounts(1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        confusion_from_hits(hits, ids, [("a", "b"), ("a", "c")])

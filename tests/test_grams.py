@@ -9,6 +9,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,15 @@ def test_extract_3grams_equals_counter_of_slices(text):
     assert vec.counts.tolist() == [expected[g] for g in sorted(expected)]
     assert vec.sq_norm == sum(c * c for c in expected.values())
     assert vec.is_empty == (len(text) < 3)
+
+
+@pytest.mark.parametrize("text", ["", "ab", "aaaa", "abc", "x😀yx😀y\U0010ffff x😀y"])
+def test_extract_3grams_equals_np_unique(text):
+    # Counts come from one sort and its run lengths, not from np.unique.
+    vec = extract_3grams(text)
+    keys, counts = np.unique(gram_keys(text), return_counts=True)
+    assert vec.keys.dtype == vec.counts.dtype == np.int64
+    assert np.array_equal(vec.keys, keys) and np.array_equal(vec.counts, counts)
 
 
 def _score_grams_reference(corpus):

@@ -3,16 +3,18 @@ oracle, the directory listing against ``Path.rglob``, and the empty-document
 warning."""
 
 import importlib.util
+import os
 import sys
 import unicodedata
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsig.store import _list_directory, ingest
-from refsig.text import normalize
+from refsig.text import _fold_pass, normalize
 
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 
@@ -70,6 +72,36 @@ def test_normalize_fixed_point_that_casefolding_changes():
     assert normalize("ǰ X") == "ǰ x" == _confirming_normalize("ǰ X")
 
 
+@pytest.mark.parametrize("raw", ["ǰ X", "ΐ\tΐ", "ẖ  Ẕ", "ǰΐẖ", " Ǯǰ\u0390 "])
+def test_normalize_where_nfc_changes_casefolds_output(raw):
+    # U+01F0, U+0390 and U+1E96 casefold to a base and combining marks that
+    # NFC composes again: these texts do not settle in one pass and take
+    # the confirming loop.
+    assert not _fold_pass(raw)[1]
+    assert normalize(raw) == _confirming_normalize(raw)
+    assert _fold_pass(normalize(raw))[0] == normalize(raw)
+
+
+def test_normalize_settles_in_one_pass_on_plain_text():
+    raw = "Crème  Brûlée\tß ﬁ 😀 <b>x</b>"
+    text, settled = _fold_pass(raw)
+    assert settled
+    assert text == normalize(raw) == _confirming_normalize(raw)
+
+
+def test_casefold_is_idempotent_and_never_makes_whitespace():
+    # What lets a pass whose second NFC changed nothing skip the confirming
+    # casefold: casefolding its own output changes nothing, code point by
+    # code point, and no non-whitespace code point folds to text holding
+    # whitespace, which collapsing would then change.
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        folded = char.casefold()
+        if folded != char:
+            assert folded.casefold() == folded, f"U+{code:04X}"
+            assert char.isspace() or not any(c.isspace() for c in folded), f"U+{code:04X}"
+
+
 def _rglob_listing(root):
     """The listing before os.walk, kept as the oracle."""
     paths = sorted(
@@ -96,16 +128,21 @@ def test_directory_listing_matches_rglob(tmp_path):
     (root / "link-file").symlink_to(root / "a.txt")
     (root / "link-dir").symlink_to(root / "nested", target_is_directory=True)
     (root / "broken").symlink_to(root / "nowhere")
+    (root / "link-link").symlink_to(root / "link-file")
+    if hasattr(os, "mkfifo"):
+        # Not a regular file, so not listed: reading it would block.
+        os.mkfifo(root / "nested" / "fifo")
 
     expected = [
         ".dot/inner.txt", ".hidden", "a-b.txt", "a.txt", "a/b.txt", "a0",
-        "link-file", "nested/deeper/x.txt",
+        "link-file", "link-link", "nested/deeper/x.txt",
     ]
     assert _rglob_listing(root) == expected
     assert [doc_id for doc_id, _ in _list_directory(root)] == expected
     docs = ingest(root)
     assert [d.id for d in docs] == expected
     assert {d.id: d.text for d in docs}["link-file"] == "a"
+    assert {d.id: d.text for d in docs}["link-link"] == "a"
 
 
 def test_three_empty_documents_warn_once(tmp_path):

@@ -3,14 +3,16 @@
 ``refsig sign`` holds one block of documents at a time, from a directory
 or a records file, so its peak grows with the signatures (P floats per
 document), not with the documents' text and gram vectors. ``refsig dedup``
-keeps its hits as arrays and writes them a slice at a time, so its peak
-grows by tens of bytes per hit, not by a Python object per hit.
+keeps its hits as arrays and writes them a slice at a time, and ``refsig
+eval --labels`` matches them against the labels as arrays of row pairs, so
+their peaks grow by tens of bytes per hit, not by a Python object per hit.
 
 The peak is the ``VmHWM`` of a fresh interpreter, read from
 ``/proc/self/status``. ``ru_maxrss`` would not do: on Linux a child reports
 at least its parent's resident size, carried across exec.
 """
 
+import itertools
 import os
 import random
 import string
@@ -123,6 +125,37 @@ def test_dedup_peak_memory_does_not_grow_per_hit(tmp_path):
     hits = len(many.read_text().split("\n")) - 2
     assert hits == DEDUP_ROWS * (DEDUP_ROWS - 1) // 2
     assert len(few.read_text().split("\n")) - 2 <= 10
+    per_hit = (peak - base) * 1024 / hits
+    assert per_hit < DEDUP_BOUND_BYTES_PER_HIT, (
+        f"peak grew {peak - base} kB for {hits} hits ({per_hit:.0f} B per hit)"
+    )
+
+
+@needs_proc
+def test_eval_labels_peak_memory_does_not_grow_per_hit(tmp_path):
+    rng = random.Random(0)
+    # Words over five letters, against a reference of their 3-grams: every
+    # pair of signatures scores above 0.6, none reaches 0.9999.
+    letters = "abcde"
+    vocab = ["".join(rng.choices(letters, k=rng.randint(2, 6))) for _ in range(200)]
+    corpus = tmp_path / "corpus"
+    _write_directory(corpus, (" ".join(rng.choices(vocab, k=60)) for _ in range(DEDUP_ROWS)))
+    ref = tmp_path / "ref.txt"
+    grams = ["".join(g) for g in itertools.product(letters, repeat=3)][:120]
+    save_reference(ReferenceText(grams, 10), ref)
+    labels = tmp_path / "labels.tsv"
+    truth = ["00000.txt\t00001.txt\tduplicate", "00002.txt\t00003.txt\tnear-duplicate"]
+    labels.write_text("id_a\tid_b\tlabel\n" + "".join(line + "\n" for line in truth))
+    common = ("eval", "--ref", ref, "--corpus", corpus, "--sample", 10, "--labels", labels)
+    few, many = tmp_path / "few.tsv", tmp_path / "many.tsv"
+    base = _peak_kb(*common, "--t1", 1.0, "--t2", 0.9999, "--out", few)
+    peak = _peak_kb(*common, "--t1", 0.99, "--t2", 0.5, "--out", many)
+    hits = DEDUP_ROWS * (DEDUP_ROWS - 1) // 2
+    # precision = 2 / hits and recall = 1 only if every pair is a hit.
+    assert many.read_text().split("\n")[1].split("\t")[6:9] == [
+        f"{2 / hits:.6f}", "1.000000", f"{2 * (2 / hits) / (2 / hits + 1):.6f}"
+    ]
+    assert few.read_text().split("\n")[1].split("\t")[7] == "0.000000"
     per_hit = (peak - base) * 1024 / hits
     assert per_hit < DEDUP_BOUND_BYTES_PER_HIT, (
         f"peak grew {peak - base} kB for {hits} hits ({per_hit:.0f} B per hit)"

@@ -63,11 +63,14 @@ def test_ingest_bad_encoding_reports_offset(tmp_path):
     with pytest.raises(UnicodeDecodeError) as excinfo:
         ingest(tmp_path)
     assert excinfo.value.start == 11
+    assert excinfo.value.reason == f"invalid start byte (in {tmp_path / 'bad.txt'})"
     # An offset past the first read chunk is still an offset into the file.
     (tmp_path / "bad.txt").write_bytes(b"x" * 20000 + b"\xff")
     with pytest.raises(UnicodeDecodeError) as excinfo:
         ingest(tmp_path)
     assert excinfo.value.start == 20000
+    assert excinfo.value.end == 20001
+    assert excinfo.value.reason == f"invalid start byte (in {tmp_path / 'bad.txt'})"
 
 
 def test_ingest_records_bad_encoding_reports_file_offset(tmp_path):
