@@ -23,7 +23,7 @@ from refsig import (
     evolve,
     generate_synthetic_corpus,
     prf,
-    sign,
+    signature_matrix,
 )
 
 # --- train on one corpus ------------------------------------------------------
@@ -52,7 +52,7 @@ print(f"\ntarget corpus: {len(target_docs)} documents, "
 
 with tempfile.TemporaryDirectory() as tmp:
     db_path = Path(tmp) / "signatures.db"
-    db_write(db_path, ref, [(d.id, sign(d, ref)) for d in target_docs])
+    db_write(db_path, ref, [d.id for d in target_docs], signature_matrix(target_docs, ref))
     db = db_read(db_path)
     print(f"signature database: {db.record_count} records, "
           f"{db_path.stat().st_size} bytes on disk")

@@ -28,7 +28,6 @@ from .gramio import read_lines
 from .reference import (
     SIGN_BLOCK,
     ClassifierConfig,
-    Signature,
     Verdict,
     load_reference,
     save_reference,
@@ -114,13 +113,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sign(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
     docs = iter_documents(args.corpus, args.html_strip)
-    # Only one block of documents is held at a time; their signatures are kept.
-    sigs = []
+    # Only one block of documents is held at a time; their signature rows are kept.
+    ids: list[str] = []
+    blocks = [np.empty((0, ref.partitions), "<f4")]
     while block := list(islice(docs, SIGN_BLOCK)):
-        rows = signature_matrix(block, ref)
-        sigs.extend((doc.id, Signature(row, ref.fingerprint)) for doc, row in zip(block, rows))
-    db_write(args.out, ref, sigs)
-    print(f"signed {len(sigs)} documents into {args.out}")
+        ids.extend(doc.id for doc in block)
+        blocks.append(signature_matrix(block, ref).astype("<f4"))
+    db_write(args.out, ref, ids, np.concatenate(blocks))
+    print(f"signed {len(ids)} documents into {args.out}")
     return 0
 
 
@@ -161,8 +161,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # The float32 rows that sign -> db_write -> dedup classifies.
         rows = signature_matrix(docs, ref).astype("<f4")
         ids = tuple(d.id for d in docs)
-        db = SignatureDb(ref.fingerprint, ref.partitions, "in-memory", ids, rows)
-        hits = dnd_scan(db, cfg)
+        hits = dnd_scan(SignatureDb(ref.fingerprint, ids, rows), cfg)
         report = prf(confusion_from_hits(hits, ids, _read_label_pairs(args.labels)))
         precision_s = f"{report.precision:.6f}"
         recall_s = f"{report.recall:.6f}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gramio import escape_gram
 from .reference import mean_signature_error, partition_layout, partition_scores
-from .text import Document, brute_force_pairwise, count_cells, key_columns
+from .text import Document, brute_force_pairwise, count_matrix, key_columns
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -72,9 +72,8 @@ class Chromosome:
 @dataclass(frozen=True)
 class FitnessSample:
     """The fixed documents every candidate is scored on, their exact
-    pairwise cosine matrix, and their integer counts: ``counts[i, k]`` is
-    document i's count of the gram with packed key ``keys[k]`` (sorted),
-    and the last column, which no key maps to, is all zero."""
+    pairwise cosine matrix, and their :func:`~refsig.text.count_matrix`
+    over ``keys``, the sorted packed keys of every gram they hold."""
 
     documents: tuple[Document, ...]
     oracle: np.ndarray
@@ -108,11 +107,8 @@ def draw_fitness_sample(
     if len(corpus) < size:
         raise ValueError(f"corpus has {len(corpus)} documents, sample needs {size}")
     docs = tuple(rng.sample(list(corpus), size))
-    rows, keys, cells = count_cells(docs)
-    vocab, cols = np.unique(keys, return_inverse=True)
-    counts = np.zeros((size, len(vocab) + 1))
-    counts[rows, cols] = cells
-    sq_norms = np.array([doc.vector.sq_norm for doc in docs], dtype=float)
+    vocab = np.unique(np.concatenate([doc.vector.keys for doc in docs]))
+    counts, sq_norms = count_matrix(docs, vocab)
     return FitnessSample(docs, brute_force_pairwise(docs), vocab, counts, sq_norms)
 
 

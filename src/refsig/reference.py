@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .gramio import escape_gram, parse_gram_line, read_lines
-from .text import NGRAM_SIZE, Document, count_cells, count_cosine, gram_keys, key_columns
+from .text import NGRAM_SIZE, Document, count_cosine, count_matrix, gram_keys
 
 
 class SignatureMismatchError(ValueError):
@@ -139,15 +139,9 @@ def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray
     """
     out = np.empty((len(docs), ref.partitions))
     for lo in range(0, len(docs), SIGN_BLOCK):
-        block = docs[lo : lo + SIGN_BLOCK]
-        rows, keys, cells = count_cells(block)
-        # Grams the reference lacks land in a spare last column no position reads.
-        counts = np.zeros((len(block), len(ref.columns) + 1))
-        counts[rows, key_columns(ref.columns, keys)] = cells
-        sq_norms = np.array([doc.vector.sq_norm for doc in block], dtype=float)
-        out[lo : lo + len(block)] = partition_scores(
-            counts, sq_norms, ref.positions, ref.starts, ref.part_sq
-        )
+        counts, sq_norms = count_matrix(docs[lo : lo + SIGN_BLOCK], ref.columns)
+        scores = partition_scores(counts, sq_norms, ref.positions, ref.starts, ref.part_sq)
+        out[lo : lo + SIGN_BLOCK] = scores
     return out
 
 

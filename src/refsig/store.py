@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .gramio import read_lines
-from .reference import ReferenceText, Signature, SignatureMismatchError
+from .reference import ReferenceText, SignatureMismatchError
 from .text import Document
 
 _DB_MAGIC = "refsig-db 1"
@@ -120,13 +120,15 @@ def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
 
 @dataclass(frozen=True)
 class SignatureDb:
-    """In-memory view of a signature database file: ids and an (N, P) float32 matrix."""
+    """Signature rows bound to one reference: ids and an (N, P) float32 matrix."""
 
     fingerprint: str
-    partitions: int
-    writer: str
     ids: tuple[str, ...]
     scores: np.ndarray
+
+    @property
+    def partitions(self) -> int:
+        return self.scores.shape[1]
 
     @property
     def record_count(self) -> int:
@@ -138,32 +140,29 @@ def _record_dtype(id_bytes: int, partitions: int) -> np.dtype:
 
 
 def db_write(
-    path: str | Path, ref: ReferenceText, sigs: Sequence[tuple[str, Signature]]
+    path: str | Path, ref: ReferenceText, ids: Sequence[str], scores: np.ndarray
 ) -> None:
-    """Persist signatures bound to ``ref``; rejects foreign fingerprints."""
-    raw_ids: dict[str, bytes] = {}
-    for doc_id, sig in sigs:
-        if sig.ref_fingerprint != ref.fingerprint:
-            raise SignatureMismatchError(
-                f"signature for {doc_id!r} was generated with a different reference text"
-            )
-        if len(sig.scores) != ref.partitions:
-            raise ValueError(f"signature for {doc_id!r} has wrong length")
-        if doc_id in raw_ids:
-            raise ValueError(f"duplicate document id {doc_id!r}")
-        raw_id = doc_id.encode("utf-8")
-        if not raw_id:
-            raise ValueError("document id is empty")
-        if b"\x00" in raw_id:
-            raise ValueError(f"document id {doc_id!r} contains a NUL byte")
-        raw_ids[doc_id] = raw_id
-    id_bytes = max(map(len, raw_ids.values()), default=1)
+    """Persist the (N, P) signature rows of ``ids`` as float32; a matrix of
+    any shape but ``(len(ids), ref.partitions)`` was not signed with ``ref``."""
+    shape = (len(ids), ref.partitions)
+    if np.shape(scores) != shape:
+        raise SignatureMismatchError(f"signature matrix has shape {np.shape(scores)}, not {shape}")
+    if "" in ids:
+        raise ValueError("document id is empty")
+    nul = [doc_id for doc_id in ids if "\x00" in doc_id]
+    if nul:
+        raise ValueError(f"document id {nul[0]!r} contains a NUL byte")
+    if len(set(ids)) != len(ids):
+        dup = next(a for a, b in zip(sorted(ids), sorted(ids)[1:]) if a == b)
+        raise ValueError(f"duplicate document id {dup!r}")
+    raw_ids = [doc_id.encode("utf-8") for doc_id in ids]
+    id_bytes = max(map(len, raw_ids), default=1)
     records = np.zeros(len(raw_ids), dtype=_record_dtype(id_bytes, ref.partitions))
-    records["id"] = list(raw_ids.values())
-    records["scores"] = np.reshape([sig.scores for _, sig in sigs], (-1, ref.partitions))
+    records["id"] = raw_ids
+    records["scores"] = scores
     finite = np.isfinite(records["scores"]).all(axis=1)
     if not finite.all():
-        bad = sigs[int(np.argmin(finite))][0]
+        bad = ids[int(np.argmin(finite))]
         raise ValueError(f"signature for {bad!r} has a non-finite score")
     header = (
         f"{_DB_MAGIC}\n"
@@ -203,7 +202,6 @@ def db_read(path: str | Path) -> SignatureDb:
         count = int(fields["records"])
         id_width = int(fields["id_bytes"])
         fingerprint = fields["fingerprint"]
-        writer = fields.get("writer", "")
     except (KeyError, ValueError) as exc:
         raise CorruptDbError(f"{path}: bad header field ({exc})") from None
     if partitions < 1 or id_width < 1:
@@ -225,4 +223,4 @@ def db_read(path: str | Path) -> SignatureDb:
         raise CorruptDbError(f"{path}: record {bad!r} has a non-finite score")
     if len(set(ids)) != len(ids):
         raise CorruptDbError(f"{path}: duplicate document ids in records")
-    return SignatureDb(fingerprint, partitions, writer, ids, records["scores"].copy())
+    return SignatureDb(fingerprint, ids, records["scores"].copy())

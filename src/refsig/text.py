@@ -41,10 +41,7 @@ def normalize(raw: str) -> str:
     """
     text, settled = _fold_pass(raw)
     for _ in range(_MAX_FOLD_PASSES):
-        # A settled pass's output is a fixed point, and so is any pass output
-        # that casefolding leaves unchanged, as it is NFC and whitespace-
-        # collapsed: either way, skip the confirming pass.
-        if settled or text.casefold() == text:
+        if settled:  # a fixed point: skip the confirming pass
             break
         again, settled = _fold_pass(text)
         if again == text:
@@ -188,6 +185,17 @@ def key_columns(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
     cols = np.searchsorted(vocab, keys)
     cols[np.append(vocab, -1)[cols] != keys] = len(vocab)
     return cols
+
+
+def count_matrix(docs: Sequence[Document], vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 counts of ``docs`` over the sorted packed keys ``vocab``, and their
+    squared norms. A spare last column stays all zero: :func:`key_columns`
+    sends a gram outside ``vocab`` there, so looking one up reads a count of 0."""
+    rows, keys, cells = count_cells(docs)
+    counts = np.zeros((len(docs), len(vocab) + 1))
+    counts[rows, key_columns(vocab, keys)] = cells
+    counts[:, -1] = 0.0
+    return counts, np.array([doc.vector.sq_norm for doc in docs], dtype=float)
 
 
 # Vocabulary columns per dense block of the exact-cosine oracle: memory is

@@ -25,7 +25,6 @@ from refsig.ga import Chromosome, GaConfig, draw_fitness_sample, evolve, fitness
 from refsig.reference import (
     ClassifierConfig,
     ReferenceText,
-    Signature,
     load_reference,
     pairwise_signature_similarity,
     sign,
@@ -159,7 +158,8 @@ def test_criterion_4_planted_dnd_recall(tmp_path):
     assert min(planted_cosines) >= 0.85, "generator precondition violated"
 
     db_path = tmp_path / "sigs.db"
-    db_write(db_path, ref, [(d.id, sign(d, ref)) for d in test_docs])
+    rows = np.array([sign(d, ref).scores for d in test_docs])
+    db_write(db_path, ref, [d.id for d in test_docs], rows)
     db = db_read(db_path)
     hits = dnd_scan(db, ClassifierConfig(t1=0.999, t2=0.93))
     detected = {(db.ids[i], db.ids[j]) for i, j in zip(hits["first"], hits["second"])}
@@ -314,14 +314,7 @@ def test_criterion_7_determinism_and_format(tmp_path):
     loaded = db_read(run_a / "sigs.db")
     ref_obj = load_reference(run_a / "ref.txt")
     rewritten = run_a / "rewritten.db"
-    db_write(
-        rewritten,
-        ref_obj,
-        [
-            (doc_id, Signature(scores, loaded.fingerprint))
-            for doc_id, scores in zip(loaded.ids, loaded.scores)
-        ],
-    )
+    db_write(rewritten, ref_obj, loaded.ids, loaded.scores)
     round_trip = rewritten.read_bytes() == db_a
 
     _verdict(

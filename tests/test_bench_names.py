@@ -56,3 +56,34 @@ def test_traced_sign_reaches_the_per_document_layers(tmp_path):
         assert calls.get(name) == docs, name
     assert calls.get("reference.signature_matrix") == math.ceil(docs / SIGN_BLOCK)
     assert calls.get("cli.cmd_sign") == 1
+
+
+def test_traced_dedup_counts_the_scan(tmp_path):
+    # The scan's work counts are read off its SignatureDb argument, so a change
+    # to that class must keep them, or `--trace 1` loses the dnd_scan metrics.
+    texts = ["the quick brown fox", "the quick brown fox", "the quick brown fax",
+             "lazy dogs sleep all day", "a different sentence here"]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for k, text in enumerate(texts):
+        (corpus / f"{k}.txt").write_text(text)
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(["the", "qui", "bro", "fox", "fax", "laz", "dog", "dif"], 4), ref)
+    db, pairs = tmp_path / "sigs.db", tmp_path / "pairs.tsv"
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["sign", "--ref", str(ref), "--corpus", str(corpus), "--out", str(db)]) == 0
+        assert main(["dedup", "--db", str(db), "--t1", "0.999", "--t2", "0.9",
+                     "--out", str(pairs)]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: entry["calls"] for name, entry in tracing.summarize(tracer.spans).items()}
+    assert calls.get("store.db_write") == 1
+    assert calls.get("store.db_read") == 1
+    n = len(texts)
+    work = tracer.work["evaluate.dnd_scan"]
+    assert work["pairs"] == n * (n - 1) // 2
+    rows = pairs.read_text().splitlines()[1:]
+    assert rows and work["hits"] == len(rows)

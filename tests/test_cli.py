@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from refsig import cli
@@ -6,7 +7,6 @@ from refsig.evaluate import dnd_scan
 from refsig.reference import (
     SIGN_BLOCK,
     ReferenceText,
-    Signature,
     save_reference,
     signature_matrix,
 )
@@ -256,7 +256,7 @@ def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
         docs = ingest(corpus)
     rows = signature_matrix(docs, ref)
     expected = tmp_path / "expected.db"
-    db_write(expected, ref, [(d.id, Signature(r, ref.fingerprint)) for d, r in zip(docs, rows)])
+    db_write(expected, ref, [d.id for d in docs], rows)
     assert db_path.read_bytes() == expected.read_bytes()
     assert not rows[sorted(empty)].any()
 
@@ -268,6 +268,6 @@ def test_sign_empty_corpus_writes_empty_db(tmp_path):
     db_path = tmp_path / "sigs.db"
     assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
     expected = tmp_path / "expected.db"
-    db_write(expected, ref, [])
+    db_write(expected, ref, [], np.empty((0, ref.partitions)))
     assert db_path.read_bytes() == expected.read_bytes()
     assert db_read(db_path).record_count == 0

@@ -24,7 +24,6 @@ from refsig.ga import GaConfig
 from refsig.reference import (
     ClassifierConfig,
     ReferenceText,
-    Signature,
     Verdict,
     classify,
     pairwise_signature_similarity,
@@ -215,7 +214,7 @@ def test_synthetic_deterministic():
 
 def _db_from(ref, docs):
     scores = np.array([sign(d, ref).scores for d in docs], dtype="<f4")
-    return SignatureDb(ref.fingerprint, ref.partitions, "test", tuple(d.id for d in docs), scores)
+    return SignatureDb(ref.fingerprint, tuple(d.id for d in docs), scores)
 
 
 def _scan_rows(db, hits):
@@ -247,7 +246,7 @@ def test_dnd_scan_identical_documents():
 
 
 def test_dnd_scan_orthogonal_signatures_empty():
-    db = SignatureDb("f" * 64, 2, "test", ("x", "y"), np.eye(2, dtype="<f4"))
+    db = SignatureDb("f" * 64, ("x", "y"), np.eye(2, dtype="<f4"))
     hits = dnd_scan(db, ClassifierConfig(0.95, 0.80))
     assert len(hits) == 0 and hits.dtype == evaluate.SCAN_HIT
 
@@ -273,7 +272,7 @@ def test_dnd_scan_exact_duplicates_score_one_after_db_round_trip(tmp_path):
     ref = ReferenceText(sorted(_corpus_grams(docs))[:1000], 150)
     rows = signature_matrix(docs, ref)
     path = tmp_path / "sigs.db"
-    db_write(path, ref, [(d.id, Signature(row, ref.fingerprint)) for d, row in zip(docs, rows)])
+    db_write(path, ref, [d.id for d in docs], rows)
     db = db_read(path)
     scan = _scan_rows(db, dnd_scan(db, ClassifierConfig(1.0, 0.93)))
     hits = {(a, b): (s, label) for a, b, s, label in scan}
@@ -299,7 +298,7 @@ def test_dnd_scan_blocks_match_full_matrix_loop(exact):
     for names in (range(len(scores)), range(len(scores), 0, -1)):
         ids = tuple(f"doc-{k:04d}" for k in names)
         expected = _loop_scan_rows(ids, scores, cfg)
-        db = SignatureDb("f" * 64, 5, "test", ids, scores)
+        db = SignatureDb("f" * 64, ids, scores)
         hits = _scan_rows(db, dnd_scan(db, cfg))
         if exact:
             assert hits == expected
@@ -319,7 +318,7 @@ def test_dnd_scan_labels_equal_classify_at_threshold_boundaries():
     rng = np.random.default_rng(11)
     scores = rng.integers(0, 5, size=(60, 6)).astype("<f4")
     ids = tuple(f"{k:02d}" for k in range(len(scores)))
-    db = SignatureDb("f" * 64, 6, "test", ids, scores)
+    db = SignatureDb("f" * 64, ids, scores)
     sims = np.unique(pairwise_signature_similarity(scores, scores)[np.triu_indices(60, k=1)])
     high, low = sims[-len(sims) // 10], sims[len(sims) // 2]
     for t1 in (np.nextafter(high, 0.0), high, np.nextafter(high, 2.0)):
@@ -336,7 +335,7 @@ def test_dnd_scan_sorts_by_python_str_order():
     # Equal rows make every pair a hit; ids mix ASCII, Latin-1, fullwidth,
     # the last BMP code point and non-BMP code points, in no order.
     ids = ("z", "é", "\U0001f600", "a", "\uff41", "\U00010000", "\uffff", "Z", "ß", "a\u0301")
-    db = SignatureDb("f" * 64, 3, "test", ids, np.ones((len(ids), 3), dtype="<f4"))
+    db = SignatureDb("f" * 64, ids, np.ones((len(ids), 3), dtype="<f4"))
     hits = _scan_rows(db, dnd_scan(db, ClassifierConfig(0.95, 0.80)))
     pairs = [(a, b) for a, b, _, _ in hits]
     assert pairs == sorted(tuple(sorted(p)) for p in itertools.combinations(ids, 2))
@@ -344,7 +343,7 @@ def test_dnd_scan_sorts_by_python_str_order():
 
 
 def test_dnd_scan_rejects_empty_db():
-    db = SignatureDb("f" * 64, 2, "test", (), np.empty((0, 2), dtype="<f4"))
+    db = SignatureDb("f" * 64, (), np.empty((0, 2), dtype="<f4"))
     with pytest.raises(ValueError):
         dnd_scan(db, ClassifierConfig(0.95, 0.80))
 

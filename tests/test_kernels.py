@@ -22,6 +22,7 @@ from refsig.text import (
     SparseNGramVector,
     brute_force_pairwise,
     cosine,
+    count_matrix,
     gram_keys,
     gram_strings,
 )
@@ -92,6 +93,20 @@ def test_fitness_equals_signature_matrix_error():
     # a chromosome made only of absent grams signs every document all-zero
     expected = mean_signature_error(np.zeros((15, 2)), sample.oracle)
     assert fitness(Chromosome(tuple(absent) * 2), sample, 2) == expected
+
+
+def test_count_matrix_spare_column_is_zero():
+    docs = _docs(TEXTS)
+    every = np.unique(np.concatenate([d.vector.keys for d in docs]))
+    vocab = every[::2]  # half the grams the documents hold are outside it
+    counts, sq_norms = count_matrix(docs, vocab)
+    assert counts.shape == (len(docs), len(vocab) + 1)
+    assert not counts[:, -1].any()
+    for row, doc in zip(counts, docs):
+        held = dict(zip(doc.vector.keys.tolist(), doc.vector.counts.tolist()))
+        assert row[:-1].tolist() == [held.get(key, 0) for key in vocab.tolist()]
+    assert sq_norms.tolist() == [d.vector.sq_norm for d in docs]
+    assert not counts[:, text.key_columns(vocab, every[1::2])].any()
 
 
 def test_brute_force_pairwise_equals_cosine(monkeypatch):

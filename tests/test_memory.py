@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import refsig
-from refsig.reference import ReferenceText, Signature, save_reference
+from refsig.reference import ReferenceText, save_reference
 from refsig.store import db_write
 
 SMALL, LARGE = 300, 1300
@@ -117,8 +117,7 @@ def test_dedup_peak_memory_does_not_grow_per_hit(tmp_path):
     rows = 1.0 + 0.3 * rng.random((DEDUP_ROWS, 10))
     ref = ReferenceText([f"{c}ab" for c in string.ascii_lowercase[:10]], 10)
     db = tmp_path / "sigs.db"
-    db_write(db, ref, [(f"doc-{k:05d}", Signature(row, ref.fingerprint))
-                       for k, row in enumerate(rows)])
+    db_write(db, ref, [f"doc-{k:05d}" for k in range(len(rows))], rows)
     few, many = tmp_path / "few.tsv", tmp_path / "many.tsv"
     base = _peak_kb("dedup", "--db", db, "--t1", 1.0, "--t2", 0.9999, "--out", few)
     peak = _peak_kb("dedup", "--db", db, "--t1", 0.99, "--t2", 0.5, "--out", many)

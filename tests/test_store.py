@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from refsig.reference import ReferenceText, Signature, SignatureMismatchError, sign
+from refsig.reference import ReferenceText, SignatureMismatchError, signature_matrix
 from refsig.store import (
     CorruptDbError,
     db_read,
@@ -87,54 +87,55 @@ def test_ingest_records_bad_encoding_reports_file_offset(tmp_path):
 
 
 def _ref_and_sigs(doc_texts):
+    """A reference over the docs' grams, the doc ids and their signature rows."""
     docs = [Document.from_raw(f"doc-{i}", t) for i, t in enumerate(doc_texts)]
     grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     ref = ReferenceText(grams, min(4, len(grams)))
-    return ref, [(d.id, sign(d, ref)) for d in docs]
+    return ref, [d.id for d in docs], signature_matrix(docs, ref)
 
 
 def test_db_round_trip_bit_exact(tmp_path):
-    ref, sigs = _ref_and_sigs(["alpha beta gamma", "beta gamma delta", "unrelated words"])
+    ref, ids, rows = _ref_and_sigs(["alpha beta gamma", "beta gamma delta", "unrelated words"])
     path = tmp_path / "sigs.db"
-    db_write(path, ref, sigs)
+    db_write(path, ref, ids, rows)
     db = db_read(path)
     assert db.fingerprint == ref.fingerprint
     assert db.partitions == ref.partitions
     assert db.record_count == 3
-    for (doc_id, sig), (read_id, scores) in zip(sigs, zip(db.ids, db.scores)):
+    for (doc_id, row), (read_id, scores) in zip(zip(ids, rows), zip(db.ids, db.scores)):
         assert read_id == doc_id
         assert scores.dtype == np.dtype("<f4")
-        assert scores.tobytes() == np.asarray(sig.scores, dtype="<f4").tobytes()
+        assert scores.tobytes() == np.asarray(row, dtype="<f4").tobytes()
 
 
 def test_db_write_rejects_empty_id(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here"])
+    ref, _, rows = _ref_and_sigs(["one doc here"])
     with pytest.raises(ValueError, match="empty"):
-        db_write(tmp_path / "sigs.db", ref, [("", sigs[0][1])])
+        db_write(tmp_path / "sigs.db", ref, [""], rows)
 
 
 def test_db_write_idempotent(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
+    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
     p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
-    db_write(p1, ref, sigs)
-    db_write(p2, ref, sigs)
+    db_write(p1, ref, ids, rows)
+    db_write(p2, ref, ids, rows)
     assert p1.read_bytes() == p2.read_bytes()
-    db_write(p1, ref, sigs)  # overwrite in place
+    db_write(p1, ref, ids, rows)  # overwrite in place
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_db_empty_is_valid(tmp_path):
-    ref, _ = _ref_and_sigs(["some text"])
+    ref, _, _ = _ref_and_sigs(["some text"])
     path = tmp_path / "empty.db"
-    db_write(path, ref, [])
+    db_write(path, ref, [], np.empty((0, ref.partitions)))
     db = db_read(path)
     assert db.record_count == 0
 
 
 def test_db_truncation_detected(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
+    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
     path = tmp_path / "sigs.db"
-    db_write(path, ref, sigs)
+    db_write(path, ref, ids, rows)
     data = path.read_bytes()
     path.write_bytes(data[:-7])
     with pytest.raises(CorruptDbError):
@@ -142,9 +143,9 @@ def test_db_truncation_detected(tmp_path):
 
 
 def test_db_corruption_detected(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
+    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
     path = tmp_path / "sigs.db"
-    db_write(path, ref, sigs)
+    db_write(path, ref, ids, rows)
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
@@ -153,25 +154,48 @@ def test_db_corruption_detected(tmp_path):
 
 
 def test_db_rejects_foreign_signature(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
+    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
     other = ReferenceText(["zzz", "yyy"], 2)
-    bad = [(doc_id, Signature(sig.scores[: other.partitions], other.fingerprint))
-           for doc_id, sig in sigs]
+    bad = rows[:, : other.partitions]
     with pytest.raises(SignatureMismatchError):
-        db_write(tmp_path / "bad.db", ref, bad)
+        db_write(tmp_path / "bad.db", ref, ids, bad)
+
+
+@pytest.mark.parametrize(
+    "shape_of",
+    [
+        lambda rows: rows[0],  # one row, not a matrix
+        lambda rows: rows[:1],  # fewer rows than ids
+        lambda rows: np.hstack([rows, rows[:, :1]]),  # wider than the reference
+    ],
+    ids=["1-D", "row-count", "width"],
+)
+def test_db_write_rejects_misshapen_matrix(tmp_path, shape_of):
+    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
+    with pytest.raises(SignatureMismatchError, match="shape"):
+        db_write(tmp_path / "bad.db", ref, ids, shape_of(rows))
+    assert not (tmp_path / "bad.db").exists()
+
+
+def test_db_rewrite_of_read_db_is_byte_identical(tmp_path):
+    ref, ids, rows = _ref_and_sigs(["alpha beta gamma", "beta gamma delta", "unrelated words"])
+    p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
+    db_write(p1, ref, ids, rows)
+    db = db_read(p1)
+    db_write(p2, ref, db.ids, db.scores)
+    assert p2.read_bytes() == p1.read_bytes()
 
 
 def test_db_rejects_nul_in_id(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here"])
-    renamed = [("evil\x00id", sigs[0][1])]
+    ref, _, rows = _ref_and_sigs(["one doc here"])
     with pytest.raises(ValueError, match="NUL"):
-        db_write(tmp_path / "bad.db", ref, renamed)
+        db_write(tmp_path / "bad.db", ref, ["evil\x00id"], rows)
 
 
 def test_db_rejects_duplicate_ids(tmp_path):
-    ref, sigs = _ref_and_sigs(["one doc here"])
+    ref, ids, rows = _ref_and_sigs(["one doc here"])
     with pytest.raises(ValueError, match="duplicate"):
-        db_write(tmp_path / "bad.db", ref, [sigs[0], sigs[0]])
+        db_write(tmp_path / "bad.db", ref, [ids[0], ids[0]], rows[[0, 0]])
 
 
 def test_db_rejects_nondb_file(tmp_path):
@@ -221,12 +245,11 @@ def test_db_read_rejects_bad_header(tmp_path, header, match):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_db_rejects_non_finite_scores(tmp_path, bad):
-    ref, sigs = _ref_and_sigs(["one doc here", "another doc"])
-    scores = sigs[0][1].scores.copy()
-    scores[0] = bad
-    bad_sig = (sigs[0][0], Signature(scores, ref.fingerprint))
+    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
+    scores = rows[[1, 0]]
+    scores[1, 0] = bad
     with pytest.raises(ValueError, match="'doc-0' has a non-finite"):
-        db_write(tmp_path / "bad.db", ref, [sigs[1], bad_sig])
+        db_write(tmp_path / "bad.db", ref, [ids[1], ids[0]], scores)
     path = _forge_db(tmp_path / "forged.db", records=((b"w", (0.5, 0.25)), (b"x", (0.5, bad))))
     with pytest.raises(CorruptDbError, match="'x' has a non-finite"):
         db_read(path)
