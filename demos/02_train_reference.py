@@ -16,6 +16,7 @@ from refsig import (
     SyntheticCorpusSpec,
     evolve,
     generate_synthetic_corpus,
+    gram_strings,
     mae,
 )
 
@@ -50,9 +51,10 @@ print(f"\nbest MAE fell from a population mean of {baseline:.4f} "
 holdout, _ = generate_synthetic_corpus(
     SyntheticCorpusSpec(base_doc_count=40, near_dup_count=5, dup_count=5, rng_seed=99)
 )
-trained = ReferenceText(result.best.grams, cfg.partitions)
+trained = ReferenceText(gram_strings(result.best.keys), cfg.partitions)
 rng = random.Random(0)
-random_ref = ReferenceText(rng.choices(result.pool.grams, k=cfg.ref_len), cfg.partitions)
+pool = gram_strings(result.pool.keys)
+random_ref = ReferenceText(rng.choices(pool, k=cfg.ref_len), cfg.partitions)
 
 print(f"\nheld-out MAE, trained reference:  {mae(trained, holdout):.4f}")
 print(f"held-out MAE, random reference:   {mae(random_ref, holdout):.4f}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gramio import escape_gram
 from .reference import mean_signature_error, partition_layout, partition_scores
-from .text import Document, brute_force_pairwise, count_matrix, key_columns
+from .text import Document, brute_force_pairwise, count_matrix, gram_strings, key_columns
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -57,19 +57,19 @@ class GaConfig:
             raise ValueError("sample_size must be >= 2")
 
 
-@dataclass
+@dataclass(eq=False)
 class Chromosome:
-    """A candidate reference-gram sequence with its cached fitness."""
+    """A candidate reference sequence of packed gram keys with its cached fitness."""
 
-    grams: tuple[str, ...]
+    keys: np.ndarray
     fitness: float | None = None
 
     def content_hash(self) -> str:
-        payload = "".join(escape_gram(g) + "\n" for g in self.grams)
+        payload = "".join(escape_gram(g) + "\n" for g in gram_strings(self.keys))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitnessSample:
     """The fixed documents every candidate is scored on, their exact
     pairwise cosine matrix, and their :func:`~refsig.text.count_matrix`
@@ -116,8 +116,9 @@ def init_population(pool: GramPool, cfg: GaConfig, rng: random.Random) -> list[C
     """Uniform draws with replacement from the pool, ``ref_len`` grams each."""
     if len(pool) == 0:
         raise ValueError("cannot initialize a population from an empty gram pool")
+    keys = pool.keys.tolist()  # rng.choices indexes a list faster than a range or an array
     return [
-        Chromosome(tuple(rng.choices(pool.grams, k=cfg.ref_len)))
+        Chromosome(np.fromiter(rng.choices(keys, k=cfg.ref_len), np.int64, cfg.ref_len))
         for _ in range(cfg.population_size)
     ]
 
@@ -126,15 +127,15 @@ def crossover(
     a: Chromosome, b: Chromosome, rng: random.Random
 ) -> tuple[Chromosome, Chromosome]:
     """Single-cut crossover: one shared cut point, tails swapped."""
-    if len(a.grams) != len(b.grams):
+    if len(a.keys) != len(b.keys):
         raise ValueError("parents must have the same length")
-    length = len(a.grams)
+    length = len(a.keys)
     if length < 2:
-        return Chromosome(a.grams), Chromosome(b.grams)
+        return Chromosome(a.keys), Chromosome(b.keys)
     cut = rng.randint(1, length - 1)
     return (
-        Chromosome(a.grams[:cut] + b.grams[cut:]),
-        Chromosome(b.grams[:cut] + a.grams[cut:]),
+        Chromosome(np.concatenate((a.keys[:cut], b.keys[cut:]))),
+        Chromosome(np.concatenate((b.keys[:cut], a.keys[cut:]))),
     )
 
 
@@ -149,21 +150,20 @@ def mutate(
     """Replace a fixed number of distinct positions with fresh pool draws."""
     if len(pool) == 0:
         raise ValueError("cannot mutate with an empty gram pool")
-    length = len(chromosome.grams)
-    count = mutation_count(length, cfg.mutation_fraction)
-    grams = list(chromosome.grams)
-    for pos in rng.sample(range(length), count):
-        grams[pos] = pool.grams[rng.randrange(len(pool.grams))]
-    return Chromosome(tuple(grams))
+    length = len(chromosome.keys)
+    positions = rng.sample(range(length), mutation_count(length, cfg.mutation_fraction))
+    keys = chromosome.keys.copy()
+    keys[positions] = pool.keys[[rng.randrange(len(pool)) for _ in positions]]
+    return Chromosome(keys)
 
 
 def fitness(chromosome: Chromosome, sample: FitnessSample, partitions: int) -> float:
     """Mean absolute error of signature similarity against the sample oracle.
 
     Equal bit for bit to scoring ``signature_matrix`` of the sample against
-    ``ReferenceText(chromosome.grams, partitions)``, without building one.
+    the chromosome's ``ReferenceText``, without building one.
     """
-    keys, positions, starts, part_sq = partition_layout(chromosome.grams, partitions)
+    keys, positions, starts, part_sq = partition_layout(chromosome.keys, partitions)
     cols = key_columns(sample.keys, keys)  # absent grams read the zero last column
     sigs = partition_scores(sample.counts, sample.sq_norms, cols[positions], starts, part_sq)
     return mean_signature_error(sigs, sample.oracle)

@@ -31,22 +31,19 @@ def partition_sizes(length: int, parts: int) -> list[int]:
 
 
 def partition_layout(
-    grams: Sequence[str], partitions: int
+    keys: np.ndarray, partitions: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The integer-count layout of ``grams`` split into ``partitions`` slices.
+    """The integer-count layout of the packed gram sequence ``keys`` split
+    into ``partitions`` slices.
 
-    Returns the sorted distinct packed keys of the grams (the columns), the
-    column of each position, the start offset of each partition, and each
-    partition's exact squared norm as a float64. A gram repeated inside
-    one slice weights it: its count there is its multiplicity.
+    Returns the sorted distinct keys (the columns), the column of each
+    position, the start offset of each partition, and each partition's exact
+    squared norm as a float64. A gram repeated in a slice counts its multiplicity.
     """
-    if set(map(len, grams)) - {NGRAM_SIZE}:
-        bad = next(g for g in grams if len(g) != NGRAM_SIZE)
-        raise ValueError(f"token {bad!r} is not {NGRAM_SIZE} characters long")
-    if not 1 <= partitions <= len(grams):
-        raise ValueError(f"partition count must be in 1..{len(grams)}, got {partitions}")
-    columns, positions = np.unique(gram_keys("".join(grams), NGRAM_SIZE), return_inverse=True)
-    sizes = partition_sizes(len(grams), partitions)
+    if not 1 <= partitions <= len(keys):
+        raise ValueError(f"partition count must be in 1..{len(keys)}, got {partitions}")
+    columns, positions = np.unique(keys, return_inverse=True)
+    sizes = partition_sizes(len(keys), partitions)
     starts = np.zeros(partitions, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
     owner = np.repeat(np.arange(partitions), sizes)
@@ -90,10 +87,13 @@ class ReferenceText:
         grams = tuple(grams)
         if not grams:
             raise ValueError("reference text needs at least one 3-gram")
+        if set(map(len, grams)) - {NGRAM_SIZE}:
+            bad = next(g for g in grams if len(g) != NGRAM_SIZE)
+            raise ValueError(f"token {bad!r} is not {NGRAM_SIZE} characters long")
         self.grams = grams
         self.partitions = partitions
         self.columns, self.positions, self.starts, self.part_sq = partition_layout(
-            grams, partitions
+            gram_keys("".join(grams))[::NGRAM_SIZE], partitions
         )
         self.fingerprint = hashlib.sha256(_serialize(grams, partitions).encode("utf-8")).hexdigest()
 

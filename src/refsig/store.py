@@ -118,7 +118,7 @@ def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
     return docs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureDb:
     """Signature rows bound to one reference: ids and an (N, P) float32 matrix."""
 

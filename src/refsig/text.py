@@ -56,13 +56,12 @@ _CODE_BITS = 21
 _CODE_MASK = (1 << _CODE_BITS) - 1
 
 
-def gram_keys(text: str, step: int = 1) -> np.ndarray:
-    """The packed key of each 3-character window of ``text`` that starts at
-    a multiple of ``step``: 1 gives every window of a document, 3 the grams
-    of a joined sequence of 3-grams."""
+def gram_keys(text: str) -> np.ndarray:
+    """The packed key of each 3-character window of ``text``. The keys of a
+    list of 3-grams are ``gram_keys("".join(grams))[::NGRAM_SIZE]``."""
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
     n = max(len(code) - NGRAM_SIZE + 1, 0)
-    c0, c1, c2 = (code[k : k + n : step] for k in range(NGRAM_SIZE))
+    c0, c1, c2 = (code[k : k + n] for k in range(NGRAM_SIZE))
     keys = c0 << 2 * _CODE_BITS
     keys |= c1 << _CODE_BITS
     keys |= c2

@@ -10,49 +10,43 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .gramio import escape_gram, parse_gram_line, read_lines
-from .text import Document, count_cells, gram_strings
+from .text import NGRAM_SIZE, Document, count_cells, gram_keys, gram_strings
 
 
-@dataclass(frozen=True)
-class GramScore:
-    gram: str
-    score: float
-    document_frequency: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramPool:
-    """Distinct 3-grams in descending tf-idf order."""
+    """Distinct 3-grams as packed keys, in descending tf-idf order."""
 
-    grams: tuple[str, ...]
+    keys: np.ndarray
     requested: int
 
     def __post_init__(self) -> None:
-        if len(set(self.grams)) != len(self.grams):
+        if len(np.unique(self.keys)) != len(self.keys):
             raise ValueError("gram pool contains duplicate tokens")
-        if len(self.grams) > self.requested:
+        if len(self.keys) > self.requested:
             raise ValueError("gram pool is larger than the requested size")
 
     def __len__(self) -> int:
-        return len(self.grams)
+        return len(self.keys)
 
     @property
     def underfilled(self) -> bool:
         """The corpus had fewer distinct grams than were requested."""
-        return len(self.grams) < self.requested
+        return len(self.keys) < self.requested
 
 
-def score_grams(corpus: Sequence[Document]) -> list[GramScore]:
+def score_grams(corpus: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score every distinct 3-gram of ``corpus`` by aggregate tf-idf.
 
     score(g) = total_count(g) * (ln((1 + N) / (1 + df(g))) + 1), where N is
-    the corpus size and df the number of documents containing g. Results
-    are sorted by descending score, ties broken by gram order.
+    the corpus size and df the number of documents containing g. Returns
+    the packed keys, scores and document frequencies as columns sorted by
+    descending score, ties broken by gram order.
     """
     if len(corpus) == 0:
         raise ValueError("cannot score an empty corpus")
@@ -66,16 +60,15 @@ def score_grams(corpus: Sequence[Document]) -> list[GramScore]:
     idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])
     score = tf * idf[df_index]
     order = np.lexsort((grams, -score))  # packed-key order is gram order
-    ranked = zip(gram_strings(grams[order]), score[order].tolist(), df[order].tolist())
-    return [GramScore(*entry) for entry in ranked]
+    return grams[order], score[order], df[order]
 
 
-def top_k(scores: Iterable[GramScore], k: int) -> GramPool:
-    """The k highest-scoring grams as a pool; all of them if fewer exist."""
+def top_k(ranked: tuple[np.ndarray, ...], k: int) -> GramPool:
+    """The first k grams of :func:`score_grams`'s ranking as a pool; all of
+    them if fewer exist."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = sorted(scores, key=lambda s: (-s.score, s.gram))
-    pool = GramPool(tuple(s.gram for s in ranked[:k]), k)
+    pool = GramPool(ranked[0][:k], k)
     if pool.underfilled:
         warnings.warn(
             f"corpus has only {len(pool)} distinct 3-grams, requested {k}",
@@ -87,10 +80,10 @@ def top_k(scores: Iterable[GramScore], k: int) -> GramPool:
 def save_pool(pool: GramPool, path: str | Path) -> None:
     """Write one escaped gram per line, rank order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for gram in pool.grams:
+        for gram in gram_strings(pool.keys):
             fh.write(escape_gram(gram) + "\n")
 
 
 def load_pool(path: str | Path) -> GramPool:
-    grams = tuple(parse_gram_line(line) for line in read_lines(path))
-    return GramPool(grams, requested=max(len(grams), 1))
+    grams = [parse_gram_line(line) for line in read_lines(path)]
+    return GramPool(gram_keys("".join(grams))[::NGRAM_SIZE], requested=max(len(grams), 1))

@@ -143,7 +143,7 @@ def test_criterion_4_planted_dnd_recall(tmp_path):
         max_generations=25, sample_size=60, rng_seed=5,
     )
     result = evolve(train_docs, cfg)
-    ref = ReferenceText(result.best.grams, cfg.partitions)
+    ref = ReferenceText(gram_strings(result.best.keys), cfg.partitions)
 
     test_docs, pairs = generate_synthetic_corpus(
         SyntheticCorpusSpec(
@@ -219,7 +219,7 @@ def _naive_cosine(a: dict, b: dict) -> float:
 
 
 def _naive_fitness(chromosome, docs, partitions) -> float:
-    grams = chromosome.grams
+    grams = gram_strings(chromosome.keys)
     base, rem = divmod(len(grams), partitions)
     slices, start = [], 0
     for k in range(partitions):
@@ -259,7 +259,7 @@ def test_criterion_6_fitness_oracle_consistency():
     partitions = 10
     worst = 0.0
     for _ in range(100):
-        chromosome = Chromosome(tuple(rng.choices(pool.grams, k=60)))
+        chromosome = Chromosome(pool.keys[rng.choices(range(len(pool)), k=60)])
         ga_value = fitness(chromosome, sample, partitions)
         naive_value = _naive_fitness(chromosome, sample.documents, partitions)
         worst = max(worst, abs(ga_value - naive_value))

@@ -7,8 +7,13 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from refsig.cli import main
+from refsig.evaluate import SplitSpec, split_corpus
 from refsig.reference import SIGN_BLOCK, ReferenceText, save_reference
+from refsig.store import ingest
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -87,3 +92,40 @@ def test_traced_dedup_counts_the_scan(tmp_path):
     assert work["pairs"] == n * (n - 1) // 2
     rows = pairs.read_text().splitlines()[1:]
     assert rows and work["hits"] == len(rows)
+
+
+def test_traced_train_counts_the_ga_and_the_pool(tmp_path):
+    # The train workload's per-layer metrics read the tf-idf and fitness spans
+    # and top_k's work counts; none of them may silently fall to zero.
+    synth = tmp_path / "synthetic"
+    assert main(["synth", "--bases", "14", "--near-dups", "3", "--dups", "2",
+                 "--seed", "2", "--words", "30", "--out", str(synth)]) == 0
+    corpus = synth / "docs"
+    runs, population, generations, k, seed = 2, 6, 3, 5000, 4
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with pytest.warns(UserWarning, match="distinct 3-grams"):
+            assert main(["train", "--corpus", str(corpus), "--pool-size", str(k),
+                         "--ref-len", "30", "--partitions", "5",
+                         "--population", str(population), "--generations", str(generations),
+                         "--sample", "8", "--runs", str(runs), "--seed", str(seed),
+                         "--out", str(tmp_path / "ref.txt")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: entry["calls"] for name, entry in tracing.summarize(tracer.spans).items()}
+    assert calls.get("ga.evolve") == runs
+    assert calls.get("tfidf.score_grams") == runs
+    assert calls.get("tfidf.top_k") == runs
+    assert calls.get("ga.fitness") == runs * population * (generations + 1)
+    # k exceeds every training split's distinct grams, so each pool holds them all.
+    docs = ingest(str(corpus))
+    distinct = 0
+    for run in range(runs):
+        train, _ = split_corpus(docs, SplitSpec(rng_seed=seed + run))
+        distinct += len(np.unique(np.concatenate([d.vector.keys for d in train])))
+    work = tracer.work["tfidf.top_k"]
+    assert work["requested"] == runs * k
+    assert work["grams"] == distinct
+    assert 0 < work["grams"] / work["requested"] < 1

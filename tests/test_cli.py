@@ -11,6 +11,7 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import db_read, db_write, ingest
+from refsig.text import gram_strings
 from refsig.tfidf import load_pool
 
 
@@ -148,7 +149,7 @@ def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
     pool = tmp_path / "pool.txt"
     assert _run("topk", "--corpus", docs, "--k", 400, "--out", pool) == 0
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(load_pool(pool).grams[:150], 15), ref)
+    save_reference(ReferenceText(gram_strings(load_pool(pool).keys)[:150], 15), ref)
     db, pairs = tmp_path / "sigs.db", tmp_path / "pairs.tsv"
     assert _run("sign", "--ref", ref, "--corpus", docs, "--out", db) == 0
     assert _run("dedup", "--db", db, "--t1", 0.999, "--t2", 0.93, "--out", pairs) == 0
@@ -181,7 +182,7 @@ def test_dedup_default_thresholds_are_the_tuned_ones(tmp_path, monkeypatch):
     pool = tmp_path / "pool.txt"
     assert _run("topk", "--corpus", docs, "--k", 300, "--out", pool) == 0
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(load_pool(pool).grams[:150], 15), ref)
+    save_reference(ReferenceText(gram_strings(load_pool(pool).keys)[:150], 15), ref)
     db = tmp_path / "sigs.db"
     assert _run("sign", "--ref", ref, "--corpus", docs, "--out", db) == 0
     default, explicit = tmp_path / "default.tsv", tmp_path / "explicit.tsv"
@@ -205,7 +206,7 @@ def test_eval_skips_distinct_label_rows(tmp_path, capsys):
     pool = tmp_path / "pool.txt"
     assert _run("topk", "--corpus", docs, "--k", 200, "--out", pool) == 0
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(load_pool(pool).grams[:100], 10), ref)
+    save_reference(ReferenceText(gram_strings(load_pool(pool).keys)[:100], 10), ref)
     labels = (synthetic / "labels.tsv").read_text(encoding="utf-8")
     assert "base-0000.txt\tbase-0001.txt" not in labels
 

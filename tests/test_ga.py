@@ -14,7 +14,7 @@ from refsig.ga import (
     mutation_count,
 )
 from refsig.reference import ReferenceText, sign, signature_similarity
-from refsig.text import Document, cosine, gram_strings
+from refsig.text import Document, cosine, gram_keys, gram_strings
 from refsig.tfidf import GramPool
 
 
@@ -27,8 +27,16 @@ def _word_salad_docs(count, seed, length=120):
     ]
 
 
+def _keys(grams):
+    return gram_keys("".join(grams))[::3]
+
+
+def _grams(chromosome_or_pool):
+    return tuple(gram_strings(chromosome_or_pool.keys))
+
+
 def _pool_of(grams):
-    return GramPool(tuple(grams), len(grams))
+    return GramPool(_keys(grams), len(grams))
 
 
 def test_config_defaults():
@@ -56,7 +64,7 @@ def test_init_population_degenerate_pool():
     cfg = GaConfig(population_size=3, ref_len=5, partitions=2, pool_size=1, sample_size=2)
     population = init_population(pool, cfg, random.Random(0))
     assert len(population) == 3
-    assert all(c.grams == ("abc",) * 5 for c in population)
+    assert all(_grams(c) == ("abc",) * 5 for c in population)
 
 
 def test_init_population_deterministic():
@@ -64,44 +72,57 @@ def test_init_population_deterministic():
     cfg = GaConfig(population_size=4, ref_len=6, partitions=2, pool_size=4, sample_size=2)
     first = init_population(pool, cfg, random.Random(42))
     second = init_population(pool, cfg, random.Random(42))
-    assert [c.grams for c in first] == [c.grams for c in second]
-    assert all(set(c.grams) <= set(pool.grams) for c in first)
+    assert [_grams(c) for c in first] == [_grams(c) for c in second]
+    assert all(set(_grams(c)) <= set(_grams(pool)) for c in first)
 
 
 def test_init_population_rejects_empty_pool():
     cfg = GaConfig(population_size=2, ref_len=4, partitions=2, sample_size=2)
     with pytest.raises(ValueError):
-        init_population(GramPool((), 1), cfg, random.Random(0))
+        init_population(GramPool(_keys([]), 1), cfg, random.Random(0))
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    docs = _word_salad_docs(3, seed=1)
+    holders = [
+        (_pool_of(["abc", "bcd"]), _pool_of(["abc", "bcd"])),
+        (Chromosome(_keys(["abc", "bcd"])), Chromosome(_keys(["abc", "bcd"]))),
+        (draw_fitness_sample(docs, 3, random.Random(0)),
+         draw_fitness_sample(docs, 3, random.Random(0))),
+    ]
+    for a, b in holders:
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_crossover_is_single_shared_cut():
-    a = Chromosome(("g1.", "g2.", "g3.", "g4."))
-    b = Chromosome(("h1.", "h2.", "h3.", "h4."))
+    a = Chromosome(_keys(("g1.", "g2.", "g3.", "g4.")))
+    b = Chromosome(_keys(("h1.", "h2.", "h3.", "h4.")))
     for seed in range(25):
         c1, c2 = crossover(a, b, random.Random(seed))
-        assert len(c1.grams) == len(c2.grams) == 4
+        assert len(_grams(c1)) == len(_grams(c2)) == 4
         cuts = [
             cut
             for cut in range(1, 4)
-            if c1.grams == a.grams[:cut] + b.grams[cut:]
-            and c2.grams == b.grams[:cut] + a.grams[cut:]
+            if _grams(c1) == _grams(a)[:cut] + _grams(b)[cut:]
+            and _grams(c2) == _grams(b)[:cut] + _grams(a)[cut:]
         ]
         assert cuts, "offspring are not a single shared cut of the parents"
         # every offspring mixes both parents
-        assert set(c1.grams) & set(a.grams) and set(c1.grams) & set(b.grams)
+        assert set(_grams(c1)) & set(_grams(a)) and set(_grams(c1)) & set(_grams(b))
 
 
 def test_crossover_identical_parents_fixed_point():
-    a = Chromosome(("abc", "bcd", "cde"))
-    b = Chromosome(("abc", "bcd", "cde"))
+    a = Chromosome(_keys(("abc", "bcd", "cde")))
+    b = Chromosome(_keys(("abc", "bcd", "cde")))
     for seed in range(10):
         c1, c2 = crossover(a, b, random.Random(seed))
-        assert c1.grams == a.grams and c2.grams == a.grams
+        assert _grams(c1) == _grams(a) and _grams(c2) == _grams(a)
 
 
 def test_crossover_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        crossover(Chromosome(("abc",)), Chromosome(("abc", "bcd")), random.Random(0))
+        crossover(Chromosome(_keys(("abc",))), Chromosome(_keys(("abc", "bcd"))), random.Random(0))
 
 
 def test_mutation_count_rule():
@@ -114,23 +135,23 @@ def test_mutation_count_rule():
 
 def test_mutate_replaces_exact_positions():
     cfg = GaConfig(population_size=2, ref_len=1000, partitions=10, sample_size=2)
-    original = Chromosome(("aaa",) * 1000)
+    original = Chromosome(_keys(("aaa",) * 1000))
     pool = _pool_of(["bbb", "ccc"])  # disjoint from the chromosome
     mutated = mutate(original, pool, cfg, random.Random(3))
-    diffs = sum(1 for x, y in zip(original.grams, mutated.grams) if x != y)
+    diffs = sum(1 for x, y in zip(_grams(original), _grams(mutated)) if x != y)
     assert diffs == 100
-    assert len(mutated.grams) == 1000
-    assert original.grams == ("aaa",) * 1000  # input untouched
+    assert len(_grams(mutated)) == 1000
+    assert _grams(original) == ("aaa",) * 1000  # input untouched
 
 
 def test_mutate_short_chromosome_and_degenerate_pool():
     cfg = GaConfig(population_size=2, ref_len=10, partitions=2, sample_size=2)
-    original = Chromosome(("aaa",) * 10)
+    original = Chromosome(_keys(("aaa",) * 10))
     mutated = mutate(original, _pool_of(["bbb"]), cfg, random.Random(1))
-    assert sum(1 for x, y in zip(original.grams, mutated.grams) if x != y) == 1
+    assert sum(1 for x, y in zip(_grams(original), _grams(mutated)) if x != y) == 1
     # pool containing only the existing gram: content may be unchanged
     unchanged = mutate(original, _pool_of(["aaa"]), cfg, random.Random(1))
-    assert unchanged.grams == original.grams
+    assert _grams(unchanged) == _grams(original)
 
 
 def test_pool_closure_through_operators():
@@ -142,16 +163,16 @@ def test_pool_closure_through_operators():
         a, b = rng.sample(population, 2)
         c1, c2 = crossover(a, b, rng)
         population.extend([mutate(c1, pool, cfg, rng), mutate(c2, pool, cfg, rng)])
-    allowed = set(pool.grams)
-    assert all(set(c.grams) <= allowed for c in population)
+    allowed = set(_grams(pool))
+    assert all(set(_grams(c)) <= allowed for c in population)
 
 
 def test_fitness_single_pair_formula():
     docs = (Document.from_raw("0", "abcd"), Document.from_raw("1", "bcde"))
     sample = draw_fitness_sample(docs, 2, random.Random(0))
-    chromosome = Chromosome(("abc", "bcd", "cde", "def"))
+    chromosome = Chromosome(_keys(("abc", "bcd", "cde", "def")))
     got = fitness(chromosome, sample, partitions=2)
-    ref = ReferenceText(chromosome.grams, 2)
+    ref = ReferenceText(_grams(chromosome), 2)
     sim = signature_similarity(sign(docs[0], ref), sign(docs[1], ref))
     oracle = cosine(docs[0].vector, docs[1].vector)
     assert got == pytest.approx(abs(sim - oracle), abs=1e-15)
@@ -161,7 +182,7 @@ def test_fitness_zero_for_full_vocabulary_reference():
     docs = _word_salad_docs(10, seed=2, length=60)
     sample = draw_fitness_sample(docs, 10, random.Random(0))
     grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
-    chromosome = Chromosome(tuple(grams))
+    chromosome = Chromosome(_keys(grams))
     assert fitness(chromosome, sample, partitions=len(grams)) <= 1e-9
 
 
@@ -193,7 +214,7 @@ def test_evolve_deterministic():
     docs = _word_salad_docs(16, seed=4)
     first = evolve(docs, _small_cfg())
     second = evolve(docs, _small_cfg())
-    assert first.best.grams == second.best.grams
+    assert _grams(first.best) == _grams(second.best)
     assert first.best.fitness == second.best.fitness
     # wall-clock differs; every recorded MAE must match bit for bit
     assert [(s.generation, s.best_mae, s.mean_mae) for s in first.history] == [
@@ -215,8 +236,8 @@ def test_evolve_history_monotone_and_complete():
 def test_evolve_length_conservation_and_pool_closure():
     docs = _word_salad_docs(16, seed=6)
     result = evolve(docs, _small_cfg())
-    assert len(result.best.grams) == 20
-    assert set(result.best.grams) <= set(result.pool.grams)
+    assert len(_grams(result.best)) == 20
+    assert set(_grams(result.best)) <= set(_grams(result.pool))
 
 
 def test_evolve_early_stop():

@@ -1,0 +1,49 @@
+"""Golden outputs: `refsig topk` and a small `refsig train` at fixed seeds
+must keep producing the same bytes from one commit to the next.
+
+The digests were recorded before grams became packed keys between the
+tf-idf ranking and the reference file; a representation change that alters
+a tie order, an RNG draw or a file byte shows up here. The history is
+compared without its ``elapsed_s`` column, which is wall time.
+"""
+
+import hashlib
+
+from refsig.cli import main
+
+POOL_SHA256 = "d50ed27e8d8b9a713bd25f4fd89134a7ba56faf4cd625fc46201f31237d740e1"
+REF_SHA256 = "8543c41f27c5f63a464fc0757ebbeacd5232e59219a5a22f446110e655dbefb5"
+HISTORY_SHA256 = "19a8550b751a48444a36a65ee8cadf223f6a2ccaae5c48e360df6a2fd6569e54"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _corpus(tmp_path):
+    out = tmp_path / "synthetic"
+    assert main(["synth", "--bases", "24", "--near-dups", "6", "--dups", "4",
+                 "--edit-fraction", "0.1", "--seed", "5", "--words", "60",
+                 "--out", str(out)]) == 0
+    return out / "docs"
+
+
+def test_topk_pool_bytes_are_pinned(tmp_path):
+    corpus = _corpus(tmp_path)
+    pool = tmp_path / "pool.txt"
+    # k = 700 cuts through a group of tied scores on this corpus.
+    assert main(["topk", "--corpus", str(corpus), "--k", "700", "--out", str(pool)]) == 0
+    assert _sha256(pool.read_bytes()) == POOL_SHA256
+
+
+def test_train_reference_and_history_bytes_are_pinned(tmp_path):
+    corpus = _corpus(tmp_path)
+    ref, history = tmp_path / "ref.txt", tmp_path / "history.tsv"
+    assert main(["train", "--corpus", str(corpus), "--pool-size", "300", "--ref-len", "60",
+                 "--partitions", "10", "--population", "8", "--generations", "3",
+                 "--sample", "12", "--runs", "2", "--seed", "11",
+                 "--out", str(ref), "--history", str(history)]) == 0
+    rows = history.read_text(encoding="utf-8").splitlines()
+    timeless = "".join("\t".join(row.split("\t")[:3]) + "\n" for row in rows)
+    assert _sha256(ref.read_bytes()) == REF_SHA256
+    assert _sha256(timeless.encode("utf-8")) == HISTORY_SHA256

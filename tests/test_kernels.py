@@ -48,11 +48,15 @@ def _docs(texts):
     return [Document.from_raw(str(i), t) for i, t in enumerate(texts)]
 
 
+def _chromosome(grams, fitness=None):
+    return Chromosome(gram_keys("".join(grams))[::3], fitness)
+
+
 def _cosine_rows(docs, grams, partitions):
     """Signatures as one ``text.cosine`` call per document and partition."""
     parts, start = [], 0
     for size in partition_sizes(len(grams), partitions):
-        keys = gram_keys("".join(grams[start : start + size]), 3)
+        keys = gram_keys("".join(grams[start : start + size]))[::3]
         parts.append(SparseNGramVector(*np.unique(keys, return_counts=True)))
         start += size
     return np.array([[cosine(doc.vector, part) for part in parts] for doc in docs])
@@ -89,10 +93,10 @@ def test_fitness_equals_signature_matrix_error():
         expected = mean_signature_error(
             signature_matrix(sample.documents, ReferenceText(grams, partitions)), sample.oracle
         )
-        assert fitness(Chromosome(grams), sample, partitions) == expected
+        assert fitness(_chromosome(grams), sample, partitions) == expected
     # a chromosome made only of absent grams signs every document all-zero
     expected = mean_signature_error(np.zeros((15, 2)), sample.oracle)
-    assert fitness(Chromosome(tuple(absent) * 2), sample, 2) == expected
+    assert fitness(_chromosome(absent * 2), sample, 2) == expected
 
 
 def test_count_matrix_spare_column_is_zero():
@@ -125,7 +129,7 @@ def test_select_matches_fitness_then_hash_order():
     population = []
     for _ in range(40):
         grams = tuple(rng.choices(["abc", "bcd", "cde"], k=3))
-        population.append(Chromosome(grams, fitness=rng.choice([0.1, 0.2, 0.3, 0.25])))
+        population.append(_chromosome(grams, fitness=rng.choice([0.1, 0.2, 0.3, 0.25])))
     expected = sorted(population, key=lambda c: (c.fitness, c.content_hash()))
     for size in (1, 7, 20, 40, 60):
         assert [id(c) for c in _select(population, size)] == [id(c) for c in expected[:size]]
@@ -156,4 +160,4 @@ def test_kernels_equal_cosine_property(texts, grams, data):
 
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
     direct = mean_signature_error(signature_matrix(sample.documents, ref), sample.oracle)
-    assert fitness(Chromosome(tuple(grams)), sample, partitions) == direct
+    assert fitness(_chromosome(grams), sample, partitions) == direct

@@ -6,6 +6,7 @@ import pytest
 from refsig.reference import ReferenceText, SignatureMismatchError, signature_matrix
 from refsig.store import (
     CorruptDbError,
+    SignatureDb,
     db_read,
     db_write,
     ingest,
@@ -106,6 +107,14 @@ def test_db_round_trip_bit_exact(tmp_path):
         assert read_id == doc_id
         assert scores.dtype == np.dtype("<f4")
         assert scores.tobytes() == np.asarray(row, dtype="<f4").tobytes()
+
+
+def test_signature_dbs_compare_and_hash_by_identity():
+    # Generated __eq__/__hash__ over the ndarray would raise for > 1 row.
+    a = SignatureDb("f" * 64, ("x", "y"), np.eye(2, dtype="<f4"))
+    b = SignatureDb("f" * 64, ("x", "y"), np.eye(2, dtype="<f4"))
+    assert a == a and a != b
+    assert hash(a) != hash(b) and len({a, b, a}) == 2
 
 
 def test_db_write_rejects_empty_id(tmp_path):
