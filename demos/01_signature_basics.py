@@ -18,7 +18,7 @@ from refsig import (
     sign,
     signature_similarity,
 )
-from refsig.text import gram_strings
+from refsig.text import gram_keys, gram_strings
 
 # --- normalization and 3-grams ---------------------------------------------
 
@@ -42,15 +42,13 @@ print("exact cosine a~c:", round(cosine(a.vector, c.vector), 4))
 # --- a reference text and its partitions ------------------------------------
 
 # Normally the reference comes from the trainer; here we build a tiny one by
-# hand from grams that occur in our documents.
-ref = ReferenceText(
-    ["the", "he ", "qui", "uic", "ick", "bro", "row", "own",
-     "fox", "ox ", "laz", "azy", "dog", "og ", "jum", "ump"],
-    partitions=4,
-)
+# hand from grams that occur in our documents. A reference holds packed keys.
+grams = ["the", "he ", "qui", "uic", "ick", "bro", "row", "own",
+         "fox", "ox ", "laz", "azy", "dog", "og ", "jum", "ump"]
+ref = ReferenceText(gram_keys("".join(grams))[::3], partitions=4)
 print(f"\nreference: {len(ref)} grams in {ref.partitions} partitions")
 for k, (lo, hi) in enumerate(zip(ref.starts, [*ref.starts[1:], len(ref)])):
-    print(f"  partition {k}: {sorted(set(ref.grams[lo:hi]))}")
+    print(f"  partition {k}: {sorted(set(gram_strings(ref.keys[lo:hi])))}")
 
 # --- signatures --------------------------------------------------------------
 

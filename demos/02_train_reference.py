@@ -16,7 +16,6 @@ from refsig import (
     SyntheticCorpusSpec,
     evolve,
     generate_synthetic_corpus,
-    gram_strings,
     mae,
 )
 
@@ -51,9 +50,9 @@ print(f"\nbest MAE fell from a population mean of {baseline:.4f} "
 holdout, _ = generate_synthetic_corpus(
     SyntheticCorpusSpec(base_doc_count=40, near_dup_count=5, dup_count=5, rng_seed=99)
 )
-trained = ReferenceText(gram_strings(result.best.keys), cfg.partitions)
+trained = ReferenceText(result.best.keys, cfg.partitions)
 rng = random.Random(0)
-pool = gram_strings(result.pool.keys)
+pool = result.pool.keys.tolist()
 random_ref = ReferenceText(rng.choices(pool, k=cfg.ref_len), cfg.partitions)
 
 print(f"\nheld-out MAE, trained reference:  {mae(trained, holdout):.4f}")

@@ -22,7 +22,6 @@ from refsig import (
     dnd_scan,
     evolve,
     generate_synthetic_corpus,
-    gram_strings,
     prf,
     signature_matrix,
 )
@@ -38,7 +37,7 @@ cfg = GaConfig(
 )
 print(f"training on {len(train_docs)} documents...")
 result = evolve(train_docs, cfg)
-ref = ReferenceText(gram_strings(result.best.keys), cfg.partitions)
+ref = ReferenceText(result.best.keys, cfg.partitions)
 print(f"trained reference: {len(ref)} grams, {ref.partitions} partitions, "
       f"final MAE {result.history[-1].best_mae:.4f}")
 

@@ -33,7 +33,7 @@ from .reference import (
     save_reference,
     signature_matrix,
 )
-from .store import SignatureDb, db_read, db_write, ingest, iter_documents
+from .store import SCORE_DTYPE, SignatureDb, db_read, db_write, ingest, iter_documents
 from .tfidf import save_pool, score_grams, top_k
 
 _REPORT_COLUMNS = (
@@ -115,10 +115,10 @@ def cmd_sign(args: argparse.Namespace) -> int:
     docs = iter_documents(args.corpus, args.html_strip)
     # Only one block of documents is held at a time; their signature rows are kept.
     ids: list[str] = []
-    blocks = [np.empty((0, ref.partitions), "<f4")]
+    blocks = [np.empty((0, ref.partitions), SCORE_DTYPE)]
     while block := list(islice(docs, SIGN_BLOCK)):
         ids.extend(doc.id for doc in block)
-        blocks.append(signature_matrix(block, ref).astype("<f4"))
+        blocks.append(signature_matrix(block, ref).astype(SCORE_DTYPE))
     db_write(args.out, ref, ids, np.concatenate(blocks))
     print(f"signed {len(ids)} documents into {args.out}")
     return 0
@@ -159,7 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.labels:
         cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
         # The float32 rows that sign -> db_write -> dedup classifies.
-        rows = signature_matrix(docs, ref).astype("<f4")
+        rows = signature_matrix(docs, ref).astype(SCORE_DTYPE)
         ids = tuple(d.id for d in docs)
         hits = dnd_scan(SignatureDb(ref.fingerprint, ids, rows), cfg)
         report = prf(confusion_from_hits(hits, ids, _read_label_pairs(args.labels)))

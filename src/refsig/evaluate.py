@@ -21,7 +21,7 @@ from .reference import (
     signature_matrix,
 )
 from .store import SignatureDb
-from .text import Document, brute_force_pairwise, gram_strings, key_columns
+from .text import Document, brute_force_pairwise, key_columns
 
 
 def mae(ref: ReferenceText, docs: Sequence[Document]) -> float:
@@ -141,7 +141,7 @@ def cross_validate(
     for run in range(runs):
         train, test = split_corpus(corpus, replace(split, rng_seed=split.rng_seed + run))
         result: EvolveResult = evolve(train, replace(cfg, rng_seed=cfg.rng_seed + run))
-        ref = ReferenceText(gram_strings(result.best.keys), cfg.partitions)
+        ref = ReferenceText(result.best.keys, cfg.partitions)
         holdout = mae(ref, test)
         reports.append(
             RunReport(run, len(train), len(test), result.best.fitness, holdout, result.history)

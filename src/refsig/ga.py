@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gramio import escape_gram
+from .gramio import key_lines
 from .reference import mean_signature_error, partition_layout, partition_scores
-from .text import Document, brute_force_pairwise, count_matrix, gram_strings, key_columns
+from .text import Document, brute_force_pairwise, count_matrix, key_columns
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -65,8 +65,7 @@ class Chromosome:
     fitness: float | None = None
 
     def content_hash(self) -> str:
-        payload = "".join(escape_gram(g) + "\n" for g in gram_strings(self.keys))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(key_lines(self.keys).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

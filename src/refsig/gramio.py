@@ -1,4 +1,4 @@
-"""Escaped line format for 3-gram files.
+"""Escaped line format for 3-gram files, read and written as packed keys.
 
 Pool and reference files store one 3-gram per line. Printable characters
 are written literally; backslash, newline, and tab use two-character
@@ -9,9 +9,11 @@ their UTF-8 bytes. A line therefore decodes to exactly 3 characters.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .text import NGRAM_SIZE
+import numpy as np
+
+from .text import NGRAM_SIZE, gram_keys, gram_strings
 
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t"}
 _UNESCAPES = {"n": 0x0A, "t": 0x09, "\\": 0x5C}
@@ -73,6 +75,23 @@ def parse_gram_line(line: str) -> str:
     if len(gram) != NGRAM_SIZE:
         raise ValueError(f"line {line!r} decodes to {len(gram)} characters, expected {NGRAM_SIZE}")
     return gram
+
+
+def key_lines(keys: np.ndarray) -> str:
+    """The escaped line of the 3-gram of each packed key, each ending in a newline."""
+    return "".join(escape_gram(gram) + "\n" for gram in gram_strings(keys))
+
+
+def line_keys(lines: Iterable[str], path: str | Path, first: int = 1) -> np.ndarray:
+    """The packed keys of escaped gram lines: the inverse of :func:`key_lines`.
+    A bad line's error names ``path`` and its number, counted from ``first``."""
+    grams = []
+    for number, line in enumerate(lines, first):
+        try:
+            grams.append(parse_gram_line(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+    return gram_keys("".join(grams))[::NGRAM_SIZE]
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

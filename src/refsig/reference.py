@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gramio import escape_gram, parse_gram_line, read_lines
-from .text import NGRAM_SIZE, Document, count_cosine, count_matrix, gram_keys
+from .gramio import key_lines, line_keys, read_lines
+from .text import Document, count_cosine, count_matrix
 
 
 class SignatureMismatchError(ValueError):
@@ -73,7 +73,7 @@ def partition_scores(
 
 
 class ReferenceText:
-    """An ordered 3-gram sequence with a fixed partition count.
+    """An ordered sequence of packed 3-gram keys with a fixed partition count.
 
     The partition layout (see :func:`partition_layout`) is computed once.
     The fingerprint is a content hash over the grams and the partition
@@ -81,36 +81,31 @@ class ReferenceText:
     references can never be compared silently.
     """
 
-    __slots__ = ("grams", "partitions", "columns", "positions", "starts", "part_sq", "fingerprint")
+    __slots__ = ("keys", "partitions", "columns", "positions", "starts", "part_sq", "fingerprint")
 
-    def __init__(self, grams: Sequence[str], partitions: int):
-        grams = tuple(grams)
-        if not grams:
+    def __init__(self, keys: np.ndarray, partitions: int):
+        self.keys = np.array(keys, dtype=np.int64)
+        if not len(self.keys):
             raise ValueError("reference text needs at least one 3-gram")
-        if set(map(len, grams)) - {NGRAM_SIZE}:
-            bad = next(g for g in grams if len(g) != NGRAM_SIZE)
-            raise ValueError(f"token {bad!r} is not {NGRAM_SIZE} characters long")
-        self.grams = grams
         self.partitions = partitions
-        self.columns, self.positions, self.starts, self.part_sq = partition_layout(
-            gram_keys("".join(grams))[::NGRAM_SIZE], partitions
-        )
-        self.fingerprint = hashlib.sha256(_serialize(grams, partitions).encode("utf-8")).hexdigest()
+        layout = partition_layout(self.keys, partitions)
+        self.columns, self.positions, self.starts, self.part_sq = layout
+        self.fingerprint = hashlib.sha256(_serialize(self).encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:
-        return len(self.grams)
+        return len(self.keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReferenceText):
             return NotImplemented
-        return self.grams == other.grams and self.partitions == other.partitions
+        return self.fingerprint == other.fingerprint
 
     def __repr__(self) -> str:
-        return f"ReferenceText({len(self.grams)} grams, {self.partitions} partitions)"
+        return f"ReferenceText({len(self.keys)} grams, {self.partitions} partitions)"
 
 
-def _serialize(grams: tuple[str, ...], partitions: int) -> str:
-    return f"P={partitions}\n" + "".join(escape_gram(g) + "\n" for g in grams)
+def _serialize(ref: ReferenceText) -> str:
+    return f"P={ref.partitions}\n" + key_lines(ref.keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,10 +227,8 @@ def classify(similarity: float, cfg: ClassifierConfig) -> Verdict:
 
 def save_reference(ref: ReferenceText, path: str | Path) -> None:
     """Write the exchange file: P header, escaped gram lines, hash trailer."""
-    body = _serialize(ref.grams, ref.partitions)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
-        fh.write(f"sha256={ref.fingerprint}\n")
+    text = _serialize(ref) + f"sha256={ref.fingerprint}\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def load_reference(path: str | Path) -> ReferenceText:
@@ -251,9 +244,11 @@ def load_reference(path: str | Path) -> ReferenceText:
         raise ValueError(f"{path}: bad partition count {header[2:]!r}") from None
     if not trailer.startswith("sha256="):
         raise ValueError(f"{path}: missing sha256= trailer")
-    grams = [parse_gram_line(line) for line in lines[1:-1]]
-    ref = ReferenceText(grams, partitions)
-    stated = trailer[len("sha256=") :]
-    if ref.fingerprint != stated:
+    keys = line_keys(lines[1:-1], path, first=2)
+    try:
+        ref = ReferenceText(keys, partitions)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if ref.fingerprint != trailer[len("sha256=") :]:
         raise ValueError(f"{path}: content hash mismatch, file is corrupt or edited")
     return ref

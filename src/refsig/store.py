@@ -25,6 +25,7 @@ from .text import Document
 _DB_MAGIC = "refsig-db 1"
 _WRITER = "refsig/0.1.0"
 _DIGEST_BYTES = 32
+SCORE_DTYPE = "<f4"
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
@@ -136,7 +137,7 @@ class SignatureDb:
 
 
 def _record_dtype(id_bytes: int, partitions: int) -> np.dtype:
-    return np.dtype([("id", f"S{id_bytes}"), ("scores", "<f4", (partitions,))])
+    return np.dtype([("id", f"S{id_bytes}"), ("scores", SCORE_DTYPE, (partitions,))])
 
 
 def db_write(

@@ -1,7 +1,7 @@
 """Text normalization, character 3-grams, and exact cosine similarity.
 
 Grams are counted as packed int64 keys (:func:`gram_keys`) and are str only
-at file and API edges. Exact cosine over sparse 3-gram count vectors is the
+in files and on display. Exact cosine over sparse 3-gram count vectors is the
 ground truth that signature-space similarity is trained and evaluated against.
 """
 
@@ -54,6 +54,7 @@ def normalize(raw: str) -> str:
 # (c0 << 42) | (c1 << 21) | c2, and key order is str order.
 _CODE_BITS = 21
 _CODE_MASK = (1 << _CODE_BITS) - 1
+_MAX_CODE = 0x10FFFF
 
 
 def gram_keys(text: str) -> np.ndarray:
@@ -68,8 +69,20 @@ def gram_keys(text: str) -> np.ndarray:
     return keys
 
 
+def check_keys(keys: np.ndarray) -> None:
+    """Raise ValueError naming the first key that :func:`gram_keys` cannot
+    have packed: a negative one, or one with a field above 0x10FFFF."""
+    bad = (keys < 0) | (keys >> 2 * _CODE_BITS > _MAX_CODE)
+    bad |= (keys >> _CODE_BITS & _CODE_MASK) > _MAX_CODE
+    bad |= (keys & _CODE_MASK) > _MAX_CODE
+    if bad.any():
+        at = int(bad.argmax())
+        raise ValueError(f"key {int(keys[at])} at position {at} is not a packed 3-gram")
+
+
 def gram_strings(keys: np.ndarray) -> list[str]:
     """The 3-gram of each packed key: the inverse of :func:`gram_keys`."""
+    check_keys(keys)
     code = np.stack([keys >> 2 * _CODE_BITS, keys >> _CODE_BITS, keys], -1) & _CODE_MASK
     flat = code.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
     return [flat[i : i + NGRAM_SIZE] for i in range(0, len(flat), NGRAM_SIZE)]
@@ -77,9 +90,9 @@ def gram_strings(keys: np.ndarray) -> list[str]:
 
 class SparseNGramVector:
     """3-gram counts: sorted, unique packed ``keys`` and their ``counts``,
-    with the exact integer squared norm and its square root."""
+    with the exact integer squared norm."""
 
-    __slots__ = ("keys", "counts", "sq_norm", "norm")
+    __slots__ = ("keys", "counts", "sq_norm")
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray):
         keys = np.asarray(keys, dtype=np.int64)
@@ -92,7 +105,6 @@ class SparseNGramVector:
             raise ValueError(f"counts must be >= 1, got {counts.min()}")
         self.keys, self.counts = keys, counts
         self.sq_norm: int = int(counts @ counts)
-        self.norm: float = math.sqrt(self.sq_norm)
 
     @property
     def is_empty(self) -> bool:
@@ -107,7 +119,7 @@ class SparseNGramVector:
         return np.array_equal(self.keys, other.keys) and np.array_equal(self.counts, other.counts)
 
     def __repr__(self) -> str:
-        return f"SparseNGramVector({len(self.keys)} grams, norm={self.norm:.4f})"
+        return f"SparseNGramVector({len(self.keys)} grams, sq_norm={self.sq_norm})"
 
 
 def _sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

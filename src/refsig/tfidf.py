@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gramio import escape_gram, parse_gram_line, read_lines
-from .text import NGRAM_SIZE, Document, count_cells, gram_keys, gram_strings
+from .gramio import key_lines, line_keys, read_lines
+from .text import Document, check_keys, count_cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +26,13 @@ class GramPool:
     requested: int
 
     def __post_init__(self) -> None:
-        if len(np.unique(self.keys)) != len(self.keys):
-            raise ValueError("gram pool contains duplicate tokens")
+        check_keys(self.keys)
+        distinct, first = np.unique(self.keys, return_index=True)
+        if len(distinct) != len(self.keys):
+            repeat = np.ones(len(self.keys), bool)
+            repeat[first] = False
+            gram = key_lines(self.keys[repeat][:1])[:-1]
+            raise ValueError(f"gram pool contains the duplicate gram {gram!r}")
         if len(self.keys) > self.requested:
             raise ValueError("gram pool is larger than the requested size")
 
@@ -79,11 +84,12 @@ def top_k(ranked: tuple[np.ndarray, ...], k: int) -> GramPool:
 
 def save_pool(pool: GramPool, path: str | Path) -> None:
     """Write one escaped gram per line, rank order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for gram in gram_strings(pool.keys):
-            fh.write(escape_gram(gram) + "\n")
+    Path(path).write_text(key_lines(pool.keys), encoding="utf-8", newline="\n")
 
 
 def load_pool(path: str | Path) -> GramPool:
-    grams = [parse_gram_line(line) for line in read_lines(path)]
-    return GramPool(gram_keys("".join(grams))[::NGRAM_SIZE], requested=max(len(grams), 1))
+    keys = line_keys(read_lines(path), path)
+    try:
+        return GramPool(keys, requested=max(len(keys), 1))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -14,6 +14,11 @@ from refsig.cli import main
 from refsig.evaluate import SplitSpec, split_corpus
 from refsig.reference import SIGN_BLOCK, ReferenceText, save_reference
 from refsig.store import ingest
+from refsig.text import gram_keys
+
+
+def _keys(grams):
+    return gram_keys("".join(grams))[::3]
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -45,7 +50,7 @@ def test_traced_sign_reaches_the_per_document_layers(tmp_path):
     for k in range(docs):
         (corpus / f"{k:03d}.html").write_text(f"<p>Document {k}: caf&eacute; &amp; Tea</p>\n")
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(["doc", "cum", "ent", "caf", "tea", "é &"], 3), ref)
+    save_reference(ReferenceText(_keys(["doc", "cum", "ent", "caf", "tea", "é &"]), 3), ref)
     tracing = _tracing()
     tracer = tracing.Tracer()
     tracer.install()
@@ -73,7 +78,8 @@ def test_traced_dedup_counts_the_scan(tmp_path):
     for k, text in enumerate(texts):
         (corpus / f"{k}.txt").write_text(text)
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(["the", "qui", "bro", "fox", "fax", "laz", "dog", "dif"], 4), ref)
+    grams = ["the", "qui", "bro", "fox", "fax", "laz", "dog", "dif"]
+    save_reference(ReferenceText(_keys(grams), 4), ref)
     db, pairs = tmp_path / "sigs.db", tmp_path / "pairs.tsv"
     tracing = _tracing()
     tracer = tracing.Tracer()

@@ -11,8 +11,12 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import db_read, db_write, ingest
-from refsig.text import gram_strings
+from refsig.text import gram_keys
 from refsig.tfidf import load_pool
+
+
+def _keys(grams):
+    return gram_keys("".join(grams))[::3]
 
 
 def _run(*argv):
@@ -101,7 +105,7 @@ def test_dedup_two_identical_docs(tmp_path):
     corpus = _make_corpus(tmp_path, "same content here", "same content here")
     ref_grams = sorted({"sam", "ame", "me ", "e c", " co", "con", "ont", "nte", "ten",
                         "ent", "nt ", "t h", " he", "her", "ere"})
-    ref = ReferenceText(ref_grams, 5)
+    ref = ReferenceText(_keys(ref_grams), 5)
     ref_path = tmp_path / "ref.txt"
     save_reference(ref, ref_path)
     db_path = tmp_path / "sigs.db"
@@ -115,8 +119,8 @@ def test_dedup_two_identical_docs(tmp_path):
 
 def test_dedup_mismatched_reference_fails(tmp_path, capsys):
     corpus = _make_corpus(tmp_path, "first document text", "second document text")
-    ref_a = ReferenceText(["fir", "irs", "rst", "doc"], 2)
-    ref_b = ReferenceText(["sec", "eco", "con", "doc"], 2)
+    ref_a = ReferenceText(_keys(["fir", "irs", "rst", "doc"]), 2)
+    ref_b = ReferenceText(_keys(["sec", "eco", "con", "doc"]), 2)
     path_a, path_b = tmp_path / "a.ref", tmp_path / "b.ref"
     save_reference(ref_a, path_a)
     save_reference(ref_b, path_b)
@@ -125,6 +129,20 @@ def test_dedup_mismatched_reference_fails(tmp_path, capsys):
     assert _run("dedup", "--db", db_path, "--t1", 0.95, "--t2", 0.8,
                 "--ref", path_b, "--out", tmp_path / "pairs.tsv") == 1
     assert "different reference" in capsys.readouterr().err
+
+
+def test_reference_errors_name_the_file_and_line(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, "abc bcd cde")
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["abc", "bcd", "cde"]), 3), ref)
+    good = ref.read_text(encoding="utf-8")
+    for old, new, message in [
+        ("P=3\n", "P=9\n", f"{ref}: partition count must be in 1..3, got 9"),
+        ("\nbcd\n", "\nbc\n", f"{ref}:3: line 'bc' decodes to 2 characters, expected 3"),
+    ]:
+        ref.write_text(good.replace(old, new), encoding="utf-8")
+        assert _run("sign", "--ref", ref, "--corpus", corpus, "--out", tmp_path / "s.db") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_invalid_thresholds_rejected_before_work(tmp_path, capsys):
@@ -149,7 +167,7 @@ def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
     pool = tmp_path / "pool.txt"
     assert _run("topk", "--corpus", docs, "--k", 400, "--out", pool) == 0
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(gram_strings(load_pool(pool).keys)[:150], 15), ref)
+    save_reference(ReferenceText(load_pool(pool).keys[:150], 15), ref)
     db, pairs = tmp_path / "sigs.db", tmp_path / "pairs.tsv"
     assert _run("sign", "--ref", ref, "--corpus", docs, "--out", db) == 0
     assert _run("dedup", "--db", db, "--t1", 0.999, "--t2", 0.93, "--out", pairs) == 0
@@ -182,7 +200,7 @@ def test_dedup_default_thresholds_are_the_tuned_ones(tmp_path, monkeypatch):
     pool = tmp_path / "pool.txt"
     assert _run("topk", "--corpus", docs, "--k", 300, "--out", pool) == 0
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(gram_strings(load_pool(pool).keys)[:150], 15), ref)
+    save_reference(ReferenceText(load_pool(pool).keys[:150], 15), ref)
     db = tmp_path / "sigs.db"
     assert _run("sign", "--ref", ref, "--corpus", docs, "--out", db) == 0
     default, explicit = tmp_path / "default.tsv", tmp_path / "explicit.tsv"
@@ -206,7 +224,7 @@ def test_eval_skips_distinct_label_rows(tmp_path, capsys):
     pool = tmp_path / "pool.txt"
     assert _run("topk", "--corpus", docs, "--k", 200, "--out", pool) == 0
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(gram_strings(load_pool(pool).keys)[:100], 10), ref)
+    save_reference(ReferenceText(load_pool(pool).keys[:100], 10), ref)
     labels = (synthetic / "labels.tsv").read_text(encoding="utf-8")
     assert "base-0000.txt\tbase-0001.txt" not in labels
 
@@ -225,7 +243,8 @@ def test_eval_skips_distinct_label_rows(tmp_path, capsys):
 
 
 def _sign_reference(tmp_path):
-    ref = ReferenceText(["the", "he ", " qu", "qui", "uic", "ick", "ck ", "fox", "dog", "laz"], 4)
+    grams = ["the", "he ", " qu", "qui", "uic", "ick", "ck ", "fox", "dog", "laz"]
+    ref = ReferenceText(_keys(grams), 4)
     path = tmp_path / "ref.txt"
     save_reference(ref, path)
     return ref, path

@@ -172,7 +172,7 @@ def test_fitness_single_pair_formula():
     sample = draw_fitness_sample(docs, 2, random.Random(0))
     chromosome = Chromosome(_keys(("abc", "bcd", "cde", "def")))
     got = fitness(chromosome, sample, partitions=2)
-    ref = ReferenceText(_grams(chromosome), 2)
+    ref = ReferenceText(chromosome.keys, 2)
     sim = signature_similarity(sign(docs[0], ref), sign(docs[1], ref))
     oracle = cosine(docs[0].vector, docs[1].vector)
     assert got == pytest.approx(abs(sim - oracle), abs=1e-15)

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refsig.reference import ReferenceText
 from refsig.text import Document, extract_3grams, gram_keys, gram_strings
-from refsig.tfidf import score_grams
+from refsig.tfidf import GramPool, score_grams
 
 # Every code point, lone surrogates included, plus the characters the gram
 # file format escapes and the ends of the code space.
@@ -43,6 +44,20 @@ def test_pack_unpack_round_trip(gram):
 @given(st.lists(_gram, max_size=12))
 def test_sequence_packing_round_trip(grams):
     assert gram_strings(gram_keys("".join(grams))[::3]) == grams
+
+
+def test_keys_that_pack_no_3_gram_are_rejected_by_name():
+    top = gram_keys("\U0010ffff" * 3)
+    assert gram_strings(top) == ["\U0010ffff" * 3]  # the largest packed key
+    abc = gram_keys("abc")[0]
+    for bad in (-1, 0x110000, 0x110000 << 21, 0x110000 << 42, 2**63 - 1):
+        keys = np.array([abc, bad])
+        for build in (gram_strings, lambda k: GramPool(k, 2), lambda k: ReferenceText(k, 1)):
+            with pytest.raises(ValueError, match=f"key {bad} at position 1 "):
+                build(keys)
+    # Random 40-bit keys: about half have a last field above 0x10FFFF.
+    with pytest.raises(ValueError, match="is not a packed 3-gram"):
+        GramPool(np.random.default_rng(0).integers(0, 2**40, 30), 30)
 
 
 @settings(max_examples=200, deadline=None)

@@ -48,8 +48,12 @@ def _docs(texts):
     return [Document.from_raw(str(i), t) for i, t in enumerate(texts)]
 
 
+def _keys(grams):
+    return gram_keys("".join(grams))[::3]
+
+
 def _chromosome(grams, fitness=None):
-    return Chromosome(gram_keys("".join(grams))[::3], fitness)
+    return Chromosome(_keys(grams), fitness)
 
 
 def _cosine_rows(docs, grams, partitions):
@@ -65,7 +69,7 @@ def _cosine_rows(docs, grams, partitions):
 def test_signature_matrix_and_sign_equal_cosine_loop(monkeypatch):
     docs = _docs(TEXTS)
     for partitions in (1, 3, 5, len(GRAMS)):
-        ref = ReferenceText(GRAMS, partitions)
+        ref = ReferenceText(_keys(GRAMS), partitions)
         expected = _cosine_rows(docs, GRAMS, partitions)
         assert signature_matrix(docs, ref).tobytes() == expected.tobytes()
         for doc, row in zip(docs, expected):
@@ -74,7 +78,7 @@ def test_signature_matrix_and_sign_equal_cosine_loop(monkeypatch):
         monkeypatch.setattr(reference, "SIGN_BLOCK", 2)
         assert signature_matrix(docs[::-1], ref).tobytes() == expected[::-1].tobytes()
         monkeypatch.undo()
-    assert not signature_matrix(docs, ReferenceText(GRAMS, 3))[0].any()  # empty document
+    assert not signature_matrix(docs, ReferenceText(_keys(GRAMS), 3))[0].any()  # empty document
 
 
 def test_fitness_equals_signature_matrix_error():
@@ -90,9 +94,8 @@ def test_fitness_equals_signature_matrix_error():
     for _ in range(30):
         grams = tuple(rng.choices(present + absent, k=rng.randint(1, 40)))
         partitions = rng.randint(1, len(grams))
-        expected = mean_signature_error(
-            signature_matrix(sample.documents, ReferenceText(grams, partitions)), sample.oracle
-        )
+        ref = ReferenceText(_keys(grams), partitions)
+        expected = mean_signature_error(signature_matrix(sample.documents, ref), sample.oracle)
         assert fitness(_chromosome(grams), sample, partitions) == expected
     # a chromosome made only of absent grams signs every document all-zero
     expected = mean_signature_error(np.zeros((15, 2)), sample.oracle)
@@ -148,7 +151,7 @@ _gram = st.text(alphabet=_CHARS, min_size=3, max_size=3)
 def test_kernels_equal_cosine_property(texts, grams, data):
     docs = _docs(texts)
     partitions = data.draw(st.integers(1, len(grams)))
-    ref = ReferenceText(grams, partitions)
+    ref = ReferenceText(_keys(grams), partitions)
     expected = _cosine_rows(docs, tuple(grams), partitions)
     assert signature_matrix(docs, ref).tobytes() == expected.tobytes()
 

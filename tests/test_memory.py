@@ -26,6 +26,11 @@ import pytest
 import refsig
 from refsig.reference import ReferenceText, save_reference
 from refsig.store import db_write
+from refsig.text import gram_keys
+
+
+def _keys(grams):
+    return gram_keys("".join(grams))[::3]
 
 SMALL, LARGE = 300, 1300
 # A records file is read whole if it is not streamed: its peak then grows by
@@ -76,7 +81,8 @@ def _sign_growth_kb(tmp_path: Path, write_corpus, large: int) -> int:
     letters = string.ascii_lowercase
     vocab = ["".join(rng.choices(letters, k=rng.randint(2, 8))) for _ in range(5000)]
     ref = tmp_path / "ref.txt"
-    save_reference(ReferenceText(["".join(rng.choices(letters, k=3)) for _ in range(200)], 10), ref)
+    grams = ["".join(rng.choices(letters, k=3)) for _ in range(200)]
+    save_reference(ReferenceText(_keys(grams), 10), ref)
     peaks = []
     for n in (SMALL, large):
         corpus = tmp_path / f"corpus-{n}"
@@ -115,7 +121,7 @@ def test_dedup_peak_memory_does_not_grow_per_hit(tmp_path):
     rng = np.random.default_rng(0)
     # Rows near one direction: every pair scores above 0.5, none reaches 0.9999.
     rows = 1.0 + 0.3 * rng.random((DEDUP_ROWS, 10))
-    ref = ReferenceText([f"{c}ab" for c in string.ascii_lowercase[:10]], 10)
+    ref = ReferenceText(_keys([f"{c}ab" for c in string.ascii_lowercase[:10]]), 10)
     db = tmp_path / "sigs.db"
     db_write(db, ref, [f"doc-{k:05d}" for k in range(len(rows))], rows)
     few, many = tmp_path / "few.tsv", tmp_path / "many.tsv"
@@ -141,7 +147,7 @@ def test_eval_labels_peak_memory_does_not_grow_per_hit(tmp_path):
     _write_directory(corpus, (" ".join(rng.choices(vocab, k=60)) for _ in range(DEDUP_ROWS)))
     ref = tmp_path / "ref.txt"
     grams = ["".join(g) for g in itertools.product(letters, repeat=3)][:120]
-    save_reference(ReferenceText(grams, 10), ref)
+    save_reference(ReferenceText(_keys(grams), 10), ref)
     labels = tmp_path / "labels.tsv"
     truth = ["00000.txt\t00001.txt\tduplicate", "00002.txt\t00003.txt\tnear-duplicate"]
     labels.write_text("id_a\tid_b\tlabel\n" + "".join(line + "\n" for line in truth))

@@ -12,7 +12,11 @@ from refsig.store import (
     ingest,
     strip_html,
 )
-from refsig.text import Document, gram_strings
+from refsig.text import Document, gram_keys, gram_strings
+
+
+def _keys(grams):
+    return gram_keys("".join(grams))[::3]
 
 
 def test_ingest_directory(tmp_path):
@@ -91,7 +95,7 @@ def _ref_and_sigs(doc_texts):
     """A reference over the docs' grams, the doc ids and their signature rows."""
     docs = [Document.from_raw(f"doc-{i}", t) for i, t in enumerate(doc_texts)]
     grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
-    ref = ReferenceText(grams, min(4, len(grams)))
+    ref = ReferenceText(_keys(grams), min(4, len(grams)))
     return ref, [d.id for d in docs], signature_matrix(docs, ref)
 
 
@@ -164,7 +168,7 @@ def test_db_corruption_detected(tmp_path):
 
 def test_db_rejects_foreign_signature(tmp_path):
     ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
-    other = ReferenceText(["zzz", "yyy"], 2)
+    other = ReferenceText(_keys(["zzz", "yyy"]), 2)
     bad = rows[:, : other.partitions]
     with pytest.raises(SignatureMismatchError):
         db_write(tmp_path / "bad.db", ref, ids, bad)

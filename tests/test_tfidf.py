@@ -121,6 +121,18 @@ def test_pool_rejects_duplicates(tmp_path):
         load_pool(path)
 
 
+def test_load_pool_names_the_file_in_every_rejection(tmp_path):
+    path = tmp_path / "pool.txt"
+    path.write_text("abc\nbcd\nabc\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_pool(path)
+    assert str(exc.value) == f"{path}: gram pool contains the duplicate gram 'abc'"
+    path.write_text("abc\nbc\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_pool(path)
+    assert str(exc.value) == f"{path}:2: line 'bc' decodes to 2 characters, expected 3"
+
+
 def test_pool_determinism(tmp_path):
     docs = _docs("the quick brown fox", "jumps over the lazy dog", "the fox again")
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
