@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .evaluate import (
-    SplitSpec,
     SyntheticCorpusSpec,
     confusion_from_hits,
     cross_validate,
@@ -89,7 +88,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         rng_seed=args.seed,
     )
-    result = cross_validate(docs, cfg, SplitSpec(rng_seed=args.seed), runs=args.runs)
+    result = cross_validate(docs, cfg, runs=args.runs)
     for report in result.reports:
         marker = " <- winner" if report.run == result.winner_run else ""
         print(
@@ -242,16 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="evolve a reference text with cross-validation")
     add_corpus(p)
-    p.add_argument("--pool-size", type=int, default=9000)
-    p.add_argument("--ref-len", type=int, default=1000)
-    p.add_argument("--partitions", type=int, default=150)
-    p.add_argument("--population", type=int, default=100)
-    p.add_argument("--generations", type=int, default=50)
-    p.add_argument("--sample", type=int, default=100,
+    p.add_argument("--pool-size", type=int, default=GaConfig.pool_size)
+    p.add_argument("--ref-len", type=int, default=GaConfig.ref_len)
+    p.add_argument("--partitions", type=int, default=GaConfig.partitions)
+    p.add_argument("--population", type=int, default=GaConfig.population_size)
+    p.add_argument("--generations", type=int, default=GaConfig.max_generations)
+    p.add_argument("--sample", type=int, default=GaConfig.sample_size,
                    help="documents in the fitness sample")
     p.add_argument("--runs", type=int, default=10,
                    help="cross-validation repetitions")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=GaConfig.rng_seed)
     p.add_argument("--out", required=True, help="reference text output file")
     p.add_argument("--history", help="training-history TSV output file")
     p.set_defaults(func=cmd_train)

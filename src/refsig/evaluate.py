@@ -77,26 +77,20 @@ def prf(counts: ConfusionCounts) -> MetricsReport:
     return MetricsReport(precision, recall, f1_score(precision, recall), pair_count=total)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.80
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+TRAIN_FRACTION = 0.80  # share of a shuffled corpus that split_corpus trains on
 
 
 def split_corpus(
-    corpus: Sequence[Document], spec: SplitSpec
+    corpus: Sequence[Document], seed: int
 ) -> tuple[list[Document], list[Document]]:
-    """Shuffle and split; both sides are non-empty for corpora of size >= 2."""
+    """Shuffle with ``seed`` and split off the first :data:`TRAIN_FRACTION`
+    to train on; both sides are non-empty for corpora of size >= 2."""
     docs = list(corpus)
     if len(docs) < 2:
         raise ValueError("need at least 2 documents to split")
     order = list(range(len(docs)))
-    random.Random(spec.rng_seed).shuffle(order)
-    cut = min(max(int(len(docs) * spec.train_fraction), 1), len(docs) - 1)
+    random.Random(seed).shuffle(order)
+    cut = min(max(int(len(docs) * TRAIN_FRACTION), 1), len(docs) - 1)
     train = [docs[i] for i in order[:cut]]
     test = [docs[i] for i in order[cut:]]
     return train, test
@@ -120,16 +114,13 @@ class CrossValidationResult:
 
 
 def cross_validate(
-    corpus: Sequence[Document],
-    cfg: GaConfig,
-    split: SplitSpec = SplitSpec(),
-    runs: int = 10,
+    corpus: Sequence[Document], cfg: GaConfig, runs: int = 10
 ) -> CrossValidationResult:
     """Repeat split-train-evaluate and keep the reference with the lowest
     held-out MAE.
 
-    Run r splits with seed ``split.rng_seed + r`` and evolves with seed
-    ``cfg.rng_seed + r``, so the whole procedure is reproducible.
+    Run r both splits and evolves with seed ``cfg.rng_seed + r``, so the
+    whole procedure is reproducible from one seed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -139,8 +130,9 @@ def cross_validate(
     best_mae = math.inf
     winner = 0
     for run in range(runs):
-        train, test = split_corpus(corpus, replace(split, rng_seed=split.rng_seed + run))
-        result: EvolveResult = evolve(train, replace(cfg, rng_seed=cfg.rng_seed + run))
+        seed = cfg.rng_seed + run
+        train, test = split_corpus(corpus, seed)
+        result: EvolveResult = evolve(train, replace(cfg, rng_seed=seed))
         ref = ReferenceText(result.best.keys, cfg.partitions)
         holdout = mae(ref, test)
         reports.append(

@@ -24,6 +24,7 @@ from .text import Document, brute_force_pairwise, count_matrix, key_columns
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
+MUTATION_FRACTION = 0.10  # share of a chromosome's positions each mutation replaces
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,7 @@ class GaConfig:
     ref_len: int = 1000
     partitions: int = 150
     pool_size: int = 9000
-    mutation_fraction: float = 0.10
     max_generations: int = 50
-    fitness_threshold: float = 0.0
     sample_size: int = 100
     rng_seed: int = DEFAULT_SEED
 
@@ -47,12 +46,8 @@ class GaConfig:
             raise ValueError("partitions must be in 1..ref_len")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if not 0.0 < self.mutation_fraction < 1.0:
-            raise ValueError("mutation_fraction must be in (0, 1)")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if self.fitness_threshold < 0.0:
-            raise ValueError("fitness_threshold must be >= 0")
         if self.sample_size < 2:
             raise ValueError("sample_size must be >= 2")
 
@@ -94,7 +89,6 @@ class EvolveResult:
     best: Chromosome
     history: tuple[GenerationStats, ...]
     pool: GramPool
-    sample: FitnessSample
 
 
 def draw_fitness_sample(
@@ -138,19 +132,17 @@ def crossover(
     )
 
 
-def mutation_count(ref_len: int, fraction: float) -> int:
-    """Positions to replace: fraction of the length, half-up, never zero."""
-    return max(1, math.floor(fraction * ref_len + 0.5))
+def mutation_count(ref_len: int) -> int:
+    """Positions to replace: MUTATION_FRACTION of the length, half-up, never zero."""
+    return max(1, math.floor(MUTATION_FRACTION * ref_len + 0.5))
 
 
-def mutate(
-    chromosome: Chromosome, pool: GramPool, cfg: GaConfig, rng: random.Random
-) -> Chromosome:
+def mutate(chromosome: Chromosome, pool: GramPool, rng: random.Random) -> Chromosome:
     """Replace a fixed number of distinct positions with fresh pool draws."""
     if len(pool) == 0:
         raise ValueError("cannot mutate with an empty gram pool")
     length = len(chromosome.keys)
-    positions = rng.sample(range(length), mutation_count(length, cfg.mutation_fraction))
+    positions = rng.sample(range(length), mutation_count(length))
     keys = chromosome.keys.copy()
     keys[positions] = pool.keys[[rng.randrange(len(pool)) for _ in positions]]
     return Chromosome(keys)
@@ -196,8 +188,9 @@ def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
     seeded from the top tf-idf pool, and each generation pairs parents at
     random, crosses every pair, mutates every offspring, and keeps the
     best ``population_size`` of parents plus offspring. History records
-    generation 0 (the scored initial population) onward; the run stops at
-    ``max_generations`` or once best fitness reaches ``fitness_threshold``.
+    generation 0 (the scored initial population) onward; the run stops after
+    ``max_generations`` generations, or earlier once the best MAE is 0.0,
+    which no candidate can improve on.
     """
     corpus = list(corpus)
     if len(corpus) < cfg.sample_size:
@@ -216,7 +209,7 @@ def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
     history = [_stats(0, population, time.perf_counter() - start)]
 
     for generation in range(1, cfg.max_generations + 1):
-        if history[-1].best_mae <= cfg.fitness_threshold:
+        if history[-1].best_mae == 0.0:
             break
         start = time.perf_counter()
         order = list(range(len(population)))
@@ -224,11 +217,11 @@ def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
         offspring: list[Chromosome] = []
         for k in range(0, len(order) - 1, 2):
             first, second = crossover(population[order[k]], population[order[k + 1]], rng)
-            offspring.append(mutate(first, pool, cfg, rng))
-            offspring.append(mutate(second, pool, cfg, rng))
+            offspring.append(mutate(first, pool, rng))
+            offspring.append(mutate(second, pool, rng))
         for chromosome in offspring:
             chromosome.fitness = fitness(chromosome, sample, cfg.partitions)
         population = _select(population + offspring, cfg.population_size)
         history.append(_stats(generation, population, time.perf_counter() - start))
 
-    return EvolveResult(population[0], tuple(history), pool, sample)
+    return EvolveResult(population[0], tuple(history), pool)

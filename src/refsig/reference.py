@@ -85,6 +85,7 @@ class ReferenceText:
 
     def __init__(self, keys: np.ndarray, partitions: int):
         self.keys = np.array(keys, dtype=np.int64)
+        self.keys.flags.writeable = False  # the layout and fingerprint below are built once
         if not len(self.keys):
             raise ValueError("reference text needs at least one 3-gram")
         self.partitions = partitions
@@ -161,10 +162,7 @@ def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row is all-zero, exactly 1.0 where two non-zero rows are equal."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    dots = a @ b.T
-    denom = np.sqrt(np.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)))
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    np.minimum(sims, 1.0, out=sims)
+    sims = count_cosine(a @ b.T, np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
     # Equal rows land within a few ulps of 1.0, so only those entries are compared.
     rows, cols = np.nonzero(sims >= 1.0 - 1e-9)
     equal = (a[rows] == b[cols]).all(axis=1)

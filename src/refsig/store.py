@@ -111,12 +111,8 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
 
 
 def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
-    """All of :func:`iter_documents` as a list; rejects duplicate ids."""
-    docs = list(iter_documents(path, html_strip))
-    ids = [d.id for d in docs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("corpus produced duplicate document ids")
-    return docs
+    """All of :func:`iter_documents` as a list."""
+    return list(iter_documents(path, html_strip))
 
 
 @dataclass(frozen=True, eq=False)

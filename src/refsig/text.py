@@ -176,7 +176,8 @@ def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.nda
     ``sq_b``; a zero squared norm (an empty vector) scores 0.0. Integers
     below 2**53 are exact in float64 whatever order they were summed in,
     and sqrt(float(a) * float(b)) rounds as math.sqrt(a * b) does, so every
-    entry is bit-identical to :func:`cosine`.
+    entry is bit-identical to :func:`cosine`. Signature similarity feeds it
+    float dots and squared norms of signature rows.
     """
     denom = np.sqrt(np.multiply.outer(sq_a, sq_b))
     out = np.zeros(denom.shape)

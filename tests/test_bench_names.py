@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from refsig.cli import main
-from refsig.evaluate import SplitSpec, split_corpus
+from refsig.evaluate import split_corpus
 from refsig.reference import SIGN_BLOCK, ReferenceText, save_reference
 from refsig.store import ingest
 from refsig.text import gram_keys
@@ -129,7 +129,7 @@ def test_traced_train_counts_the_ga_and_the_pool(tmp_path):
     docs = ingest(str(corpus))
     distinct = 0
     for run in range(runs):
-        train, _ = split_corpus(docs, SplitSpec(rng_seed=seed + run))
+        train, _ = split_corpus(docs, seed + run)
         distinct += len(np.unique(np.concatenate([d.vector.keys for d in train])))
     work = tracer.work["tfidf.top_k"]
     assert work["requested"] == runs * k

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from refsig import cli
 from refsig.cli import build_parser, main
 from refsig.evaluate import dnd_scan
+from refsig.ga import GaConfig
 from refsig.reference import (
     SIGN_BLOCK,
     ReferenceText,
@@ -41,6 +44,32 @@ def test_train_defaults_mirror_standard_configuration():
     assert args.generations == 50
     assert args.runs == 10
     assert args.sample == 100
+
+
+class _Captured(Exception):
+    pass
+
+
+def _train_config(monkeypatch, corpus, *flags):
+    """The GaConfig that ``refsig train`` hands to cross_validate."""
+
+    def capture(docs, cfg, *rest, **options):
+        raise _Captured(cfg)
+
+    monkeypatch.setattr(cli, "cross_validate", capture)
+    with pytest.raises(_Captured) as caught:
+        _run("train", "--corpus", corpus, "--out", "ref.txt", *flags)
+    return caught.value.args[0]
+
+
+def test_every_ga_config_field_has_a_train_flag_with_its_default(tmp_path, monkeypatch):
+    corpus = _make_corpus(tmp_path, "one small document")
+    assert _train_config(monkeypatch, corpus) == GaConfig()
+    flags = ("--population", 7, "--ref-len", 11, "--partitions", 3, "--pool-size", 13,
+             "--generations", 2, "--sample", 5, "--seed", 9)
+    cfg = _train_config(monkeypatch, corpus, *flags)
+    unset = [f.name for f in fields(GaConfig) if getattr(cfg, f.name) == getattr(GaConfig(), f.name)]
+    assert unset == []
 
 
 def test_synth_layout(tmp_path, capsys):

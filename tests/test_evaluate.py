@@ -8,7 +8,6 @@ from refsig import evaluate
 from refsig.evaluate import (
     SCAN_HIT,
     ConfusionCounts,
-    SplitSpec,
     SyntheticCorpusSpec,
     confusion_from_hits,
     confusion_from_pairs,
@@ -109,7 +108,8 @@ def test_confusion_counts_reject_negative():
 def test_split_is_exact_partition():
     docs = _word_salad_docs(23, seed=2)
     for seed in range(5):
-        train, test = split_corpus(docs, SplitSpec(0.8, rng_seed=seed))
+        train, test = split_corpus(docs, seed)
+        assert len(train) == int(len(docs) * evaluate.TRAIN_FRACTION)
         assert len(train) + len(test) == len(docs)
         assert {d.id for d in train} | {d.id for d in test} == {d.id for d in docs}
         assert not ({d.id for d in train} & {d.id for d in test})
@@ -118,12 +118,10 @@ def test_split_is_exact_partition():
 
 def test_split_small_corpus_keeps_both_sides():
     docs = _word_salad_docs(2, seed=3)
-    train, test = split_corpus(docs, SplitSpec(0.9, rng_seed=0))
+    train, test = split_corpus(docs, 0)
     assert len(train) == 1 and len(test) == 1
     with pytest.raises(ValueError):
-        split_corpus(docs[:1], SplitSpec(0.8, 0))
-    with pytest.raises(ValueError):
-        SplitSpec(1.0, 0)
+        split_corpus(docs[:1], 0)
 
 
 def _tiny_cfg(seed=0):
@@ -140,7 +138,7 @@ def _tiny_cfg(seed=0):
 
 def test_cross_validate_single_run():
     docs = _word_salad_docs(14, seed=4)
-    result = cross_validate(docs, _tiny_cfg(), SplitSpec(0.8, rng_seed=1), runs=1)
+    result = cross_validate(docs, _tiny_cfg(seed=1), runs=1)
     assert result.winner_run == 0
     assert len(result.reports) == 1
     report = result.reports[0]
@@ -150,10 +148,25 @@ def test_cross_validate_single_run():
 
 def test_cross_validate_winner_is_argmin():
     docs = _word_salad_docs(14, seed=5)
-    result = cross_validate(docs, _tiny_cfg(), SplitSpec(0.8, rng_seed=2), runs=3)
+    result = cross_validate(docs, _tiny_cfg(seed=2), runs=3)
     holdouts = [r.holdout_mae for r in result.reports]
     assert result.winner_run == holdouts.index(min(holdouts))
     assert all(holdouts[result.winner_run] <= h for h in holdouts)
+
+
+def test_cross_validate_run_splits_and_evolves_with_seed_plus_run(monkeypatch):
+    docs = _word_salad_docs(14, seed=7)
+    seen = []
+    original = evaluate.evolve
+
+    def recording_evolve(train, cfg):
+        seen.append(([d.id for d in train], cfg.rng_seed))
+        return original(train, cfg)
+
+    monkeypatch.setattr(evaluate, "evolve", recording_evolve)
+    cross_validate(docs, _tiny_cfg(seed=5), runs=2)
+    expected = [([d.id for d in split_corpus(docs, 5 + r)[0]], 5 + r) for r in range(2)]
+    assert seen == expected
 
 
 def test_cross_validate_rejects_bad_runs():

@@ -76,6 +76,15 @@ def test_reference_validation():
         ReferenceText(_keys(["abc", "bcd"]), 0)
 
 
+def test_reference_keys_are_read_only():
+    keys = _keys(["abc", "bcd", "cde"])
+    ref = ReferenceText(keys, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        ref.keys[0] = _keys(["zzz"])[0]
+    keys[0] = _keys(["zzz"])[0]  # the caller's array is copied, not frozen
+    assert gram_strings(ref.keys) == ["abc", "bcd", "cde"]
+
+
 def test_sign_example():
     ref = ReferenceText(_keys(["abc", "bcd", "cde", "def"]), 2)
     doc = Document.from_raw("d", "abcde")
