@@ -15,8 +15,8 @@ from refsig import (
     cosine,
     extract_3grams,
     normalize,
-    sign,
-    signature_similarity,
+    pairwise_signature_similarity,
+    signature_matrix,
 )
 from refsig.text import gram_keys, gram_strings
 
@@ -52,17 +52,20 @@ for k, (lo, hi) in enumerate(zip(ref.starts, [*ref.starts[1:], len(ref)])):
 
 # --- signatures --------------------------------------------------------------
 
-sig_a, sig_b, sig_c = (sign(doc, ref) for doc in (a, b, c))
-print("\nsignature of a:", sig_a.scores.round(3).tolist())
-print("signature of b:", sig_b.scores.round(3).tolist())
-print("signature of c:", sig_c.scores.round(3).tolist())
+# Documents are signed together: one row of partition scores per document.
+sigs = signature_matrix([a, b, c], ref)
+sig_a, sig_b, sig_c = sigs
+print("\nsignature of a:", sig_a.round(3).tolist())
+print("signature of b:", sig_b.round(3).tolist())
+print("signature of c:", sig_c.round(3).tolist())
 
-print("\nsignature similarity a~b:", round(signature_similarity(sig_a, sig_b), 4))
-print("signature similarity a~c:", round(signature_similarity(sig_a, sig_c), 4))
+# Entry j compares a's signature with the signature of document j.
+sims = pairwise_signature_similarity(sigs[:1], sigs)[0].tolist()
+print("\nsignature similarity a~b:", round(sims[1], 4))
+print("signature similarity a~c:", round(sims[2], 4))
 
 # --- classification -----------------------------------------------------------
 
 cfg = ClassifierConfig(t1=0.99, t2=0.90)
-for name, other in [("b", sig_b), ("c", sig_c)]:
-    similarity = signature_similarity(sig_a, other)
+for name, similarity in [("b", sims[1]), ("c", sims[2])]:
     print(f"a vs {name}: {classify(similarity, cfg).value} (similarity {similarity:.4f})")

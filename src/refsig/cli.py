@@ -27,6 +27,7 @@ from .gramio import read_lines
 from .reference import (
     SIGN_BLOCK,
     ClassifierConfig,
+    SignatureMismatchError,
     Verdict,
     load_reference,
     save_reference,
@@ -129,11 +130,9 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     if args.ref:
         ref = load_reference(args.ref)
         if ref.fingerprint != db.fingerprint:
-            print(
-                f"error: database {args.db} was signed with a different reference text",
-                file=sys.stderr,
+            raise SignatureMismatchError(
+                f"database {args.db} was signed with a different reference text"
             )
-            return 1
     hits = dnd_scan(db, cfg)
     _write_tsv(args.out, ("id_a", "id_b", "similarity", "label"), _pair_rows(db.ids, hits))
     duplicates = int(hits["duplicate"].sum())
@@ -145,9 +144,6 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
     docs = ingest(args.corpus, args.html_strip)
-    if len(docs) < 2:
-        print("error: need at least 2 documents to evaluate", file=sys.stderr)
-        return 1
     if args.sample < len(docs):
         docs_sample = random.Random(args.seed).sample(docs, args.sample)
     else:

@@ -114,7 +114,7 @@ class CrossValidationResult:
 
 
 def cross_validate(
-    corpus: Sequence[Document], cfg: GaConfig, runs: int = 10
+    corpus: Sequence[Document], cfg: GaConfig, runs: int
 ) -> CrossValidationResult:
     """Repeat split-train-evaluate and keep the reference with the lowest
     held-out MAE.

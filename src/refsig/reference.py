@@ -21,7 +21,7 @@ from .text import Document, count_cosine, count_matrix
 
 
 class SignatureMismatchError(ValueError):
-    """Signatures bound to different reference texts were compared."""
+    """A signature matrix or database does not match its reference text."""
 
 
 def partition_sizes(length: int, parts: int) -> list[int]:
@@ -61,7 +61,7 @@ def partition_scores(
     starts: np.ndarray,
     part_sq: np.ndarray,
 ) -> np.ndarray:
-    """Signature rows from document counts laid out by :func:`partition_layout`.
+    """The signature rows of document counts laid out by :func:`partition_layout`.
 
     ``counts[i, positions[k]]`` is document i's count of the gram at
     reference position k, and ``sq_norms`` are the documents' squared
@@ -77,8 +77,8 @@ class ReferenceText:
 
     The partition layout (see :func:`partition_layout`) is computed once.
     The fingerprint is a content hash over the grams and the partition
-    count; signatures carry it so that scores produced against different
-    references can never be compared silently.
+    count; a signature database records it so that scores produced against
+    different references can never be compared silently.
     """
 
     __slots__ = ("keys", "partitions", "columns", "positions", "starts", "part_sq", "fingerprint")
@@ -109,19 +109,6 @@ def _serialize(ref: ReferenceText) -> str:
     return f"P={ref.partitions}\n" + key_lines(ref.keys)
 
 
-@dataclass(frozen=True, eq=False)
-class Signature:
-    """A document's fingerprint: one cosine score per reference partition."""
-
-    scores: np.ndarray
-    ref_fingerprint: str
-
-
-def sign(doc: Document, ref: ReferenceText) -> Signature:
-    """Score ``doc`` against every partition; empty documents sign all-zero."""
-    return Signature(signature_matrix([doc], ref)[0], ref.fingerprint)
-
-
 # Documents per count matrix in signature_matrix, and per block that
 # `refsig sign` reads and signs: it bounds the memory of both.
 SIGN_BLOCK = 64
@@ -141,20 +128,10 @@ def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray
     return out
 
 
-def signature_similarity(a: Signature, b: Signature) -> float:
-    """Cosine of two signature vectors; 0.0 when either is all-zero.
-
-    Raises SignatureMismatchError when the signatures were generated from
-    different reference texts.
-    """
-    if a.ref_fingerprint != b.ref_fingerprint:
-        raise SignatureMismatchError(
-            "signatures come from different reference texts "
-            f"({a.ref_fingerprint[:12]}... vs {b.ref_fingerprint[:12]}...)"
-        )
-    if len(a.scores) != len(b.scores):
-        raise SignatureMismatchError("signatures have different lengths")
-    return float(pairwise_signature_similarity(a.scores[None], b.scores[None])[0, 0])
+# Kept because the benchmark's tracer wraps it by name; the program signs with signature_matrix.
+def sign(doc: Document, ref: ReferenceText) -> np.ndarray:
+    """Score ``doc`` against every partition; empty documents sign all-zero."""
+    return signature_matrix([doc], ref)[0]
 
 
 def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,8 +150,8 @@ def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mean_signature_error(sig_matrix: np.ndarray, oracle: np.ndarray) -> float:
     """Mean absolute gap between signature similarity and exact cosine.
 
-    Averages |signature_similarity(i, j) - oracle[i, j]| over the
-    N(N-1)/2 unordered pairs.
+    Averages |sims[i, j] - oracle[i, j]| over the N(N-1)/2 unordered pairs,
+    where ``sims`` is :func:`pairwise_signature_similarity` of the rows.
     """
     n = sig_matrix.shape[0]
     if n < 2:

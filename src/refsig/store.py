@@ -93,21 +93,22 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
         entries = ((str(index), line) for index, line in enumerate(read_lines(path)))
     else:
         raise FileNotFoundError(f"corpus path does not exist: {path}")
-    empty: list[str] = []
+    empty = 0
+    shown_ids: list[str] = []  # the first ids that the warning names
     for doc_id, raw in entries:
         if html_strip:
             raw = strip_html(raw)
         doc = Document.from_raw(doc_id, raw)
         if doc.text == "":
-            empty.append(doc_id)
+            empty += 1
+            if empty <= _EMPTY_IDS_SHOWN:
+                shown_ids.append(doc_id)
         yield doc
     if empty:
-        shown = ", ".join(map(repr, empty[:_EMPTY_IDS_SHOWN]))
-        more = ", ..." if len(empty) > _EMPTY_IDS_SHOWN else ""
-        verb = "document is" if len(empty) == 1 else "documents are"
-        warnings.warn(
-            f"{len(empty)} {verb} empty after normalization: {shown}{more}", stacklevel=2
-        )
+        shown = ", ".join(map(repr, shown_ids))
+        more = ", ..." if empty > _EMPTY_IDS_SHOWN else ""
+        verb = "document is" if empty == 1 else "documents are"
+        warnings.warn(f"{empty} {verb} empty after normalization: {shown}{more}", stacklevel=2)
 
 
 def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
@@ -117,7 +118,7 @@ def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
 
 @dataclass(frozen=True, eq=False)
 class SignatureDb:
-    """Signature rows bound to one reference: ids and an (N, P) float32 matrix."""
+    """The signature rows of one reference: ids and an (N, P) float32 matrix."""
 
     fingerprint: str
     ids: tuple[str, ...]

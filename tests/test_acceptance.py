@@ -27,7 +27,6 @@ from refsig.reference import (
     ReferenceText,
     load_reference,
     pairwise_signature_similarity,
-    sign,
     signature_matrix,
 )
 from refsig.store import db_read, db_write
@@ -162,7 +161,7 @@ def test_criterion_4_planted_dnd_recall(tmp_path):
     assert min(planted_cosines) >= 0.85, "generator precondition violated"
 
     db_path = tmp_path / "sigs.db"
-    rows = np.array([sign(d, ref).scores for d in test_docs])
+    rows = signature_matrix(test_docs, ref)
     db_write(db_path, ref, [d.id for d in test_docs], rows)
     db = db_read(db_path)
     hits = dnd_scan(db, ClassifierConfig(t1=0.999, t2=0.93))

@@ -188,6 +188,16 @@ def test_missing_corpus_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, "the only document")
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["the", "onl", "doc"]), 3), ref)
+    assert _run("eval", "--ref", ref, "--corpus", corpus, "--out", tmp_path / "r.tsv") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: need at least 2 documents")
+    assert not (tmp_path / "r.tsv").exists()
+
+
 def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
     synthetic = tmp_path / "synthetic"
     assert _run("synth", "--bases", 40, "--near-dups", 12, "--dups", 8,

@@ -26,7 +26,6 @@ from refsig.reference import (
     Verdict,
     classify,
     pairwise_signature_similarity,
-    sign,
     signature_matrix,
 )
 from refsig.store import SignatureDb, db_read, db_write
@@ -230,7 +229,7 @@ def test_synthetic_deterministic():
 
 
 def _db_from(ref, docs):
-    scores = np.array([sign(d, ref).scores for d in docs], dtype="<f4")
+    scores = signature_matrix(docs, ref).astype("<f4")
     return SignatureDb(ref.fingerprint, tuple(d.id for d in docs), scores)
 
 

@@ -14,7 +14,7 @@ from refsig.ga import (
     mutate,
     mutation_count,
 )
-from refsig.reference import ReferenceText, sign, signature_similarity
+from refsig.reference import ReferenceText, pairwise_signature_similarity, signature_matrix
 from refsig.text import Document, cosine, gram_keys, gram_strings
 from refsig.tfidf import GramPool
 
@@ -170,7 +170,8 @@ def test_fitness_single_pair_formula():
     chromosome = Chromosome(_keys(("abc", "bcd", "cde", "def")))
     got = fitness(chromosome, sample, partitions=2)
     ref = ReferenceText(chromosome.keys, 2)
-    sim = signature_similarity(sign(docs[0], ref), sign(docs[1], ref))
+    rows = signature_matrix(docs, ref)
+    sim = pairwise_signature_similarity(rows[:1], rows[1:])[0, 0]
     oracle = cosine(docs[0].vector, docs[1].vector)
     assert got == pytest.approx(abs(sim - oracle), abs=1e-15)
 

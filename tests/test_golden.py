@@ -1,13 +1,14 @@
-"""Golden outputs: `refsig topk`, a small `refsig train`, and `refsig sign`
-and `refsig dedup` with that reference, at fixed seeds, must keep producing
-the same bytes from one commit to the next.
+"""Golden outputs: `refsig topk`, a small `refsig train`, and `refsig sign`,
+`refsig dedup` and `refsig eval --labels` with that reference, at fixed
+seeds, must keep producing the same bytes from one commit to the next.
 
 The pool, reference and history digests were recorded before grams became
 packed keys between the tf-idf ranking and the reference file; the db and
 pairs digests before a reference held packed keys instead of str grams. A
 representation change that alters a tie order, an RNG draw, the reference
 fingerprint in the db header or a file byte shows up here. The history is
-compared without its ``elapsed_s`` column, which is wall time.
+compared without its ``elapsed_s`` column, which is wall time, and the eval
+report without its ``dataset`` (the corpus path) and ``runtime_s`` cells.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ REF_SHA256 = "8543c41f27c5f63a464fc0757ebbeacd5232e59219a5a22f446110e655dbefb5"
 HISTORY_SHA256 = "19a8550b751a48444a36a65ee8cadf223f6a2ccaae5c48e360df6a2fd6569e54"
 DB_SHA256 = "dd3e4b67cc562fbfdee11cee3ae9bcdb69a6d5c9a41d44b43e33e1e395cf1398"
 PAIRS_SHA256 = "ff8590740403502318104b2dcfce0679201832cae7cd5641b6fdb57a145e948a"
+EVAL_SHA256 = "8e5e554bfd59d1306cbf94390600a441b1da57e7bdf340fa407be0120006b4b5"
 
 
 def _sha256(data: bytes) -> str:
@@ -68,3 +70,17 @@ def test_sign_db_and_dedup_pairs_bytes_are_pinned(tmp_path):
                  "--out", str(pairs)]) == 0
     assert _sha256(db.read_bytes()) == DB_SHA256
     assert _sha256(pairs.read_bytes()) == PAIRS_SHA256
+
+
+def test_eval_labels_report_bytes_are_pinned(tmp_path):
+    corpus = _corpus(tmp_path)
+    ref, _ = _train(tmp_path, corpus)
+    report = tmp_path / "report.tsv"
+    assert main(["eval", "--ref", str(ref), "--corpus", str(corpus), "--html-strip",
+                 "--labels", str(corpus.parent / "labels.tsv"), "--sample", "20",
+                 "--seed", "3", "--t1", "0.999", "--t2", "0.93", "--out", str(report)]) == 0
+    header, row = report.read_text(encoding="utf-8").splitlines()
+    cells = row.split("\t")
+    cells[0] = cells[-1] = ""
+    masked = header + "\n" + "\t".join(cells) + "\n"
+    assert _sha256(masked.encode("utf-8")) == EVAL_SHA256

@@ -73,7 +73,7 @@ def test_signature_matrix_and_sign_equal_cosine_loop(monkeypatch):
         expected = _cosine_rows(docs, GRAMS, partitions)
         assert signature_matrix(docs, ref).tobytes() == expected.tobytes()
         for doc, row in zip(docs, expected):
-            assert sign(doc, ref).scores.tobytes() == row.tobytes()
+            assert sign(doc, ref).tobytes() == row.tobytes()
         # several count-matrix blocks give the same rows
         monkeypatch.setattr(reference, "SIGN_BLOCK", 2)
         assert signature_matrix(docs[::-1], ref).tobytes() == expected[::-1].tobytes()

@@ -8,8 +8,6 @@ import pytest
 from refsig.reference import (
     ClassifierConfig,
     ReferenceText,
-    Signature,
-    SignatureMismatchError,
     Verdict,
     classify,
     load_reference,
@@ -18,9 +16,7 @@ from refsig.reference import (
     partition_layout,
     partition_sizes,
     save_reference,
-    sign,
     signature_matrix,
-    signature_similarity,
 )
 from refsig.text import Document, brute_force_pairwise, gram_keys, gram_strings
 
@@ -88,43 +84,44 @@ def test_reference_keys_are_read_only():
 def test_sign_example():
     ref = ReferenceText(_keys(["abc", "bcd", "cde", "def"]), 2)
     doc = Document.from_raw("d", "abcde")
-    sig = sign(doc, ref)
-    assert sig.scores[0] == pytest.approx(2 / math.sqrt(6), abs=1e-15)
-    assert sig.scores[1] == pytest.approx(1 / math.sqrt(6), abs=1e-15)
-    assert sig.ref_fingerprint == ref.fingerprint
+    (sig,) = signature_matrix([doc], ref)
+    assert sig[0] == pytest.approx(2 / math.sqrt(6), abs=1e-15)
+    assert sig[1] == pytest.approx(1 / math.sqrt(6), abs=1e-15)
 
 
 def test_sign_disjoint_and_empty():
     ref = ReferenceText(_keys(["abc", "bcd"]), 2)
-    assert sign(Document.from_raw("d", "xyzw"), ref).scores.tolist() == [0.0, 0.0]
-    assert sign(Document.from_raw("e", ""), ref).scores.tolist() == [0.0, 0.0]
+    docs = [Document.from_raw("d", "xyzw"), Document.from_raw("e", "")]
+    assert signature_matrix(docs, ref).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_sign_deterministic():
     ref = ReferenceText(_keys(["abc", "bcd", "cde"]), 3)
     doc1 = Document.from_raw("a", "some abc text")
     doc2 = Document.from_raw("b", "some abc text")
-    assert sign(doc1, ref).scores.tobytes() == sign(doc2, ref).scores.tobytes()
+    rows = signature_matrix([doc1, doc2], ref)
+    assert rows[0].tobytes() == rows[1].tobytes()
+
+
+def _similarity(a, b):
+    """Cosine of two 1-row signatures through the matrix kernel."""
+    return pairwise_signature_similarity(np.array([a]), np.array([b]))[0, 0]
 
 
 def test_signature_similarity_examples():
-    fp = "f" * 64
-    a = Signature(np.array([2 / math.sqrt(6), 1 / math.sqrt(6)]), fp)
-    b = Signature(np.array([1 / math.sqrt(6), 2 / math.sqrt(6)]), fp)
-    assert signature_similarity(a, a) == 1.0
-    assert signature_similarity(a, b) == pytest.approx(0.8, abs=1e-12)
-    ortho = Signature(np.array([0.0, 1.0]), fp)
-    assert signature_similarity(Signature(np.array([1.0, 0.0]), fp), ortho) == 0.0
-    zero = Signature(np.zeros(2), fp)
-    assert signature_similarity(zero, a) == 0.0
-    assert signature_similarity(zero, zero) == 0.0
+    a = [2 / math.sqrt(6), 1 / math.sqrt(6)]
+    b = [1 / math.sqrt(6), 2 / math.sqrt(6)]
+    assert _similarity(a, a) == 1.0
+    assert _similarity(a, b) == pytest.approx(0.8, abs=1e-12)
+    assert _similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert _similarity([0.0, 0.0], a) == 0.0
+    assert _similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
 
 
-def test_signature_similarity_rejects_foreign_fingerprint():
-    a = Signature(np.array([1.0, 0.0]), "a" * 64)
-    b = Signature(np.array([1.0, 0.0]), "b" * 64)
-    with pytest.raises(SignatureMismatchError):
-        signature_similarity(a, b)
+def _row_cosine(a, b):
+    """The scalar definition: dot over the product of norms, 0.0 for a zero row."""
+    norms = math.sqrt(math.fsum(x * x for x in a)) * math.sqrt(math.fsum(y * y for y in b))
+    return math.fsum(x * y for x, y in zip(a, b)) / norms if norms else 0.0
 
 
 def test_pairwise_matches_scalar():
@@ -135,13 +132,13 @@ def test_pairwise_matches_scalar():
     matrix[11] = matrix[5]
     matrix[11, 0] += 1e-6  # near-identical: within 1e-9 of 1.0, but not equal
     sims = pairwise_signature_similarity(matrix, matrix)
-    fp = "c" * 64
+    rows = matrix.tolist()
     for i in range(12):
         for j in range(12):
-            scalar = signature_similarity(Signature(matrix[i], fp), Signature(matrix[j], fp))
+            scalar = _row_cosine(rows[i], rows[j])
             assert abs(sims[i, j] - scalar) <= 1e-12
-            if i != 3 and (matrix[i] == matrix[j]).all():
-                assert sims[i, j] == 1.0 and scalar == 1.0
+            if i != 3 and rows[i] == rows[j]:
+                assert sims[i, j] == 1.0
     assert 1.0 - 1e-9 < sims[5, 11] < 1.0
 
 
@@ -161,7 +158,7 @@ def test_permutation_within_partition_is_invisible():
     ref_a = ReferenceText(_keys(["abc", "bcd", "cde", "def"]), 2)
     ref_b = ReferenceText(_keys(["bcd", "abc", "def", "cde"]), 2)  # swapped inside slices
     doc = Document.from_raw("d", "abcdefg")
-    assert sign(doc, ref_a).scores.tolist() == sign(doc, ref_b).scores.tolist()
+    assert signature_matrix([doc], ref_a).tolist() == signature_matrix([doc], ref_b).tolist()
 
 
 def test_mean_signature_error_shapes():
