@@ -16,7 +16,7 @@ from refsig import (
     ReferenceText,
     SyntheticCorpusSpec,
     Verdict,
-    confusion_from_pairs,
+    confusion_from_hits,
     db_read,
     db_write,
     dnd_scan,
@@ -70,12 +70,7 @@ for id_a, id_b, similarity, duplicate in duplicates[:3] + [r for r in rows if "n
 
 # --- score against the generator's ground truth --------------------------------
 
-n = len(target_docs)
-counts = confusion_from_pairs(
-    [(id_a, id_b) for id_a, id_b, _, _ in rows],
-    [(p.id_a, p.id_b) for p in truth_pairs],
-    total_pairs=n * (n - 1) // 2,
-)
+counts = confusion_from_hits(hits, db.ids, [(p.id_a, p.id_b) for p in truth_pairs])
 report = prf(counts)
 print(f"\nprecision {report.precision:.2f}  recall {report.recall:.2f}  "
       f"F1 {report.f1:.2f}  over {report.pair_count} pairs")

@@ -142,6 +142,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.sample < 2:
+        raise ValueError(f"--sample must be at least 2, got {args.sample}")
     ref = load_reference(args.ref)
     docs = ingest(args.corpus, args.html_strip)
     if args.sample < len(docs):
@@ -182,11 +184,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _read_label_pairs(path: str) -> list[tuple[str, str]]:
     """The positive pairs of an ``id_a id_b label`` TSV; ``distinct`` rows are skipped."""
+    labels = {v.value for v in Verdict}
     pairs = []
-    for line in islice(read_lines(path), 1, None):
+    for number, line in enumerate(islice(read_lines(path), 1, None), 2):
         parts = line.split("\t")
-        if len(parts) < 3 or parts[2] not in {v.value for v in Verdict}:
-            raise ValueError(f"{path}: bad label line {line!r}")
+        if len(parts) < 3 or parts[2] not in labels:
+            raise ValueError(f"{path}:{number}: bad label line {line!r}")
         if parts[2] != Verdict.DISTINCT.value:
             pairs.append((parts[0], parts[1]))
     return pairs
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("topk", help="extract the top-K tf-idf gram pool")
     add_corpus(p)
-    p.add_argument("--k", type=int, default=9000)
+    p.add_argument("--k", type=int, default=GaConfig.pool_size)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_topk)
 
@@ -277,12 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
-    p.add_argument("--bases", type=int, default=100)
-    p.add_argument("--near-dups", type=int, default=20)
-    p.add_argument("--dups", type=int, default=10)
-    p.add_argument("--edit-fraction", type=float, default=0.10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--words", type=int, default=160, help="words per document")
+    p.add_argument("--bases", type=int, default=SyntheticCorpusSpec.base_doc_count)
+    p.add_argument("--near-dups", type=int, default=SyntheticCorpusSpec.near_dup_count)
+    p.add_argument("--dups", type=int, default=SyntheticCorpusSpec.dup_count)
+    p.add_argument("--edit-fraction", type=float, default=SyntheticCorpusSpec.edit_fraction)
+    p.add_argument("--seed", type=int, default=SyntheticCorpusSpec.rng_seed)
+    p.add_argument("--words", type=int, default=SyntheticCorpusSpec.words_per_doc,
+                   help="words per document")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ga import EvolveResult, GaConfig, GenerationStats, evolve
+from .ga import DEFAULT_SEED, EvolveResult, GaConfig, GenerationStats, evolve
 from .reference import (
     ClassifierConfig,
     ReferenceText,
@@ -190,7 +190,7 @@ class SyntheticCorpusSpec:
     near_dup_count: int = 20
     dup_count: int = 10
     edit_fraction: float = 0.10
-    rng_seed: int = 0
+    rng_seed: int = DEFAULT_SEED
     words_per_doc: int = 160
 
     def __post_init__(self) -> None:

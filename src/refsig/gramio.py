@@ -4,10 +4,13 @@ Pool and reference files store one 3-gram per line. Printable characters
 are written literally; backslash, newline, and tab use two-character
 escapes, and all other non-printables are written as ``\\xHH`` escapes of
 their UTF-8 bytes. A line therefore decodes to exactly 3 characters.
+A ``\\x`` escape takes exactly two hex digits, in either case; any other
+use of a backslash is rejected with its column.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -16,7 +19,13 @@ import numpy as np
 from .text import NGRAM_SIZE, gram_keys, gram_strings
 
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t"}
-_UNESCAPES = {"n": 0x0A, "t": 0x09, "\\": 0x5C}
+# A valid line: any character but a backslash, or an escape \\ \n \t \xHH.
+_LINE = re.compile(r"(?:[^\\]|\\[\\nt]|\\x[0-9a-fA-F]{2})*")
+_ESCAPE = re.compile(rb"\\(?:x..|.)")
+# The byte of each escape, keyed in lower case: hex digits match in either case.
+_ESCAPED_BYTES = {b"\\\\": b"\\", b"\\n": b"\n", b"\\t": b"\t"} | {
+    b"\\x%02x" % byte: bytes([byte]) for byte in range(256)
+}
 
 
 def escape_gram(gram: str) -> str:
@@ -37,41 +46,21 @@ def escape_gram(gram: str) -> str:
     return "".join(out)
 
 
-def unescape_gram(line: str) -> str:
-    buf = bytearray()
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch != "\\":
-            buf.extend(ch.encode("utf-8"))
-            i += 1
-            continue
-        if i + 1 >= len(line):
-            raise ValueError(f"dangling escape at end of line {line!r}")
-        nxt = line[i + 1]
-        if nxt in _UNESCAPES:
-            buf.append(_UNESCAPES[nxt])
-            i += 2
-        elif nxt == "x":
-            hex_digits = line[i + 2 : i + 4]
-            if len(hex_digits) != 2:
-                raise ValueError(f"truncated \\x escape in line {line!r}")
-            try:
-                buf.append(int(hex_digits, 16))
-            except ValueError:
-                raise ValueError(f"bad \\x escape {hex_digits!r} in line {line!r}") from None
-            i += 4
-        else:
-            raise ValueError(f"unknown escape \\{nxt} in line {line!r}")
-    try:
-        return buf.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"line {line!r} does not decode to UTF-8 text: {exc}") from None
-
-
 def parse_gram_line(line: str) -> str:
-    """Unescape one line and check it is exactly one 3-gram."""
-    gram = unescape_gram(line)
+    """Decode one escaped line and check it is exactly one 3-gram."""
+    try:
+        raw = line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"lone surrogate at column {exc.start + 1} of line {line!r}") from None
+    gram = line  # a line with no escape is its own gram
+    if b"\\" in raw:
+        valid = _LINE.match(line).end()
+        if valid < len(line):
+            raise ValueError(f"bad escape at column {valid + 1} of line {line!r}")
+        try:
+            gram = _ESCAPE.sub(lambda m: _ESCAPED_BYTES[m[0].lower()], raw).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {line!r} does not decode to UTF-8 text: {exc}") from None
     if len(gram) != NGRAM_SIZE:
         raise ValueError(f"line {line!r} decodes to {len(gram)} characters, expected {NGRAM_SIZE}")
     return gram

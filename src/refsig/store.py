@@ -25,6 +25,8 @@ from .text import Document
 _DB_MAGIC = "refsig-db 1"
 _WRITER = "refsig/0.1.0"
 _DIGEST_BYTES = 32
+# An id holds no NUL (it pads records) and no tab or newline (they delimit pairs.tsv).
+_ID_FORBIDDEN = {"\x00": "a NUL byte", "\t": "a tab", "\n": "a newline"}
 SCORE_DTYPE = "<f4"
 
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -147,9 +149,10 @@ def db_write(
         raise SignatureMismatchError(f"signature matrix has shape {np.shape(scores)}, not {shape}")
     if "" in ids:
         raise ValueError("document id is empty")
-    nul = [doc_id for doc_id in ids if "\x00" in doc_id]
-    if nul:
-        raise ValueError(f"document id {nul[0]!r} contains a NUL byte")
+    for char, name in _ID_FORBIDDEN.items():
+        bad = next((doc_id for doc_id in ids if char in doc_id), None)
+        if bad is not None:
+            raise ValueError(f"document id {bad!r} contains {name}")
     if len(set(ids)) != len(ids):
         dup = next(a for a, b in zip(sorted(ids), sorted(ids)[1:]) if a == b)
         raise ValueError(f"duplicate document id {dup!r}")

@@ -5,7 +5,7 @@ import pytest
 
 from refsig import cli
 from refsig.cli import build_parser, main
-from refsig.evaluate import dnd_scan
+from refsig.evaluate import SyntheticCorpusSpec, dnd_scan
 from refsig.ga import GaConfig
 from refsig.reference import (
     SIGN_BLOCK,
@@ -70,6 +70,33 @@ def test_every_ga_config_field_has_a_train_flag_with_its_default(tmp_path, monke
     cfg = _train_config(monkeypatch, corpus, *flags)
     unset = [f.name for f in fields(GaConfig) if getattr(cfg, f.name) == getattr(GaConfig(), f.name)]
     assert unset == []
+
+
+def _synth_spec(monkeypatch, *flags):
+    """The SyntheticCorpusSpec that ``refsig synth`` hands to the generator."""
+
+    def capture(spec):
+        raise _Captured(spec)
+
+    monkeypatch.setattr(cli, "generate_synthetic_corpus", capture)
+    with pytest.raises(_Captured) as caught:
+        _run("synth", "--out", "synthetic", *flags)
+    return caught.value.args[0]
+
+
+def test_every_synth_spec_field_has_a_synth_flag_with_its_default(monkeypatch):
+    assert _synth_spec(monkeypatch) == SyntheticCorpusSpec()
+    flags = ("--bases", 7, "--near-dups", 3, "--dups", 2, "--edit-fraction", 0.25,
+             "--seed", 9, "--words", 40)
+    spec = _synth_spec(monkeypatch, *flags)
+    default = SyntheticCorpusSpec()
+    unset = [f.name for f in fields(spec) if getattr(spec, f.name) == getattr(default, f.name)]
+    assert unset == []
+
+
+def test_topk_default_k_is_the_pool_size():
+    args = build_parser().parse_args(["topk", "--corpus", "x", "--out", "pool.txt"])
+    assert args.k == GaConfig.pool_size
 
 
 def test_synth_layout(tmp_path, capsys):
@@ -198,6 +225,32 @@ def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "r.tsv").exists()
 
 
+@pytest.mark.parametrize("sample", [1, 0, -1])
+def test_eval_sample_below_two_fails_naming_the_flag(tmp_path, capsys, sample):
+    corpus = _make_corpus(tmp_path, *(f"document number {i}" for i in range(5)))
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["doc", "ume", "num"]), 3), ref)
+    assert _run("eval", "--ref", ref, "--corpus", corpus, "--sample", sample,
+                "--out", tmp_path / "r.tsv") == 1
+    assert capsys.readouterr().err == f"error: --sample must be at least 2, got {sample}\n"
+    assert not (tmp_path / "r.tsv").exists()
+
+
+def test_eval_bad_label_line_is_named_by_file_and_line(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, "the first document", "the second document")
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["the", "doc", "ume"]), 3), ref)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tdistinct\n"
+                      "doc-0.txt\tdoc-1.txt\tduplicate\ndoc-0.txt\tdoc-1.txt\tsame\n",
+                      encoding="utf-8")
+    assert _run("eval", "--ref", ref, "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "r.tsv") == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}:4: bad label line 'doc-0.txt\\tdoc-1.txt\\tsame'\n"
+    )
+
+
 def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
     synthetic = tmp_path / "synthetic"
     assert _run("synth", "--bases", 40, "--near-dups", 12, "--dups", 8,
@@ -287,6 +340,16 @@ def _sign_reference(tmp_path):
     path = tmp_path / "ref.txt"
     save_reference(ref, path)
     return ref, path
+
+
+@pytest.mark.parametrize("name, named", [("a\tb.txt", "a tab"), ("a\nb.txt", "a newline")])
+def test_sign_rejects_an_id_that_pairs_tsv_cannot_hold(tmp_path, capsys, name, named):
+    _, ref = _sign_reference(tmp_path)
+    corpus = _make_corpus(tmp_path, "the quick fox", "the lazy dog")
+    (corpus / name).write_text("the quick dog", encoding="utf-8")
+    assert _run("sign", "--ref", ref, "--corpus", corpus, "--out", tmp_path / "s.db") == 1
+    assert capsys.readouterr().err == f"error: document id {name!r} contains {named}\n"
+    assert not (tmp_path / "s.db").exists()
 
 
 def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):

@@ -33,6 +33,30 @@ def test_gram_line_round_trip(gram):
     assert parse_gram_line(line) == gram
 
 
+# Lines near the grammar: characters, escapes of one character each, and
+# broken escapes, among them what a loose hex parse would take.
+_line = st.lists(
+    st.one_of(
+        _char,
+        st.sampled_from(["\\\\", "\\n", "\\t", "\\x00", "\\x7F", "\\xc3\\xA9", "\\xe4\\xb8\\xad"]),
+        st.sampled_from(["\\", "\\x", "\\x+1", "\\x 1", "\\x-1", "\\q", "\\xff", "\\xc3"]),
+    ),
+    min_size=2,
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _line))
+def test_any_line_parses_to_a_gram_that_escapes_back_or_is_rejected(line):
+    try:
+        gram = parse_gram_line(line)
+    except ValueError:
+        return
+    assert len(gram) == 3
+    assert parse_gram_line(escape_gram(gram)) == gram
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_gram, min_size=1, max_size=30), st.data())
 def test_reference_file_round_trip(grams, data):
@@ -45,7 +69,9 @@ def test_reference_file_round_trip(grams, data):
     assert loaded.fingerprint == ref.fingerprint
 
 
-_id = st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+# Ids a database can hold: no NUL, which pads them, and no tab or newline,
+# which delimit pairs.tsv.
+_id = st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="\x00\t\n"),
               min_size=1, max_size=12)
 _score = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
