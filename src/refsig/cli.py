@@ -33,7 +33,15 @@ from .reference import (
     save_reference,
     signature_matrix,
 )
-from .store import SCORE_DTYPE, SignatureDb, db_read, db_write, ingest, iter_documents
+from .store import (
+    SCORE_DTYPE,
+    SignatureDb,
+    check_ids,
+    db_read,
+    db_write,
+    ingest,
+    iter_documents,
+)
 from .tfidf import save_pool, score_grams, top_k
 
 _REPORT_COLUMNS = (
@@ -70,8 +78,7 @@ def _pair_rows(ids: tuple[str, ...], hits: np.ndarray) -> Iterator[tuple[str, st
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
-    docs = ingest(args.corpus, args.html_strip)
-    pool = top_k(score_grams(docs), args.k)
+    pool = top_k(score_grams(iter_documents(args.corpus, args.html_strip)), args.k)
     save_pool(pool, args.out)
     note = " (corpus exhausted)" if pool.underfilled else ""
     print(f"wrote {len(pool)} grams to {args.out}{note}")
@@ -115,9 +122,12 @@ def cmd_sign(args: argparse.Namespace) -> int:
     docs = iter_documents(args.corpus, args.html_strip)
     # Only one block of documents is held at a time; their signature rows are kept.
     ids: list[str] = []
+    seen: set[str] = set()
     blocks = [np.empty((0, ref.partitions), SCORE_DTYPE)]
     while block := list(islice(docs, SIGN_BLOCK)):
-        ids.extend(doc.id for doc in block)
+        block_ids = [doc.id for doc in block]
+        check_ids(block_ids, seen)  # a bad id fails before its block is signed
+        ids.extend(block_ids)
         blocks.append(signature_matrix(block, ref).astype(SCORE_DTYPE))
     db_write(args.out, ref, ids, np.concatenate(blocks))
     print(f"signed {len(ids)} documents into {args.out}")

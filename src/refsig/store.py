@@ -139,6 +139,25 @@ def _record_dtype(id_bytes: int, partitions: int) -> np.dtype:
     return np.dtype([("id", f"S{id_bytes}"), ("scores", SCORE_DTYPE, (partitions,))])
 
 
+def check_ids(ids: Sequence[str], seen: set[str]) -> None:
+    """Raise ValueError naming a bad id of ``ids``: an empty one, one holding
+    a NUL, tab or newline, or the least id that repeats within ``ids`` or
+    is already in ``seen``. ``seen`` then gains ``ids``, so a corpus checked
+    one block at a time is held to what one check of all its ids demands."""
+    if "" in ids:
+        raise ValueError("document id is empty")
+    for char, name in _ID_FORBIDDEN.items():
+        bad = next((doc_id for doc_id in ids if char in doc_id), None)
+        if bad is not None:
+            raise ValueError(f"document id {bad!r} contains {name}")
+    fresh = set(ids)
+    if len(fresh) != len(ids) or not seen.isdisjoint(fresh):
+        ordered = sorted(ids)
+        repeats = {a for a, b in zip(ordered, ordered[1:]) if a == b} | (fresh & seen)
+        raise ValueError(f"duplicate document id {min(repeats)!r}")
+    seen |= fresh
+
+
 def db_write(
     path: str | Path, ref: ReferenceText, ids: Sequence[str], scores: np.ndarray
 ) -> None:
@@ -147,15 +166,7 @@ def db_write(
     shape = (len(ids), ref.partitions)
     if np.shape(scores) != shape:
         raise SignatureMismatchError(f"signature matrix has shape {np.shape(scores)}, not {shape}")
-    if "" in ids:
-        raise ValueError("document id is empty")
-    for char, name in _ID_FORBIDDEN.items():
-        bad = next((doc_id for doc_id in ids if char in doc_id), None)
-        if bad is not None:
-            raise ValueError(f"document id {bad!r} contains {name}")
-    if len(set(ids)) != len(ids):
-        dup = next(a for a, b in zip(sorted(ids), sorted(ids)[1:]) if a == b)
-        raise ValueError(f"duplicate document id {dup!r}")
+    check_ids(ids, set())
     raw_ids = [doc_id.encode("utf-8") for doc_id in ids]
     id_bytes = max(map(len, raw_ids), default=1)
     records = np.zeros(len(raw_ids), dtype=_record_dtype(id_bytes, ref.partitions))

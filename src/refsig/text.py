@@ -122,15 +122,21 @@ class SparseNGramVector:
         return f"SparseNGramVector({len(self.keys)} grams, sq_norm={self.sq_norm})"
 
 
-def _sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``keys``, ascending, and how often each occurs:
-    ``np.unique(keys, return_counts=True)`` as one sort and its run lengths."""
-    keys = np.sort(keys)
+def run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, and then
+    ``len(keys)``: run i is ``keys[bounds[i]:bounds[i + 1]]``."""
     # edges[i] marks where a run starts (or, at len(keys), where the last ends).
     edges = np.empty(len(keys) + 1, bool)
     edges[0] = edges[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
-    bounds = edges.nonzero()[0]
+    return edges.nonzero()[0]
+
+
+def _sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys``, ascending, and how often each occurs:
+    ``np.unique(keys, return_counts=True)`` as one sort and its run lengths."""
+    keys = np.sort(keys)
+    bounds = run_bounds(keys)
     return keys[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
@@ -227,7 +233,8 @@ def brute_force_pairwise(corpus: Sequence[Document]) -> np.ndarray:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
     rows, keys, counts = count_cells(corpus)
-    vocab, cols = np.unique(keys, return_inverse=True)
+    vocab = _sorted_counts(keys)[0]  # one sort, where np.unique would argsort or hash
+    cols = np.searchsorted(vocab, keys)
     dots = np.zeros((n, n))
     block = np.empty((n, min(ORACLE_BLOCK, len(vocab))))
     for lo in range(0, len(vocab), ORACLE_BLOCK):

@@ -352,6 +352,26 @@ def test_sign_rejects_an_id_that_pairs_tsv_cannot_hold(tmp_path, capsys, name, n
     assert not (tmp_path / "s.db").exists()
 
 
+def test_sign_rejects_a_bad_id_before_signing_its_block(tmp_path, capsys, monkeypatch):
+    _, ref = _sign_reference(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(2 * SIGN_BLOCK + 5):
+        (corpus / f"doc-{i:03d}.txt").write_text(f"the quick fox {i}", encoding="utf-8")
+    (corpus / "a\tb.txt").write_text("the lazy dog", encoding="utf-8")  # sorts first
+    block_sizes = []
+
+    def recording_matrix(docs, reference):
+        block_sizes.append(len(docs))
+        return signature_matrix(docs, reference)
+
+    monkeypatch.setattr(cli, "signature_matrix", recording_matrix)
+    assert _run("sign", "--ref", ref, "--corpus", corpus, "--out", tmp_path / "s.db") == 1
+    assert capsys.readouterr().err == "error: document id 'a\\tb.txt' contains a tab\n"
+    assert len(block_sizes) <= 1
+    assert not (tmp_path / "s.db").exists()
+
+
 def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
     ref, ref_path = _sign_reference(tmp_path)
     corpus = tmp_path / "corpus"

@@ -16,6 +16,8 @@ import hashlib
 from refsig.cli import main
 
 POOL_SHA256 = "d50ed27e8d8b9a713bd25f4fd89134a7ba56faf4cd625fc46201f31237d740e1"
+# Recorded while `score_grams` still counted the whole corpus in one pass.
+BLOCKS_POOL_SHA256 = "e2fe2711c5f74c9d36b97de3c9f0573f188ce0033801700925e83d5b8194c280"
 REF_SHA256 = "8543c41f27c5f63a464fc0757ebbeacd5232e59219a5a22f446110e655dbefb5"
 HISTORY_SHA256 = "19a8550b751a48444a36a65ee8cadf223f6a2ccaae5c48e360df6a2fd6569e54"
 DB_SHA256 = "dd3e4b67cc562fbfdee11cee3ae9bcdb69a6d5c9a41d44b43e33e1e395cf1398"
@@ -41,6 +43,18 @@ def test_topk_pool_bytes_are_pinned(tmp_path):
     # k = 700 cuts through a group of tied scores on this corpus.
     assert main(["topk", "--corpus", str(corpus), "--k", "700", "--out", str(pool)]) == 0
     assert _sha256(pool.read_bytes()) == POOL_SHA256
+
+
+def test_topk_pool_bytes_over_several_blocks_are_pinned(tmp_path):
+    # 210 documents: `score_grams` counts them in four blocks of SIGN_BLOCK.
+    out = tmp_path / "synthetic"
+    assert main(["synth", "--bases", "150", "--near-dups", "40", "--dups", "20",
+                 "--edit-fraction", "0.1", "--seed", "9", "--words", "40",
+                 "--out", str(out)]) == 0
+    pool = tmp_path / "pool.txt"
+    # k = 2000 cuts through a group of tied scores on this corpus.
+    assert main(["topk", "--corpus", str(out / "docs"), "--k", "2000", "--out", str(pool)]) == 0
+    assert _sha256(pool.read_bytes()) == BLOCKS_POOL_SHA256
 
 
 def _train(tmp_path, corpus):

@@ -2,7 +2,9 @@
 
 ``refsig sign`` holds one block of documents at a time, from a directory
 or a records file, so its peak grows with the signatures (P floats per
-document), not with the documents' text and gram vectors. ``refsig dedup``
+document), not with the documents' text and gram vectors. ``refsig topk``
+reads its corpus the same way and keeps integer counts per distinct gram,
+so its peak grows with the corpus vocabulary, not with the documents. ``refsig dedup``
 keeps its hits as arrays and writes them a slice at a time, and ``refsig
 eval --labels`` matches them against the labels as arrays of row pairs, so
 their peaks grow by tens of bytes per hit, not by a Python object per hit.
@@ -76,12 +78,16 @@ def _texts(n: int, vocab: list[str], rng: random.Random):
         yield " ".join(rng.choices(vocab, k=DOC_CHARS // 6))
 
 
+def _vocab(rng: random.Random) -> list[str]:
+    return ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 8)))
+            for _ in range(5000)]
+
+
 def _sign_growth_kb(tmp_path: Path, write_corpus, large: int) -> int:
     rng = random.Random(0)
-    letters = string.ascii_lowercase
-    vocab = ["".join(rng.choices(letters, k=rng.randint(2, 8))) for _ in range(5000)]
+    vocab = _vocab(rng)
     ref = tmp_path / "ref.txt"
-    grams = ["".join(rng.choices(letters, k=3)) for _ in range(200)]
+    grams = ["".join(rng.choices(string.ascii_lowercase, k=3)) for _ in range(200)]
     save_reference(ReferenceText(_keys(grams), 10), ref)
     peaks = []
     for n in (SMALL, large):
@@ -114,6 +120,19 @@ def test_sign_records_file_peak_memory_grows_with_signatures_not_file(tmp_path):
     assert growth < GROWTH_BOUND_KB, (
         f"peak grew {growth} kB from {SMALL} to {LARGE_RECORDS} records"
     )
+
+
+@needs_proc
+def test_topk_peak_memory_grows_with_grams_not_documents(tmp_path):
+    rng = random.Random(0)
+    vocab = _vocab(rng)
+    peaks = []
+    for n in (SMALL, LARGE):
+        corpus = tmp_path / f"corpus-{n}"
+        _write_directory(corpus, _texts(n, vocab, rng))
+        peaks.append(_peak_kb("topk", "--corpus", corpus, "--out", tmp_path / f"pool-{n}.txt"))
+    growth = peaks[1] - peaks[0]
+    assert growth < GROWTH_BOUND_KB, f"peak grew {growth} kB from {SMALL} to {LARGE} documents"
 
 
 @needs_proc

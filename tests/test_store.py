@@ -7,6 +7,7 @@ from refsig.reference import ReferenceText, SignatureMismatchError, signature_ma
 from refsig.store import (
     CorruptDbError,
     SignatureDb,
+    check_ids,
     db_read,
     db_write,
     ingest,
@@ -209,6 +210,27 @@ def test_db_rejects_duplicate_ids(tmp_path):
     ref, ids, rows = _ref_and_sigs(["one doc here"])
     with pytest.raises(ValueError, match="duplicate"):
         db_write(tmp_path / "bad.db", ref, [ids[0], ids[0]], rows[[0, 0]])
+
+
+@pytest.mark.parametrize("first, second, whole, blocked", [
+    (["c", "a", "d"], ["b", "a", "e"], "duplicate document id 'a'", "duplicate document id 'a'"),
+    (["ok"], ["x\x00"], *["document id 'x\\x00' contains a NUL byte"] * 2),
+    # Where both blocks hold a bad id, one check of all ids names the empty
+    # id or the least repeat, and a check per block the first bad block's
+    # first problem.
+    (["a\tb", "c"], ["", "d"], "document id is empty", "document id 'a\\tb' contains a tab"),
+    (["b", "b"], ["a", "a"], "duplicate document id 'a'", "duplicate document id 'b'"),
+])
+def test_check_ids_block_by_block(tmp_path, first, second, whole, blocked):
+    ids, ref = first + second, ReferenceText(gram_keys("abc"), 1)
+    with pytest.raises(ValueError) as exc:
+        db_write(tmp_path / "x.db", ref, ids, np.zeros((len(ids), 1)))
+    assert str(exc.value) == whole
+    seen: set[str] = set()
+    with pytest.raises(ValueError) as exc:
+        check_ids(first, seen)
+        check_ids(second, seen)
+    assert str(exc.value) == blocked
 
 
 def test_db_rejects_nondb_file(tmp_path):

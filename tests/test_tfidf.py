@@ -2,9 +2,12 @@ import math
 import random
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from refsig.text import Document, gram_keys, gram_strings
+from refsig import tfidf
+from refsig.reference import SIGN_BLOCK
+from refsig.text import Document, count_cells, gram_keys, gram_strings
 from refsig.tfidf import GramPool, load_pool, save_pool, score_grams, top_k
 
 
@@ -108,8 +111,68 @@ def test_top_k_validates_k():
 
 
 def test_score_grams_rejects_empty_corpus():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot score an empty corpus"):
         score_grams([])
+    with pytest.raises(ValueError, match="cannot score an empty corpus"):
+        score_grams(doc for doc in [])
+
+
+def _one_shot_score_grams(corpus):
+    """score_grams counted in one pass over every (document, gram) cell."""
+    n = len(corpus)
+    _, keys, counts = count_cells(corpus)
+    grams, cols = np.unique(keys, return_inverse=True)
+    tf = np.bincount(cols, weights=counts)
+    df = np.bincount(cols)
+    df_values, df_index = np.unique(df, return_inverse=True)
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])
+    score = tf * idf[df_index]
+    order = np.lexsort((grams, -score))
+    return grams[order], score[order], df[order]
+
+
+def _assert_scores_one_shot(docs, stream):
+    ranked = score_grams(iter(docs) if stream else docs)
+    for got, want in zip(ranked, _one_shot_score_grams(docs)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, SIGN_BLOCK - 1, SIGN_BLOCK, SIGN_BLOCK + 1, 200])
+@pytest.mark.parametrize("stream", [False, True])
+def test_blocked_counts_equal_one_shot_counts(n, stream):
+    rng = random.Random(n)
+    texts = []
+    for i in range(n):
+        text = "".join(rng.choice("abcde ") for _ in range(rng.randint(0, 80)))
+        if i >= 2 * SIGN_BLOCK:  # grams that no earlier block holds
+            text += " " + "".join(rng.choice("xyzéü") for _ in range(rng.randint(3, 12)))
+        texts.append(text)
+    docs = _docs(*texts)
+    _assert_scores_one_shot(docs, stream)
+
+
+# 200 Cyrillic letters make nearly every gram new, so the vocabulary
+# outgrows one block's cells and several blocks wait before a merge.
+_WIDE_ALPHABET = "".join(chr(0x430 + i) for i in range(200)) + " "
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_blocked_counts_merge_waiting_blocks_into_a_wide_vocabulary(stream, monkeypatch):
+    rng = random.Random(7)
+    texts = ["".join(rng.choice(_WIDE_ALPHABET) for _ in range(rng.randint(0, 40)))
+             + " common words" for _ in range(8 * SIGN_BLOCK + 3)]
+    docs = _docs(*texts)
+    merges = []  # (grams already merged, blocks waiting) per merge
+    merge = tfidf._merge_counts
+
+    def recording_merge(merged, cells, counts):
+        merges.append((len(merged[0]), len(cells)))
+        return merge(merged, cells, counts)
+
+    monkeypatch.setattr(tfidf, "_merge_counts", recording_merge)
+    _assert_scores_one_shot(docs, stream)
+    assert any(grams > 0 and waiting >= 2 for grams, waiting in merges), merges
 
 
 def test_pool_rejects_duplicates(tmp_path):
