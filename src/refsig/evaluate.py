@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .reference import (
     signature_matrix,
 )
 from .store import SignatureDb
-from .text import Document, brute_force_pairwise, key_columns
+from .text import Document, brute_force_pairwise, key_columns, sorted_counts
 
 
 def mae(ref: ReferenceText, docs: Sequence[Document]) -> float:
@@ -42,14 +42,9 @@ class ConfusionCounts:
     true_negatives: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("true_positives", self.true_positives),
-            ("false_positives", self.false_positives),
-            ("false_negatives", self.false_negatives),
-            ("true_negatives", self.true_negatives),
-        ):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        for field in fields(self):
+            if (value := getattr(self, field.name)) < 0:
+                raise ValueError(f"{field.name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -329,7 +324,7 @@ def confusion_from_hits(
             codes.append(i * n + j)
         else:
             outside.add(tuple(sorted((a, b))))
-    truth_codes = np.unique(np.array(codes, dtype=np.int64))
+    truth_codes = sorted_counts(np.array(codes, dtype=np.int64))[0]
     predicted = np.minimum(hits["first"], hits["second"], dtype=np.int64)
     predicted *= n
     predicted += np.maximum(hits["first"], hits["second"])

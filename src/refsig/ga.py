@@ -20,7 +20,7 @@ import numpy as np
 
 from .gramio import key_lines
 from .reference import mean_signature_error, partition_layout, partition_scores
-from .text import Document, brute_force_pairwise, count_matrix, key_columns
+from .text import Document, count_cosine, count_matrix, key_columns, sorted_counts
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -94,15 +94,16 @@ class EvolveResult:
 def draw_fitness_sample(
     corpus: Sequence[Document], size: int, rng: random.Random
 ) -> FitnessSample:
-    """Pick ``size`` documents without replacement and precompute their oracle."""
+    """Pick ``size`` documents without replacement; the oracle is their counts' Gram product."""
     if size < 2:
         raise ValueError("fitness sample needs at least 2 documents")
     if len(corpus) < size:
         raise ValueError(f"corpus has {len(corpus)} documents, sample needs {size}")
     docs = tuple(rng.sample(list(corpus), size))
-    vocab = np.unique(np.concatenate([doc.vector.keys for doc in docs]))
+    vocab = sorted_counts(np.concatenate([doc.vector.keys for doc in docs]))[0]
     counts, sq_norms = count_matrix(docs, vocab)
-    return FitnessSample(docs, brute_force_pairwise(docs), vocab, counts, sq_norms)
+    oracle = count_cosine(counts @ counts.T, sq_norms, sq_norms)
+    return FitnessSample(docs, oracle, vocab, counts, sq_norms)
 
 
 def init_population(pool: GramPool, cfg: GaConfig, rng: random.Random) -> list[Chromosome]:

@@ -120,11 +120,20 @@ def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
 
 @dataclass(frozen=True, eq=False)
 class SignatureDb:
-    """The signature rows of one reference: ids and an (N, P) float32 matrix."""
+    """The signature rows of one reference: ids and an (N, P) float32 matrix.
+    Building one checks the ids and rows, of a db read, written or made in memory alike."""
 
     fingerprint: str
     ids: tuple[str, ...]
     scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_ids(self.ids, set())
+        if self.scores.ndim != 2 or len(self.scores) != len(self.ids):
+            raise ValueError(f"scores have shape {self.scores.shape}, not ({len(self.ids)}, P)")
+        finite = np.isfinite(self.scores).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"record {self.ids[int(np.argmin(finite))]!r} has a non-finite score")
 
     @property
     def partitions(self) -> int:
@@ -161,21 +170,17 @@ def check_ids(ids: Sequence[str], seen: set[str]) -> None:
 def db_write(
     path: str | Path, ref: ReferenceText, ids: Sequence[str], scores: np.ndarray
 ) -> None:
-    """Persist the (N, P) signature rows of ``ids`` as float32; a matrix of
-    any shape but ``(len(ids), ref.partitions)`` was not signed with ``ref``."""
+    """Persist the (N, P) signature rows of ``ids`` as a float32 :class:`SignatureDb`;
+    a matrix of any shape but ``(len(ids), ref.partitions)`` was not signed with ``ref``."""
     shape = (len(ids), ref.partitions)
     if np.shape(scores) != shape:
         raise SignatureMismatchError(f"signature matrix has shape {np.shape(scores)}, not {shape}")
-    check_ids(ids, set())
     raw_ids = [doc_id.encode("utf-8") for doc_id in ids]
     id_bytes = max(map(len, raw_ids), default=1)
     records = np.zeros(len(raw_ids), dtype=_record_dtype(id_bytes, ref.partitions))
     records["id"] = raw_ids
     records["scores"] = scores
-    finite = np.isfinite(records["scores"]).all(axis=1)
-    if not finite.all():
-        bad = ids[int(np.argmin(finite))]
-        raise ValueError(f"signature for {bad!r} has a non-finite score")
+    SignatureDb(ref.fingerprint, tuple(ids), records["scores"])  # float32 rows: overflow fails
     header = (
         f"{_DB_MAGIC}\n"
         f"fingerprint={ref.fingerprint}\n"
@@ -190,7 +195,8 @@ def db_write(
 
 
 def db_read(path: str | Path) -> SignatureDb:
-    """Load and verify a signature database; raises CorruptDbError on damage."""
+    """Load and verify a signature database; raises CorruptDbError naming ``path`` on
+    damage, an id that is not UTF-8, or ids and rows :class:`SignatureDb` rejects."""
     data = Path(path).read_bytes()
     if len(data) < _DIGEST_BYTES:
         raise CorruptDbError(f"{path}: file too short to hold a checksum")
@@ -228,11 +234,8 @@ def db_read(path: str | Path) -> SignatureDb:
             f"found {len(payload)} payload bytes"
         )
     records = np.frombuffer(payload, dtype=record)
-    ids = tuple(raw_id.decode("utf-8") for raw_id in records["id"])
-    finite = np.isfinite(records["scores"]).all(axis=1)
-    if not finite.all():
-        bad = ids[int(np.argmin(finite))]
-        raise CorruptDbError(f"{path}: record {bad!r} has a non-finite score")
-    if len(set(ids)) != len(ids):
-        raise CorruptDbError(f"{path}: duplicate document ids in records")
-    return SignatureDb(fingerprint, ids, records["scores"].copy())
+    try:
+        ids = tuple(raw_id.decode("utf-8") for raw_id in records["id"])
+        return SignatureDb(fingerprint, ids, records["scores"].copy())
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise CorruptDbError(f"{path}: {exc}") from None

@@ -132,7 +132,7 @@ def run_bounds(keys: np.ndarray) -> np.ndarray:
     return edges.nonzero()[0]
 
 
-def _sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``keys``, ascending, and how often each occurs:
     ``np.unique(keys, return_counts=True)`` as one sort and its run lengths."""
     keys = np.sort(keys)
@@ -145,7 +145,7 @@ def extract_3grams(text: str) -> SparseNGramVector:
 
     Text shorter than 3 characters yields an empty vector.
     """
-    return SparseNGramVector(*_sorted_counts(gram_keys(text)))
+    return SparseNGramVector(*sorted_counts(gram_keys(text)))
 
 
 @dataclass(frozen=True)
@@ -224,16 +224,17 @@ ORACLE_BLOCK = 512
 def brute_force_pairwise(corpus: Sequence[Document]) -> np.ndarray:
     """Exact cosine between every document pair; the ground-truth oracle.
 
-    Returns a symmetric N x N float matrix. The diagonal is 1.0 for
-    non-empty documents and 0.0 for empty ones. Dot products are summed
-    as count-matrix products over blocks of vocabulary columns, so they
-    are exact integers and every entry is bit-identical to :func:`cosine`.
+    Returns a symmetric N x N float matrix. Dot products are summed as
+    count-matrix products over blocks of vocabulary columns, so they are
+    exact integers and every entry is bit-identical to :func:`cosine`. A
+    diagonal entry is its squared norm x over sqrt(fl(x * x)), which is x in
+    IEEE binary64: 1.0, or 0.0 for an empty document.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
     rows, keys, counts = count_cells(corpus)
-    vocab = _sorted_counts(keys)[0]  # one sort, where np.unique would argsort or hash
+    vocab = sorted_counts(keys)[0]  # one sort, where np.unique would argsort or hash
     cols = np.searchsorted(vocab, keys)
     dots = np.zeros((n, n))
     block = np.empty((n, min(ORACLE_BLOCK, len(vocab))))
@@ -243,6 +244,4 @@ def brute_force_pairwise(corpus: Sequence[Document]) -> np.ndarray:
         block[rows[inside], cols[inside] - lo] = counts[inside]
         dots += block @ block.T
     sq = np.array([doc.vector.sq_norm for doc in corpus], dtype=float)
-    out = count_cosine(dots, sq, sq)
-    np.fill_diagonal(out, sq > 0)
-    return out
+    return count_cosine(dots, sq, sq)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -100,8 +101,13 @@ def test_prf_property_identities():
 
 
 def test_confusion_counts_reject_negative():
-    with pytest.raises(ValueError):
-        ConfusionCounts(-1, 0, 0)
+    names = [f.name for f in dataclasses.fields(ConfusionCounts)]
+    assert len(names) == 4
+    for name in names:
+        counts = dict.fromkeys(names, 0) | {name: -1}
+        with pytest.raises(ValueError) as exc:
+            ConfusionCounts(**counts)
+        assert str(exc.value) == f"{name} must be >= 0, got -1"
 
 
 def test_split_is_exact_partition():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsig.reference import ReferenceText
-from refsig.text import Document, extract_3grams, gram_keys, gram_strings
+from refsig.text import Document, extract_3grams, gram_keys, gram_strings, sorted_counts
 from refsig.tfidf import GramPool, score_grams
 
 # Every code point, lone surrogates included, plus the characters the gram
@@ -86,6 +86,20 @@ def test_extract_3grams_equals_np_unique(text):
     keys, counts = np.unique(gram_keys(text), return_counts=True)
     assert vec.keys.dtype == vec.counts.dtype == np.int64
     assert np.array_equal(vec.keys, keys) and np.array_equal(vec.counts, counts)
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([], dtype=np.int64),
+    np.array([5, 5, 5, -2, 5, -2, 0], dtype=np.int64),
+    np.random.default_rng(3).integers(-(2**62), 2**62, 2000),
+    np.random.default_rng(4).integers(0, 50, 2000),
+], ids=["empty", "repeated", "random", "random-repeated"])
+def test_sorted_counts_equals_np_unique(keys):
+    values, counts = sorted_counts(keys)
+    expected_values, expected_counts = np.unique(keys, return_counts=True)
+    assert values.dtype == expected_values.dtype == np.int64
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(counts, expected_counts)
 
 
 def _score_grams_reference(corpus):

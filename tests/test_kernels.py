@@ -119,7 +119,8 @@ def test_count_matrix_spare_column_is_zero():
 def test_brute_force_pairwise_equals_cosine(monkeypatch):
     rng = random.Random(9)
     texts = ["".join(rng.choices("abcdefg 😀", k=rng.randint(0, 80))) for _ in range(15)]
-    docs = _docs(TEXTS + texts)
+    # A squared norm of 19998**2, whose square is above 2**53, and an empty text.
+    docs = _docs(TEXTS + texts + ["a" * 20000, ""])
     expected = np.array([[cosine(a.vector, b.vector) for b in docs] for a in docs])
     np.fill_diagonal(expected, [0.0 if d.vector.is_empty else 1.0 for d in docs])
     assert brute_force_pairwise(docs).tobytes() == expected.tobytes()
@@ -162,5 +163,6 @@ def test_kernels_equal_cosine_property(texts, grams, data):
                 assert oracle[i, j] == cosine(a.vector, b.vector)
 
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
+    assert sample.oracle.tobytes() == brute_force_pairwise(sample.documents).tobytes()
     direct = mean_signature_error(signature_matrix(sample.documents, ref), sample.oracle)
     assert fitness(_chromosome(grams), sample, partitions) == direct

@@ -1,8 +1,10 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+from refsig.cli import main
 from refsig.reference import ReferenceText, SignatureMismatchError, signature_matrix
 from refsig.store import (
     CorruptDbError,
@@ -254,6 +256,55 @@ def _forge_db(
     return path
 
 
+@pytest.mark.parametrize(
+    "raw_id, match",
+    [
+        (b"", "document id is empty"),
+        (b"a\tb", "document id 'a\\tb' contains a tab"),
+        (b"a\nb", "document id 'a\\nb' contains a newline"),
+        (b"a\x00b", "document id 'a\\x00b' contains a NUL byte"),
+        (b"\xffab", "can't decode byte 0xff"),
+        (b"x", "duplicate document id 'x'"),
+    ],
+    ids=["empty", "tab", "newline", "NUL", "not-UTF-8", "duplicate"],
+)
+def test_db_read_rejects_bad_id(tmp_path, raw_id, match):
+    # Each file has a valid checksum, so only the id check can reject it.
+    records = ((b"x", (0.5, 0.25)), (raw_id, (0.5, 0.25)))
+    path = _forge_db(tmp_path / "forged.db", id_bytes=3, records=[
+        (raw_id.ljust(3, b"\x00"), scores) for raw_id, scores in records
+    ])
+    with pytest.raises(CorruptDbError, match=f"^{re.escape(str(path))}: .*{re.escape(match)}"):
+        db_read(path)
+
+
+def test_dedup_rejects_db_with_tab_in_id(tmp_path, capsys):
+    path = _forge_db(tmp_path / "forged.db", id_bytes=3, records=(
+        (b"a\tb", (0.5, 0.25)), (b"c\x00\x00", (0.5, 0.25)),
+    ))
+    pairs = tmp_path / "pairs.tsv"
+    assert main(["dedup", "--db", str(path), "--out", str(pairs)]) == 1
+    assert "contains a tab" in capsys.readouterr().err
+    assert not pairs.exists()
+
+
+@pytest.mark.parametrize(
+    "ids, scores, message",
+    [
+        (("x", "a\nb"), np.zeros((2, 2)), "document id 'a\\nb' contains a newline"),
+        (("x", "y"), np.array([[0.5, 0.25], [np.nan, 0.0]]), "record 'y' has a non-finite score"),
+        (("x",), np.zeros((2, 2)), "scores have shape (2, 2), not (1, P)"),
+        (("x", "y", "z"), np.zeros((2, 2)), "scores have shape (2, 2), not (3, P)"),
+        (("x", "y"), np.zeros(2), "scores have shape (2,), not (2, P)"),
+    ],
+    ids=["bad-id", "non-finite", "fewer-ids", "more-ids", "1-D"],
+)
+def test_signature_db_rejects_bad_ids_and_rows(ids, scores, message):
+    with pytest.raises(ValueError) as exc:
+        SignatureDb("f" * 64, ids, scores)
+    assert str(exc.value) == message
+
+
 def test_forged_db_control_loads(tmp_path):
     db = db_read(_forge_db(tmp_path / "ok.db"))
     assert db.partitions == 2
@@ -278,7 +329,9 @@ def test_db_read_rejects_bad_header(tmp_path, header, match):
         db_read(path)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+# 1e300 is finite in float64 and overflows the float32 that db_write stores.
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e300])
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 def test_db_rejects_non_finite_scores(tmp_path, bad):
     ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
     scores = rows[[1, 0]]
