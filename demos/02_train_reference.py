@@ -17,12 +17,13 @@ from refsig import (
     evolve,
     generate_synthetic_corpus,
     mae,
+    synthetic_texts,
 )
 
-corpus, _ = generate_synthetic_corpus(
-    SyntheticCorpusSpec(base_doc_count=150, near_dup_count=15, dup_count=10, rng_seed=11)
-)
-print(f"training corpus: {len(corpus)} documents, ~{len(corpus[0].text)} chars each")
+spec = SyntheticCorpusSpec(base_doc_count=150, near_dup_count=15, dup_count=10, rng_seed=11)
+corpus, _ = generate_synthetic_corpus(spec)
+texts, _ = synthetic_texts(spec)  # documents keep only their 3-gram vectors
+print(f"training corpus: {len(corpus)} documents, ~{len(texts[0][1])} chars each")
 
 cfg = GaConfig(
     population_size=20,

@@ -18,9 +18,9 @@ from .evaluate import (
     confusion_from_hits,
     cross_validate,
     dnd_scan,
-    generate_synthetic_corpus,
     mae,
     prf,
+    synthetic_texts,
 )
 from .ga import DEFAULT_SEED, GaConfig
 from .gramio import read_lines
@@ -214,16 +214,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         words_per_doc=args.words,
     )
-    docs, pairs = generate_synthetic_corpus(spec)
+    texts, pairs = synthetic_texts(spec)
     out = Path(args.out)
     docs_dir = out / "docs"
     docs_dir.mkdir(parents=True, exist_ok=True)
-    for doc in docs:
-        (docs_dir / doc.id).write_text(doc.text, encoding="utf-8", newline="\n")
+    for doc_id, text in texts:
+        (docs_dir / doc_id).write_text(text, encoding="utf-8", newline="\n")
     rows = [(p.id_a, p.id_b, p.label.value) for p in pairs]
     rows.sort()
     _write_tsv(out / "labels.tsv", ("id_a", "id_b", "label"), rows)
-    print(f"wrote {len(docs)} documents to {docs_dir} and {len(rows)} "
+    print(f"wrote {len(texts)} documents to {docs_dir} and {len(rows)} "
           f"labeled pairs to {out / 'labels.tsv'}")
     return 0
 

@@ -217,15 +217,17 @@ def _edit_text(text: str, edit_fraction: float, rng: random.Random) -> str:
     return "".join(chars)
 
 
-def generate_synthetic_corpus(
+def synthetic_texts(
     spec: SyntheticCorpusSpec,
-) -> tuple[list[Document], list[LabeledPair]]:
-    """Build a labeled corpus: bases, exact copies, and edited copies.
+) -> tuple[list[tuple[str, str]], list[LabeledPair]]:
+    """Build a labeled corpus's texts: bases, exact copies, and edited copies.
 
-    Returns the documents (sorted by id) and the planted ground-truth
-    pairs. Near-duplicates replace between 1 and
+    Returns the (id, text) of each document, sorted by id, and the planted
+    ground-truth pairs. Near-duplicates replace between 1 and
     ``edit_fraction * len(text)`` characters of their base, at random
-    positions, with random letters.
+    positions, with random letters. Each text is lowercase words joined by
+    single spaces, with letters replaced by letters, so it is its own
+    :func:`~refsig.text.normalize`.
     """
     rng = random.Random(spec.rng_seed)
     texts: dict[str, str] = {}
@@ -243,8 +245,15 @@ def generate_synthetic_corpus(
         near_id = f"near-{i:04d}.txt"
         texts[near_id] = _edit_text(texts[src], spec.edit_fraction, rng)
         pairs.append(LabeledPair(src, near_id, Verdict.NEAR_DUPLICATE))
-    docs = [Document.from_raw(doc_id, text) for doc_id, text in sorted(texts.items())]
-    return docs, pairs
+    return sorted(texts.items()), pairs
+
+
+def generate_synthetic_corpus(
+    spec: SyntheticCorpusSpec,
+) -> tuple[list[Document], list[LabeledPair]]:
+    """:func:`synthetic_texts` as documents (sorted by id) and the planted pairs."""
+    texts, pairs = synthetic_texts(spec)
+    return [Document.from_raw(doc_id, text) for doc_id, text in texts], pairs
 
 
 # ---------------------------------------------------------------------------

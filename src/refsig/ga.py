@@ -65,11 +65,10 @@ class Chromosome:
 
 @dataclass(frozen=True, eq=False)
 class FitnessSample:
-    """The fixed documents every candidate is scored on, their exact
-    pairwise cosine matrix, and their :func:`~refsig.text.count_matrix`
+    """The exact pairwise cosine matrix of the fixed documents every
+    candidate is scored on, and their :func:`~refsig.text.count_matrix`
     over ``keys``, the sorted packed keys of every gram they hold."""
 
-    documents: tuple[Document, ...]
     oracle: np.ndarray
     keys: np.ndarray
     counts: np.ndarray
@@ -99,11 +98,11 @@ def draw_fitness_sample(
         raise ValueError("fitness sample needs at least 2 documents")
     if len(corpus) < size:
         raise ValueError(f"corpus has {len(corpus)} documents, sample needs {size}")
-    docs = tuple(rng.sample(list(corpus), size))
+    docs = rng.sample(list(corpus), size)
     vocab = sorted_counts(np.concatenate([doc.vector.keys for doc in docs]))[0]
     counts, sq_norms = count_matrix(docs, vocab)
     oracle = count_cosine(counts @ counts.T, sq_norms, sq_norms)
-    return FitnessSample(docs, oracle, vocab, counts, sq_norms)
+    return FitnessSample(oracle, vocab, counts, sq_norms)
 
 
 def init_population(pool: GramPool, cfg: GaConfig, rng: random.Random) -> list[Chromosome]:

@@ -75,7 +75,7 @@ def _read_utf8(path: str) -> str:
         raise UnicodeDecodeError(exc.encoding, data, exc.start, exc.end, reason) from None
 
 
-# Ids of empty documents named in the one warning that counts them.
+# Ids of gramless documents named in the one warning that counts them.
 _EMPTY_IDS_SHOWN = 3
 
 
@@ -87,7 +87,8 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
     "0", "1", ... Files must decode as UTF-8; decode errors carry the
     offending byte offset. ``html_strip`` applies :func:`strip_html` before
     normalizing. Once the corpus is exhausted, one warning counts the
-    documents that are empty after normalization.
+    documents whose vector is empty: those shorter than 3 characters after
+    normalization, which sign all-zero and score 0.0 against every document.
     """
     if os.path.isdir(path):
         entries = ((doc_id, _read_utf8(file)) for doc_id, file in _list_directory(path))
@@ -101,7 +102,7 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
         if html_strip:
             raw = strip_html(raw)
         doc = Document.from_raw(doc_id, raw)
-        if doc.text == "":
+        if doc.vector.is_empty:
             empty += 1
             if empty <= _EMPTY_IDS_SHOWN:
                 shown_ids.append(doc_id)
@@ -109,8 +110,8 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
     if empty:
         shown = ", ".join(map(repr, shown_ids))
         more = ", ..." if empty > _EMPTY_IDS_SHOWN else ""
-        verb = "document is" if empty == 1 else "documents are"
-        warnings.warn(f"{empty} {verb} empty after normalization: {shown}{more}", stacklevel=2)
+        verb = "document has" if empty == 1 else "documents have"
+        warnings.warn(f"{empty} {verb} no 3-gram after normalization: {shown}{more}", stacklevel=2)
 
 
 def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:

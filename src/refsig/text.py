@@ -150,16 +150,15 @@ def extract_3grams(text: str) -> SparseNGramVector:
 
 @dataclass(frozen=True)
 class Document:
-    """A corpus entry: opaque id, normalized text, and its 3-gram vector."""
+    """A corpus entry: opaque id and the 3-gram vector of its normalized text.
+    The text itself is not kept: every comparison reads the vector."""
 
     id: str
-    text: str
     vector: SparseNGramVector
 
     @classmethod
     def from_raw(cls, doc_id: str, raw: str) -> "Document":
-        text = normalize(raw)
-        return cls(doc_id, text, extract_3grams(text))
+        return cls(doc_id, extract_3grams(normalize(raw)))
 
 
 def cosine(a: SparseNGramVector, b: SparseNGramVector) -> float:

@@ -3,9 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from refsig import cli
+from refsig import cli, text
 from refsig.cli import build_parser, main
-from refsig.evaluate import SyntheticCorpusSpec, dnd_scan
+from refsig.evaluate import SyntheticCorpusSpec, dnd_scan, synthetic_texts
 from refsig.ga import GaConfig
 from refsig.reference import (
     SIGN_BLOCK,
@@ -78,7 +78,7 @@ def _synth_spec(monkeypatch, *flags):
     def capture(spec):
         raise _Captured(spec)
 
-    monkeypatch.setattr(cli, "generate_synthetic_corpus", capture)
+    monkeypatch.setattr(cli, "synthetic_texts", capture)
     with pytest.raises(_Captured) as caught:
         _run("synth", "--out", "synthetic", *flags)
     return caught.value.args[0]
@@ -108,6 +108,21 @@ def test_synth_layout(tmp_path, capsys):
     labels = (out / "labels.tsv").read_text(encoding="utf-8").strip().split("\n")
     assert labels[0] == "id_a\tid_b\tlabel"
     assert len(labels) == 5
+
+
+def test_synth_writes_its_texts_without_vectorizing(tmp_path, monkeypatch):
+    def refuse(cls, doc_id, raw):
+        raise AssertionError(f"synth vectorized {doc_id!r}")
+
+    monkeypatch.setattr(text.Document, "from_raw", classmethod(refuse))
+    out = tmp_path / "synthetic"
+    assert _run("synth", "--bases", 6, "--near-dups", 2, "--dups", 2,
+                "--edit-fraction", 0.3, "--seed", 4, "--out", out) == 0
+    texts, _ = synthetic_texts(SyntheticCorpusSpec(
+        base_doc_count=6, near_dup_count=2, dup_count=2, edit_fraction=0.3, rng_seed=4))
+    assert sorted(p.name for p in (out / "docs").iterdir()) == [doc_id for doc_id, _ in texts]
+    for doc_id, expected in texts:
+        assert (out / "docs" / doc_id).read_bytes() == expected.encode("utf-8")
 
 
 def test_topk_writes_pool(tmp_path):
@@ -389,7 +404,7 @@ def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "signature_matrix", recording_matrix)
     db_path = tmp_path / "sigs.db"
-    with pytest.warns(UserWarning, match="3 documents are empty") as caught:
+    with pytest.warns(UserWarning, match="3 documents have no 3-gram") as caught:
         assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
     assert len(caught) == 1
     assert block_sizes == [SIGN_BLOCK, SIGN_BLOCK, 5]
@@ -401,6 +416,26 @@ def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
     db_write(expected, ref, [d.id for d in docs], rows)
     assert db_path.read_bytes() == expected.read_bytes()
     assert not rows[sorted(empty)].any()
+
+
+def test_sign_warns_of_every_document_that_signs_all_zero(tmp_path):
+    # Two identical 2-character files have no 3-gram, so they sign all-zero
+    # and score 0.0 against each other, as a whitespace-only file does.
+    ref, ref_path = _sign_reference(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, content in [("a.txt", "ok"), ("b.txt", "ok"), ("blank.txt", " \n\t"),
+                          ("full.txt", "the quick fox")]:
+        (corpus / name).write_text(content, encoding="utf-8")
+    db_path = tmp_path / "sigs.db"
+    with pytest.warns(UserWarning) as caught:
+        assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
+    assert [str(w.message) for w in caught] == [
+        "3 documents have no 3-gram after normalization: 'a.txt', 'b.txt', 'blank.txt'"
+    ]
+    db = db_read(db_path)
+    assert db.ids == ("a.txt", "b.txt", "blank.txt", "full.txt")
+    assert not db.scores[:3].any() and db.scores[3].any()
 
 
 def test_sign_empty_corpus_writes_empty_db(tmp_path):

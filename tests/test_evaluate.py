@@ -19,6 +19,7 @@ from refsig.evaluate import (
     mae,
     prf,
     split_corpus,
+    synthetic_texts,
 )
 from refsig.ga import GaConfig
 from refsig.reference import (
@@ -30,7 +31,7 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import SignatureDb, db_read, db_write
-from refsig.text import Document, cosine, gram_keys, gram_strings
+from refsig.text import Document, cosine, extract_3grams, gram_keys, gram_strings, normalize
 
 
 def _keys(grams):
@@ -194,12 +195,24 @@ def test_synthetic_corpus_structure():
         assert pair.id_a in by_id and pair.id_b in by_id
 
 
+def test_synthetic_corpus_vectorizes_synthetic_texts():
+    spec = SyntheticCorpusSpec(
+        base_doc_count=10, near_dup_count=4, dup_count=3, edit_fraction=0.3, rng_seed=9
+    )
+    texts, pairs = synthetic_texts(spec)
+    docs, doc_pairs = generate_synthetic_corpus(spec)
+    assert doc_pairs == pairs
+    assert [d.id for d in docs] == [doc_id for doc_id, _ in texts]
+    for doc, (_, text) in zip(docs, texts):
+        assert normalize(text) == text  # so `refsig synth` writes what signing reads
+        assert doc.vector == extract_3grams(text)
+
+
 def test_synthetic_duplicates_are_identical():
     spec = SyntheticCorpusSpec(base_doc_count=5, near_dup_count=0, dup_count=1, rng_seed=1)
-    docs, pairs = generate_synthetic_corpus(spec)
-    by_id = {d.id: d for d in docs}
-    (pair,) = pairs
-    assert by_id[pair.id_a].text == by_id[pair.id_b].text
+    texts, (pair,) = synthetic_texts(spec)
+    assert dict(texts)[pair.id_a] == dict(texts)[pair.id_b]
+    by_id = {d.id: d for d in generate_synthetic_corpus(spec)[0]}
     assert cosine(by_id[pair.id_a].vector, by_id[pair.id_b].vector) == 1.0
 
 
@@ -207,20 +220,20 @@ def test_synthetic_zero_edit_fraction_is_identity():
     spec = SyntheticCorpusSpec(
         base_doc_count=4, near_dup_count=2, dup_count=0, edit_fraction=0.0, rng_seed=2
     )
-    docs, pairs = generate_synthetic_corpus(spec)
-    by_id = {d.id: d for d in docs}
+    texts, pairs = synthetic_texts(spec)
+    by_id = dict(texts)
     for pair in pairs:
-        assert by_id[pair.id_a].text == by_id[pair.id_b].text
+        assert by_id[pair.id_a] == by_id[pair.id_b]
 
 
 def test_synthetic_edit_budget_respected():
     spec = SyntheticCorpusSpec(
         base_doc_count=6, near_dup_count=6, dup_count=0, edit_fraction=0.1, rng_seed=3
     )
-    docs, pairs = generate_synthetic_corpus(spec)
-    by_id = {d.id: d for d in docs}
+    texts, pairs = synthetic_texts(spec)
+    by_id = dict(texts)
     for pair in pairs:
-        base, near = by_id[pair.id_a].text, by_id[pair.id_b].text
+        base, near = by_id[pair.id_a], by_id[pair.id_b]
         assert len(base) == len(near)
         diffs = sum(1 for x, y in zip(base, near) if x != y)
         assert diffs <= int(len(base) * 0.1)
@@ -228,10 +241,7 @@ def test_synthetic_edit_budget_respected():
 
 def test_synthetic_deterministic():
     spec = SyntheticCorpusSpec(base_doc_count=6, near_dup_count=2, dup_count=2, rng_seed=12)
-    docs_a, pairs_a = generate_synthetic_corpus(spec)
-    docs_b, pairs_b = generate_synthetic_corpus(spec)
-    assert [(d.id, d.text) for d in docs_a] == [(d.id, d.text) for d in docs_b]
-    assert pairs_a == pairs_b
+    assert synthetic_texts(spec) == synthetic_texts(spec)
 
 
 def _db_from(ref, docs):
@@ -274,9 +284,8 @@ def test_dnd_scan_orthogonal_signatures_empty():
 
 
 def test_dnd_scan_order_independent():
-    docs = _word_salad_docs(8, seed=7) + [
-        Document.from_raw("dup", _word_salad_docs(8, seed=7)[0].text)
-    ]
+    docs = _word_salad_docs(8, seed=7)
+    docs.append(Document("dup", docs[0].vector))
     ref = ReferenceText(_keys(_corpus_grams(docs)), 5)
     cfg = ClassifierConfig(0.95, 0.80)
     db_forward = _db_from(ref, docs)

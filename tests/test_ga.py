@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from refsig.ga import (
@@ -15,7 +16,7 @@ from refsig.ga import (
     mutation_count,
 )
 from refsig.reference import ReferenceText, pairwise_signature_similarity, signature_matrix
-from refsig.text import Document, cosine, gram_keys, gram_strings
+from refsig.text import Document, brute_force_pairwise, cosine, gram_keys, gram_strings
 from refsig.tfidf import GramPool
 
 
@@ -187,9 +188,12 @@ def test_fitness_zero_for_full_vocabulary_reference():
 def test_draw_fitness_sample_contract():
     docs = _word_salad_docs(6, seed=3)
     sample = draw_fitness_sample(docs, 4, random.Random(9))
-    assert len(sample.documents) == 4
-    assert len({d.id for d in sample.documents}) == 4
-    assert sample.oracle.shape == (4, 4)
+    drawn = random.Random(9).sample(docs, 4)
+    assert len({d.id for d in drawn}) == 4
+    assert sample.oracle.tobytes() == brute_force_pairwise(drawn).tobytes()
+    assert sample.sq_norms.tolist() == [d.vector.sq_norm for d in drawn]
+    # no document is drawn twice: distinct word salads never score 1.0
+    assert (sample.oracle[~np.eye(4, dtype=bool)] < 1.0).all()
     with pytest.raises(ValueError):
         draw_fitness_sample(docs, 7, random.Random(0))
 

@@ -102,13 +102,13 @@ def test_sorted_counts_equals_np_unique(keys):
     assert np.array_equal(counts, expected_counts)
 
 
-def _score_grams_reference(corpus):
+def _score_grams_reference(texts):
     """tf-idf scores as str-keyed Counter sums, ordered by (-score, gram)."""
-    n = len(corpus)
+    n = len(texts)
     total_tf: Counter = Counter()
     df: Counter = Counter()
-    for doc in corpus:
-        for gram, count in _window_counts(doc.text).items():
+    for text in texts:
+        for gram, count in _window_counts(text).items():
             total_tf[gram] += count
             df[gram] += 1
     scores = [
@@ -123,7 +123,7 @@ def _score_grams_reference(corpus):
 @given(st.lists(st.text(alphabet=st.one_of(st.sampled_from("abc "), _char), max_size=30),
                 min_size=1, max_size=8))
 def test_score_grams_equals_str_keyed_reference(texts):
-    docs = [Document(str(i), t, extract_3grams(t)) for i, t in enumerate(texts)]
+    docs = [Document(str(i), extract_3grams(t)) for i, t in enumerate(texts)]
     keys, score, df = score_grams(docs)
     ranked = list(zip(gram_strings(keys), score.tolist(), df.tolist()))
-    assert ranked == _score_grams_reference(docs)
+    assert ranked == _score_grams_reference(texts)

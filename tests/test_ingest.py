@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refsig.store import _list_directory, ingest
+from refsig.store import _list_directory, _read_utf8, ingest
 from refsig.text import _fold_pass, normalize
 
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
@@ -139,10 +139,12 @@ def test_directory_listing_matches_rglob(tmp_path):
     ]
     assert _rglob_listing(root) == expected
     assert [doc_id for doc_id, _ in _list_directory(root)] == expected
-    docs = ingest(root)
+    with pytest.warns(UserWarning, match="4 documents have no 3-gram"):
+        docs = ingest(root)
     assert [d.id for d in docs] == expected
-    assert {d.id: d.text for d in docs}["link-file"] == "a"
-    assert {d.id: d.text for d in docs}["link-link"] == "a"
+    listed = dict(_list_directory(root))
+    assert _read_utf8(listed["link-file"]) == "A"
+    assert _read_utf8(listed["link-link"]) == "A"
 
 
 def test_three_empty_documents_warn_once(tmp_path):
@@ -154,7 +156,7 @@ def test_three_empty_documents_warn_once(tmp_path):
         docs = ingest(tmp_path)
     assert len(docs) == 4
     assert [str(w.message) for w in caught] == [
-        "3 documents are empty after normalization: 'e1.txt', 'e2.txt', 'e3.txt'"
+        "3 documents have no 3-gram after normalization: 'e1.txt', 'e2.txt', 'e3.txt'"
     ]
     assert all(w.category is UserWarning for w in caught)
 
@@ -166,5 +168,5 @@ def test_empty_document_warning_names_the_first_few(tmp_path):
         warnings.simplefilter("always")
         ingest(path)
     assert [str(w.message) for w in caught] == [
-        "5 documents are empty after normalization: '1', '2', '4', ..."
+        "6 documents have no 3-gram after normalization: '0', '1', '2', ..."
     ]

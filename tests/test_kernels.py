@@ -88,14 +88,15 @@ def test_fitness_equals_signature_matrix_error():
         + TEXTS
     )
     sample = draw_fitness_sample(corpus, 15, random.Random(2))
-    present = sorted({g for doc in sample.documents for g in gram_strings(doc.vector.keys)})
+    drawn = random.Random(2).sample(list(corpus), 15)  # the documents the sample holds
+    present = sorted({g for doc in drawn for g in gram_strings(doc.vector.keys)})
     absent = ["qqq", "𝔘𝔘𝔘", "zz "]  # no sample document contains these
     assert not set(absent) & set(present)
     for _ in range(30):
         grams = tuple(rng.choices(present + absent, k=rng.randint(1, 40)))
         partitions = rng.randint(1, len(grams))
         ref = ReferenceText(_keys(grams), partitions)
-        expected = mean_signature_error(signature_matrix(sample.documents, ref), sample.oracle)
+        expected = mean_signature_error(signature_matrix(drawn, ref), sample.oracle)
         assert fitness(_chromosome(grams), sample, partitions) == expected
     # a chromosome made only of absent grams signs every document all-zero
     expected = mean_signature_error(np.zeros((15, 2)), sample.oracle)
@@ -163,6 +164,7 @@ def test_kernels_equal_cosine_property(texts, grams, data):
                 assert oracle[i, j] == cosine(a.vector, b.vector)
 
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
-    assert sample.oracle.tobytes() == brute_force_pairwise(sample.documents).tobytes()
-    direct = mean_signature_error(signature_matrix(sample.documents, ref), sample.oracle)
+    drawn = random.Random(0).sample(docs, len(docs))
+    assert sample.oracle.tobytes() == brute_force_pairwise(drawn).tobytes()
+    direct = mean_signature_error(signature_matrix(drawn, ref), sample.oracle)
     assert fitness(_chromosome(grams), sample, partitions) == direct

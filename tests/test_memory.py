@@ -8,6 +8,7 @@ so its peak grows with the corpus vocabulary, not with the documents. ``refsig d
 keeps its hits as arrays and writes them a slice at a time, and ``refsig
 eval --labels`` matches them against the labels as arrays of row pairs, so
 their peaks grow by tens of bytes per hit, not by a Python object per hit.
+A document read by ``ingest`` keeps its 3-gram vector, not its text.
 
 The peak is the ``VmHWM`` of a fresh interpreter, read from
 ``/proc/self/status``. ``ru_maxrss`` would not do: on Linux a child reports
@@ -20,6 +21,7 @@ import random
 import string
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,8 @@ import pytest
 
 import refsig
 from refsig.reference import ReferenceText, save_reference
-from refsig.store import db_write
-from refsig.text import gram_keys
+from refsig.store import db_write, ingest
+from refsig.text import gram_keys, normalize
 
 
 def _keys(grams):
@@ -101,7 +103,7 @@ def _sign_growth_kb(tmp_path: Path, write_corpus, large: int) -> int:
 def _write_directory(path: Path, texts) -> None:
     path.mkdir()
     for i, text in enumerate(texts):
-        (path / f"{i:05d}.txt").write_text(text)
+        (path / f"{i:05d}.txt").write_text(text, encoding="utf-8")
 
 
 def _write_records(path: Path, texts) -> None:
@@ -184,3 +186,21 @@ def test_eval_labels_peak_memory_does_not_grow_per_hit(tmp_path):
     assert per_hit < DEDUP_BOUND_BYTES_PER_HIT, (
         f"peak grew {peak - base} kB for {hits} hits ({per_hit:.0f} B per hit)"
     )
+
+
+def test_ingest_retains_less_per_document_than_its_text(tmp_path):
+    # One non-BMP character makes each text cost 4 bytes per character, and
+    # a few repeated words keep each 3-gram vector to a few dozen grams.
+    texts = [f"\U0001F600 {i} " + "alpha beta gamma delta " * 170 for i in range(200)]
+    corpus = tmp_path / "corpus"
+    _write_directory(corpus, texts)
+    text_bytes = min(sys.getsizeof(normalize(text)) for text in texts)
+    assert text_bytes > 15_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        docs = ingest(corpus)
+        per_doc = (tracemalloc.get_traced_memory()[0] - before) / len(docs)
+    finally:
+        tracemalloc.stop()
+    assert per_doc < text_bytes, f"{per_doc:.0f} B retained per document of {text_bytes} B text"

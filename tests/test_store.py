@@ -15,7 +15,7 @@ from refsig.store import (
     ingest,
     strip_html,
 )
-from refsig.text import Document, gram_keys, gram_strings
+from refsig.text import Document, extract_3grams, gram_keys, gram_strings
 
 
 def _keys(grams):
@@ -30,7 +30,7 @@ def test_ingest_directory(tmp_path):
     (sub / "c.txt").write_text("nested", encoding="utf-8")
     docs = ingest(tmp_path)
     assert [d.id for d in docs] == ["a.txt", "b.txt", "sub/c.txt"]
-    assert docs[0].text == "hello world"
+    assert docs[0].vector == extract_3grams("hello world")
 
 
 def test_ingest_records_file(tmp_path):
@@ -38,13 +38,13 @@ def test_ingest_records_file(tmp_path):
     path.write_text("First LINE\nsecond\nthird one\n", encoding="utf-8")
     docs = ingest(path)
     assert [d.id for d in docs] == ["0", "1", "2"]
-    assert docs[0].text == "first line"
+    assert docs[0].vector == extract_3grams("first line")
 
 
 def test_ingest_html_strip(tmp_path):
-    (tmp_path / "page.html").write_text("<p>Hi</p>", encoding="utf-8")
+    (tmp_path / "page.html").write_text("<p>Hi</p><b>You</b>", encoding="utf-8")
     docs = ingest(tmp_path, html_strip=True)
-    assert docs[0].text == "hi"
+    assert docs[0].vector == extract_3grams("hi you")
 
 
 def test_strip_html_entities():
@@ -55,10 +55,10 @@ def test_strip_html_entities():
 def test_ingest_empty_file_warns(tmp_path):
     (tmp_path / "empty.txt").write_text("", encoding="utf-8")
     (tmp_path / "full.txt").write_text("content", encoding="utf-8")
-    with pytest.warns(UserWarning, match="empty"):
+    with pytest.warns(UserWarning, match="no 3-gram"):
         docs = ingest(tmp_path)
     assert len(docs) == 2
-    assert docs[0].text == ""
+    assert docs[0].vector.is_empty
 
 
 def test_ingest_missing_path(tmp_path):
