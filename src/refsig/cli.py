@@ -25,23 +25,13 @@ from .evaluate import (
 from .ga import DEFAULT_SEED, GaConfig
 from .gramio import read_lines
 from .reference import (
-    SIGN_BLOCK,
     ClassifierConfig,
     SignatureMismatchError,
     Verdict,
     load_reference,
     save_reference,
-    signature_matrix,
 )
-from .store import (
-    SCORE_DTYPE,
-    SignatureDb,
-    check_ids,
-    db_read,
-    db_write,
-    ingest,
-    iter_documents,
-)
+from .store import db_read, db_write, ingest, iter_documents, sign_documents
 from .tfidf import save_pool, score_grams, top_k
 
 _REPORT_COLUMNS = (
@@ -86,7 +76,6 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    docs = ingest(args.corpus, args.html_strip)
     cfg = GaConfig(
         population_size=args.population,
         ref_len=args.ref_len,
@@ -96,6 +85,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         rng_seed=args.seed,
     )
+    docs = ingest(args.corpus, args.html_strip)
     result = cross_validate(docs, cfg, runs=args.runs)
     for report in result.reports:
         marker = " <- winner" if report.run == result.winner_run else ""
@@ -119,18 +109,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sign(args: argparse.Namespace) -> int:
     ref = load_reference(args.ref)
-    docs = iter_documents(args.corpus, args.html_strip)
-    # Only one block of documents is held at a time; their signature rows are kept.
-    ids: list[str] = []
-    seen: set[str] = set()
-    blocks = [np.empty((0, ref.partitions), SCORE_DTYPE)]
-    while block := list(islice(docs, SIGN_BLOCK)):
-        block_ids = [doc.id for doc in block]
-        check_ids(block_ids, seen)  # a bad id fails before its block is signed
-        ids.extend(block_ids)
-        blocks.append(signature_matrix(block, ref).astype(SCORE_DTYPE))
-    db_write(args.out, ref, ids, np.concatenate(blocks))
-    print(f"signed {len(ids)} documents into {args.out}")
+    db = sign_documents(iter_documents(args.corpus, args.html_strip), ref)
+    db_write(args.out, ref, db.ids, db.scores)
+    print(f"signed {db.record_count} documents into {args.out}")
     return 0
 
 
@@ -154,6 +135,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.sample < 2:
         raise ValueError(f"--sample must be at least 2, got {args.sample}")
+    cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
+    label_pairs = _read_label_pairs(args.labels) if args.labels else None
     ref = load_reference(args.ref)
     docs = ingest(args.corpus, args.html_strip)
     if args.sample < len(docs):
@@ -163,13 +146,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     error = mae(ref, docs_sample)
     precision_s = recall_s = f1_s = ""
-    if args.labels:
-        cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
-        # The float32 rows that sign -> db_write -> dedup classifies.
-        rows = signature_matrix(docs, ref).astype(SCORE_DTYPE)
-        ids = tuple(d.id for d in docs)
-        hits = dnd_scan(SignatureDb(ref.fingerprint, ids, rows), cfg)
-        report = prf(confusion_from_hits(hits, ids, _read_label_pairs(args.labels)))
+    if label_pairs is not None:
+        db = sign_documents(docs, ref)
+        report = prf(confusion_from_hits(dnd_scan(db, cfg), db.ids, label_pairs))
         precision_s = f"{report.precision:.6f}"
         recall_s = f"{report.recall:.6f}"
         f1_s = f"{report.f1:.6f}"

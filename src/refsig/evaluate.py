@@ -7,6 +7,7 @@ import math
 import random
 import string
 from dataclasses import dataclass, fields, replace
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,26 +226,33 @@ def synthetic_texts(
     Returns the (id, text) of each document, sorted by id, and the planted
     ground-truth pairs. Near-duplicates replace between 1 and
     ``edit_fraction * len(text)`` characters of their base, at random
-    positions, with random letters. Each text is lowercase words joined by
-    single spaces, with letters replaced by letters, so it is its own
-    :func:`~refsig.text.normalize`.
+    positions, with random letters. A base and the copies drawn from it form
+    a group, and every pair within a group is planted, the smaller id first:
+    ``duplicate`` where the two texts are equal, ``near-duplicate`` otherwise.
+    Each text is lowercase words joined by single spaces, with letters
+    replaced by letters, so it is its own :func:`~refsig.text.normalize`.
     """
     rng = random.Random(spec.rng_seed)
     texts: dict[str, str] = {}
     for i in range(spec.base_doc_count):
         words = rng.choices(_VOCABULARY, k=spec.words_per_doc)
         texts[f"base-{i:04d}.txt"] = " ".join(words)
-    pairs: list[LabeledPair] = []
+    groups = {doc_id: [doc_id] for doc_id in texts}  # each base, then its copies
     for i in range(spec.dup_count):
         src = f"base-{rng.randrange(spec.base_doc_count):04d}.txt"
         dup_id = f"dup-{i:04d}.txt"
         texts[dup_id] = texts[src]
-        pairs.append(LabeledPair(src, dup_id, Verdict.DUPLICATE))
+        groups[src].append(dup_id)
     for i in range(spec.near_dup_count):
         src = f"base-{rng.randrange(spec.base_doc_count):04d}.txt"
         near_id = f"near-{i:04d}.txt"
         texts[near_id] = _edit_text(texts[src], spec.edit_fraction, rng)
-        pairs.append(LabeledPair(src, near_id, Verdict.NEAR_DUPLICATE))
+        groups[src].append(near_id)
+    pairs = [
+        LabeledPair(a, b, Verdict.DUPLICATE if texts[a] == texts[b] else Verdict.NEAR_DUPLICATE)
+        for group in groups.values()
+        for a, b in combinations(group, 2)
+    ]
     return sorted(texts.items()), pairs
 
 

@@ -110,7 +110,7 @@ def _serialize(ref: ReferenceText) -> str:
 
 
 # Documents per count matrix in signature_matrix, and per block that
-# `refsig sign` reads and signs: it bounds the memory of both.
+# store.sign_documents reads and signs: it bounds the memory of both.
 SIGN_BLOCK = 64
 
 

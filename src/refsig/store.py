@@ -13,13 +13,14 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gramio import read_lines
-from .reference import ReferenceText, SignatureMismatchError
+from .reference import SIGN_BLOCK, ReferenceText, SignatureMismatchError, signature_matrix
 from .text import Document
 
 _DB_MAGIC = "refsig-db 1"
@@ -166,6 +167,22 @@ def check_ids(ids: Sequence[str], seen: set[str]) -> None:
         repeats = {a for a, b in zip(ordered, ordered[1:]) if a == b} | (fresh & seen)
         raise ValueError(f"duplicate document id {min(repeats)!r}")
     seen |= fresh
+
+
+def sign_documents(docs: Iterable[Document], ref: ReferenceText) -> SignatureDb:
+    """The float32 signature rows of ``docs`` against ``ref``, as the db that
+    ``sign`` writes and ``dedup`` scans. Only one block of documents is held
+    at a time, and each block's ids are checked before it is signed."""
+    docs = iter(docs)
+    ids: list[str] = []
+    seen: set[str] = set()
+    blocks = [np.empty((0, ref.partitions), SCORE_DTYPE)]
+    while block := list(islice(docs, SIGN_BLOCK)):
+        block_ids = [doc.id for doc in block]
+        check_ids(block_ids, seen)
+        ids.extend(block_ids)
+        blocks.append(signature_matrix(block, ref).astype(SCORE_DTYPE))
+    return SignatureDb(ref.fingerprint, tuple(ids), np.concatenate(blocks))
 
 
 def db_write(

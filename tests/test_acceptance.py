@@ -339,16 +339,20 @@ def test_criterion_8_population_runtime_trend():
         )
     )
 
-    def median_generation_time(population: int) -> float:
+    def generation_times(population: int) -> list[float]:
         cfg = GaConfig(
             population_size=population, ref_len=120, partitions=15, pool_size=1500,
             max_generations=8, sample_size=60, rng_seed=3,
         )
-        history = evolve(docs, cfg).history
-        return statistics.median(s.elapsed_s for s in history[1:])
+        return [s.elapsed_s for s in evolve(docs, cfg).history[1:]]
 
-    t50 = median_generation_time(50)
-    t100 = median_generation_time(100)
+    # The two sizes run in turn, three times each, so that a burst of load on
+    # a shared host slows both; each median is over all of a size's generations.
+    times: dict[int, list[float]] = {50: [], 100: []}
+    for _ in range(3):
+        for population, elapsed in times.items():
+            elapsed += generation_times(population)
+    t50, t100 = (statistics.median(times[p]) for p in (50, 100))
     ratio = t100 / t50
     _verdict(
         8,

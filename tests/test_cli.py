@@ -107,7 +107,7 @@ def test_synth_layout(tmp_path, capsys):
     assert len(docs) == 10
     labels = (out / "labels.tsv").read_text(encoding="utf-8").strip().split("\n")
     assert labels[0] == "id_a\tid_b\tlabel"
-    assert len(labels) == 5
+    assert len(labels) == 6  # 4 (base, copy) pairs, and the two dups of one base
 
 
 def test_synth_writes_its_texts_without_vectorizing(tmp_path, monkeypatch):
@@ -222,6 +222,20 @@ def test_invalid_thresholds_rejected_before_work(tmp_path, capsys):
                 "--out", tmp_path / "pairs.tsv") == 1
     err = capsys.readouterr().err
     assert "thresholds" in err
+    # nor do the corpus, the reference or the labels file
+    missing = {"--corpus": tmp_path / "nope", "--ref": tmp_path / "ref.txt",
+               "--labels": tmp_path / "labels.tsv", "--out": tmp_path / "out.tsv"}
+    cases = [
+        (["eval", "--t1", 0.5, "--t2", 0.9], ["--ref"], "thresholds"),
+        (["eval", "--t1", 0.5, "--t2", 0.9], ["--ref", "--labels"], "thresholds"),
+        (["eval"], ["--ref", "--labels"], str(missing["--labels"])),
+        (["train", "--population", 0], [], "population_size"),
+    ]
+    for command, flags, named in cases:
+        paths = [arg for flag in [*flags, "--corpus", "--out"] for arg in (flag, missing[flag])]
+        assert _run(*command, *paths) == 1
+        err = capsys.readouterr().err
+        assert named in err and str(missing["--corpus"]) not in err, command
 
 
 def test_missing_corpus_fails_cleanly(tmp_path, capsys):
@@ -380,7 +394,7 @@ def test_sign_rejects_a_bad_id_before_signing_its_block(tmp_path, capsys, monkey
         block_sizes.append(len(docs))
         return signature_matrix(docs, reference)
 
-    monkeypatch.setattr(cli, "signature_matrix", recording_matrix)
+    monkeypatch.setattr("refsig.store.signature_matrix", recording_matrix)
     assert _run("sign", "--ref", ref, "--corpus", corpus, "--out", tmp_path / "s.db") == 1
     assert capsys.readouterr().err == "error: document id 'a\\tb.txt' contains a tab\n"
     assert len(block_sizes) <= 1
@@ -402,7 +416,7 @@ def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
         block_sizes.append(len(docs))
         return signature_matrix(docs, reference)
 
-    monkeypatch.setattr(cli, "signature_matrix", recording_matrix)
+    monkeypatch.setattr("refsig.store.signature_matrix", recording_matrix)
     db_path = tmp_path / "sigs.db"
     with pytest.warns(UserWarning, match="3 documents have no 3-gram") as caught:
         assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
@@ -416,6 +430,40 @@ def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
     db_write(expected, ref, [d.id for d in docs], rows)
     assert db_path.read_bytes() == expected.read_bytes()
     assert not rows[sorted(empty)].any()
+
+
+def test_eval_labels_signs_in_blocks_as_sign_does(tmp_path, monkeypatch):
+    _, ref = _sign_reference(tmp_path)
+    corpus = _make_corpus(tmp_path, *(f"the quick fox {i} and the lazy dog {i * i}"
+                                      for i in range(2 * SIGN_BLOCK + 5)))
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tnear-duplicate\n",
+                      encoding="utf-8")
+    block_sizes = []
+
+    def recording_matrix(docs, reference):
+        block_sizes.append(len(docs))
+        return signature_matrix(docs, reference)
+
+    scanned = []
+
+    def recording_scan(db, cfg):
+        scanned.append(db)
+        return dnd_scan(db, cfg)
+
+    monkeypatch.setattr("refsig.store.signature_matrix", recording_matrix)
+    monkeypatch.setattr("refsig.cli.dnd_scan", recording_scan)
+    db_path = tmp_path / "sigs.db"
+    assert _run("sign", "--ref", ref, "--corpus", corpus, "--out", db_path) == 0
+    assert _run("eval", "--ref", ref, "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "report.tsv") == 0
+    assert block_sizes == [SIGN_BLOCK, SIGN_BLOCK, 5] * 2
+    (db,) = scanned
+    signed = db_read(db_path)
+    assert db.fingerprint == signed.fingerprint
+    assert db.ids == signed.ids
+    assert db.scores.dtype == signed.scores.dtype
+    assert db.scores.tobytes() == signed.scores.tobytes()
 
 
 def test_sign_warns_of_every_document_that_signs_all_zero(tmp_path):

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 STDOUT_SHA256 = {
     "01_signature_basics.py": "5df260c3154a64ea3b7d88d6ce73e044f684650fb78ce484de8b2482650c9568",
     "02_train_reference.py": "6b05c18d9e172ccb3b12482087d4303f3d4ef9aa3976dd14ff554ccb06fbd097",
-    "03_dedup_pipeline.py": "b0b46bf6614808ba2945b3426b70965325714bad34ff8fb176c7e2deff79f0fe",
+    "03_dedup_pipeline.py": "1f8331e48112ce7f26f6776a0df9f54a81ecada26191a0dd74a392350b04652d",
 }
 
 

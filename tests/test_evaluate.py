@@ -188,8 +188,9 @@ def test_synthetic_corpus_structure():
     assert len(docs) == 17
     assert [d.id for d in docs] == sorted(d.id for d in docs)
     labels = [p.label for p in pairs]
-    assert labels.count(Verdict.DUPLICATE) == 3
-    assert labels.count(Verdict.NEAR_DUPLICATE) == 4
+    # 3 (base, dup) and 4 (base, near) pairs, and one pair of siblings of each kind
+    assert labels.count(Verdict.DUPLICATE) == 4
+    assert labels.count(Verdict.NEAR_DUPLICATE) == 5
     by_id = {d.id: d for d in docs}
     for pair in pairs:
         assert pair.id_a in by_id and pair.id_b in by_id
@@ -233,10 +234,29 @@ def test_synthetic_edit_budget_respected():
     texts, pairs = synthetic_texts(spec)
     by_id = dict(texts)
     for pair in pairs:
+        if not pair.id_a.startswith("base-"):
+            continue  # two copies of one base may each spend the budget
         base, near = by_id[pair.id_a], by_id[pair.id_b]
         assert len(base) == len(near)
         diffs = sum(1 for x, y in zip(base, near) if x != y)
         assert diffs <= int(len(base) * 0.1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_synthetic_pairs_label_every_equal_text_once(seed):
+    texts, pairs = synthetic_texts(SyntheticCorpusSpec(rng_seed=seed))
+    labels = {(p.id_a, p.id_b): p.label for p in pairs}
+    assert len(labels) == len(pairs)
+    assert all(id_a < id_b for id_a, id_b in labels)  # so no pair is listed reversed
+    by_text = {}
+    for doc_id, text in texts:
+        by_text.setdefault(text, []).append(doc_id)
+    equal = [pair for ids in by_text.values() for pair in itertools.combinations(ids, 2)]
+    assert len(equal) >= SyntheticCorpusSpec.dup_count
+    assert all(labels.get(pair) is Verdict.DUPLICATE for pair in equal)
+    by_id = dict(texts)
+    duplicates = {pair for pair, label in labels.items() if label is Verdict.DUPLICATE}
+    assert duplicates == {(a, b) for a, b in labels if by_id[a] == by_id[b]}
 
 
 def test_synthetic_deterministic():

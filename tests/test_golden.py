@@ -22,7 +22,7 @@ REF_SHA256 = "8543c41f27c5f63a464fc0757ebbeacd5232e59219a5a22f446110e655dbefb5"
 HISTORY_SHA256 = "19a8550b751a48444a36a65ee8cadf223f6a2ccaae5c48e360df6a2fd6569e54"
 DB_SHA256 = "dd3e4b67cc562fbfdee11cee3ae9bcdb69a6d5c9a41d44b43e33e1e395cf1398"
 PAIRS_SHA256 = "ff8590740403502318104b2dcfce0679201832cae7cd5641b6fdb57a145e948a"
-EVAL_SHA256 = "8e5e554bfd59d1306cbf94390600a441b1da57e7bdf340fa407be0120006b4b5"
+EVAL_SHA256 = "16c7ffb9107a5826a961135b2bbab7945ff80637e5f78f7c4460e7c34062efaa"
 
 
 def _sha256(data: bytes) -> str:
