@@ -14,6 +14,7 @@ from refsig import (
     ClassifierConfig,
     GaConfig,
     ReferenceText,
+    SignatureDb,
     SyntheticCorpusSpec,
     Verdict,
     confusion_from_hits,
@@ -52,7 +53,8 @@ print(f"\ntarget corpus: {len(target_docs)} documents, "
 
 with tempfile.TemporaryDirectory() as tmp:
     db_path = Path(tmp) / "signatures.db"
-    db_write(db_path, ref, [d.id for d in target_docs], signature_matrix(target_docs, ref))
+    ids = tuple(d.id for d in target_docs)
+    db_write(db_path, SignatureDb(ref.fingerprint, ids, signature_matrix(target_docs, ref)))
     db = db_read(db_path)
     print(f"signature database: {db.record_count} records, "
           f"{db_path.stat().st_size} bytes on disk")

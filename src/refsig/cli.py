@@ -7,7 +7,6 @@ import argparse
 import random
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -108,9 +107,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
-    ref = load_reference(args.ref)
-    db = sign_documents(iter_documents(args.corpus, args.html_strip), ref)
-    db_write(args.out, ref, db.ids, db.scores)
+    db = sign_documents(iter_documents(args.corpus, args.html_strip), load_reference(args.ref))
+    db_write(args.out, db)
     print(f"signed {db.record_count} documents into {args.out}")
     return 0
 
@@ -120,7 +118,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     db = db_read(args.db)
     if args.ref:
         ref = load_reference(args.ref)
-        if ref.fingerprint != db.fingerprint:
+        # Rows of another width were not signed with ref, whatever their header's fingerprint.
+        if (ref.fingerprint, ref.partitions) != (db.fingerprint, db.partitions):
             raise SignatureMismatchError(
                 f"database {args.db} was signed with a different reference text"
             )
@@ -172,12 +171,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_label_pairs(path: str) -> list[tuple[str, str]]:
-    """The positive pairs of an ``id_a id_b label`` TSV; ``distinct`` rows are skipped."""
+    """The positive pairs of an ``id_a id_b label`` TSV after its header, less ``distinct``."""
     labels = {v.value for v in Verdict}
+    lines = read_lines(path)
+    if (header := next(lines, "")) != "id_a\tid_b\tlabel":
+        raise ValueError(f"{path}:1: expected the header 'id_a\\tid_b\\tlabel', not {header!r}")
     pairs = []
-    for number, line in enumerate(islice(read_lines(path), 1, None), 2):
+    for number, line in enumerate(lines, 2):
         parts = line.split("\t")
-        if len(parts) < 3 or parts[2] not in labels:
+        if len(parts) != 3 or parts[2] not in labels:
             raise ValueError(f"{path}:{number}: bad label line {line!r}")
         if parts[2] != Verdict.DISTINCT.value:
             pairs.append((parts[0], parts[1]))

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .gramio import read_lines
-from .reference import SIGN_BLOCK, ReferenceText, SignatureMismatchError, signature_matrix
+from .reference import SIGN_BLOCK, ReferenceText, signature_matrix
 from .text import Document
 
 _DB_MAGIC = "refsig-db 1"
@@ -122,16 +122,19 @@ def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
 
 @dataclass(frozen=True, eq=False)
 class SignatureDb:
-    """The signature rows of one reference: ids and an (N, P) float32 matrix.
-    Building one checks the ids and rows, of a db read, written or made in memory alike."""
+    """The signature rows of one reference: ids and a C-contiguous (N, P) float32 matrix.
+    Building one checks its fingerprint, ids and rows: db_read loads what db_write writes."""
 
     fingerprint: str
     ids: tuple[str, ...]
     scores: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scores", np.ascontiguousarray(self.scores, SCORE_DTYPE))
+        if not _FINGERPRINT_RE.fullmatch(self.fingerprint):
+            raise ValueError(f"fingerprint {self.fingerprint!r} is not 64 lowercase hex digits")
         check_ids(self.ids, set())
-        if self.scores.ndim != 2 or len(self.scores) != len(self.ids):
+        if self.scores.ndim != 2 or len(self.scores) != len(self.ids) or not self.scores.shape[1]:
             raise ValueError(f"scores have shape {self.scores.shape}, not ({len(self.ids)}, P)")
         finite = np.isfinite(self.scores).all(axis=1)
         if not finite.all():
@@ -185,25 +188,18 @@ def sign_documents(docs: Iterable[Document], ref: ReferenceText) -> SignatureDb:
     return SignatureDb(ref.fingerprint, tuple(ids), np.concatenate(blocks))
 
 
-def db_write(
-    path: str | Path, ref: ReferenceText, ids: Sequence[str], scores: np.ndarray
-) -> None:
-    """Persist the (N, P) signature rows of ``ids`` as a float32 :class:`SignatureDb`;
-    a matrix of any shape but ``(len(ids), ref.partitions)`` was not signed with ``ref``."""
-    shape = (len(ids), ref.partitions)
-    if np.shape(scores) != shape:
-        raise SignatureMismatchError(f"signature matrix has shape {np.shape(scores)}, not {shape}")
-    raw_ids = [doc_id.encode("utf-8") for doc_id in ids]
+def db_write(path: str | Path, db: SignatureDb) -> None:
+    """Persist ``db``: its header, one fixed-width record per row, and the checksum."""
+    raw_ids = [doc_id.encode("utf-8") for doc_id in db.ids]
     id_bytes = max(map(len, raw_ids), default=1)
-    records = np.zeros(len(raw_ids), dtype=_record_dtype(id_bytes, ref.partitions))
+    records = np.zeros(db.record_count, dtype=_record_dtype(id_bytes, db.partitions))
     records["id"] = raw_ids
-    records["scores"] = scores
-    SignatureDb(ref.fingerprint, tuple(ids), records["scores"])  # float32 rows: overflow fails
+    records["scores"] = db.scores
     header = (
         f"{_DB_MAGIC}\n"
-        f"fingerprint={ref.fingerprint}\n"
-        f"partitions={ref.partitions}\n"
-        f"records={len(records)}\n"
+        f"fingerprint={db.fingerprint}\n"
+        f"partitions={db.partitions}\n"
+        f"records={db.record_count}\n"
         f"id_bytes={id_bytes}\n"
         f"writer={_WRITER}\n"
         "%%\n"
@@ -214,7 +210,8 @@ def db_write(
 
 def db_read(path: str | Path) -> SignatureDb:
     """Load and verify a signature database; raises CorruptDbError naming ``path`` on
-    damage, an id that is not UTF-8, or ids and rows :class:`SignatureDb` rejects."""
+    damage, a header it cannot lay out, an id that is not UTF-8, or a fingerprint,
+    ids and rows :class:`SignatureDb` rejects."""
     data = Path(path).read_bytes()
     if len(data) < _DIGEST_BYTES:
         raise CorruptDbError(f"{path}: file too short to hold a checksum")
@@ -240,12 +237,13 @@ def db_read(path: str | Path) -> SignatureDb:
         fingerprint = fields["fingerprint"]
     except (KeyError, ValueError) as exc:
         raise CorruptDbError(f"{path}: bad header field ({exc})") from None
-    if partitions < 1 or id_width < 1:
+    try:
+        record = _record_dtype(id_width, partitions) if min(partitions, id_width) > 0 else None
+    except (TypeError, ValueError):  # a record too wide for numpy to lay out
+        record = None
+    if record is None:
         raise CorruptDbError(f"{path}: bad header (partitions={partitions}, id_bytes={id_width})")
-    if not _FINGERPRINT_RE.fullmatch(fingerprint):
-        raise CorruptDbError(f"{path}: fingerprint {fingerprint!r} is not 64 lowercase hex digits")
     payload = body[sep + 3 :]
-    record = _record_dtype(id_width, partitions)
     if len(payload) != count * record.itemsize:
         raise CorruptDbError(
             f"{path}: expected {count} records of {record.itemsize} bytes, "
@@ -254,6 +252,6 @@ def db_read(path: str | Path) -> SignatureDb:
     records = np.frombuffer(payload, dtype=record)
     try:
         ids = tuple(raw_id.decode("utf-8") for raw_id in records["id"])
-        return SignatureDb(fingerprint, ids, records["scores"].copy())
+        return SignatureDb(fingerprint, ids, records["scores"])
     except ValueError as exc:  # a UnicodeDecodeError too
         raise CorruptDbError(f"{path}: {exc}") from None

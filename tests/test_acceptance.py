@@ -29,7 +29,7 @@ from refsig.reference import (
     pairwise_signature_similarity,
     signature_matrix,
 )
-from refsig.store import db_read, db_write
+from refsig.store import SignatureDb, db_read, db_write
 from refsig.text import brute_force_pairwise, cosine, gram_keys, gram_strings
 from refsig.tfidf import score_grams, top_k
 
@@ -162,7 +162,7 @@ def test_criterion_4_planted_dnd_recall(tmp_path):
 
     db_path = tmp_path / "sigs.db"
     rows = signature_matrix(test_docs, ref)
-    db_write(db_path, ref, [d.id for d in test_docs], rows)
+    db_write(db_path, SignatureDb(ref.fingerprint, tuple(d.id for d in test_docs), rows))
     db = db_read(db_path)
     hits = dnd_scan(db, ClassifierConfig(t1=0.999, t2=0.93))
     detected = {(db.ids[i], db.ids[j]) for i, j in zip(hits["first"], hits["second"])}
@@ -318,7 +318,7 @@ def test_criterion_7_determinism_and_format(tmp_path):
     loaded = db_read(run_a / "sigs.db")
     ref_obj = load_reference(run_a / "ref.txt")
     rewritten = run_a / "rewritten.db"
-    db_write(rewritten, ref_obj, loaded.ids, loaded.scores)
+    db_write(rewritten, SignatureDb(ref_obj.fingerprint, loaded.ids, loaded.scores))
     round_trip = rewritten.read_bytes() == db_a
 
     _verdict(

@@ -13,7 +13,7 @@ from refsig.reference import (
     save_reference,
     signature_matrix,
 )
-from refsig.store import db_read, db_write, ingest
+from refsig.store import SignatureDb, db_read, db_write, ingest
 from refsig.text import gram_keys
 from refsig.tfidf import load_pool
 
@@ -202,6 +202,21 @@ def test_dedup_mismatched_reference_fails(tmp_path, capsys):
     assert "different reference" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width, code", [(2, 1), (4, 0)], ids=["other-width", "control"])
+def test_dedup_ref_rejects_db_of_another_width(tmp_path, capsys, width, code):
+    # The header carries the reference's fingerprint either way; rows of
+    # another width than its P=4 were still not signed with it.
+    ref, ref_path = _sign_reference(tmp_path)
+    db_path, pairs = tmp_path / "sigs.db", tmp_path / "pairs.tsv"
+    db_write(db_path, SignatureDb(ref.fingerprint, ("a", "b"), np.ones((2, width))))
+    assert _run("dedup", "--db", db_path, "--ref", ref_path, "--out", pairs) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"error: database {db_path} was signed with a different reference text\n"
+        )
+    assert pairs.exists() == (not code)
+
+
 def test_reference_errors_name_the_file_and_line(tmp_path, capsys):
     corpus = _make_corpus(tmp_path, "abc bcd cde")
     ref = tmp_path / "ref.txt"
@@ -278,6 +293,27 @@ def test_eval_bad_label_line_is_named_by_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {labels}:4: bad label line 'doc-0.txt\\tdoc-1.txt\\tsame'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("doc-0.txt\tdoc-1.txt\tduplicate\ndoc-1.txt\tdoc-2.txt\tduplicate\n",
+         ":1: expected the header 'id_a\\tid_b\\tlabel', not 'doc-0.txt\\tdoc-1.txt\\tduplicate'"),
+        ("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tduplicate\textra\n",
+         ":2: bad label line 'doc-0.txt\\tdoc-1.txt\\tduplicate\\textra'"),
+    ],
+    ids=["headerless", "four-columns"],
+)
+def test_eval_label_file_needs_its_header_and_three_columns(tmp_path, capsys, text, error):
+    corpus = _make_corpus(tmp_path, "the first document", "the second document", "the third")
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["the", "doc", "ume"]), 3), ref)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text(text, encoding="utf-8")
+    assert _run("eval", "--ref", ref, "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "r.tsv") == 1
+    assert capsys.readouterr().err == f"error: {labels}{error}\n"
 
 
 def test_eval_and_dedup_detect_the_same_pairs(tmp_path, monkeypatch):
@@ -427,7 +463,7 @@ def test_sign_streams_blocks_byte_identical(tmp_path, monkeypatch):
         docs = ingest(corpus)
     rows = signature_matrix(docs, ref)
     expected = tmp_path / "expected.db"
-    db_write(expected, ref, [d.id for d in docs], rows)
+    db_write(expected, SignatureDb(ref.fingerprint, tuple(d.id for d in docs), rows))
     assert db_path.read_bytes() == expected.read_bytes()
     assert not rows[sorted(empty)].any()
 
@@ -493,6 +529,6 @@ def test_sign_empty_corpus_writes_empty_db(tmp_path):
     db_path = tmp_path / "sigs.db"
     assert _run("sign", "--ref", ref_path, "--corpus", corpus, "--out", db_path) == 0
     expected = tmp_path / "expected.db"
-    db_write(expected, ref, [], np.empty((0, ref.partitions)))
+    db_write(expected, SignatureDb(ref.fingerprint, (), np.empty((0, ref.partitions))))
     assert db_path.read_bytes() == expected.read_bytes()
     assert db_read(db_path).record_count == 0

@@ -323,7 +323,7 @@ def test_dnd_scan_exact_duplicates_score_one_after_db_round_trip(tmp_path):
     ref = ReferenceText(_keys(sorted(_corpus_grams(docs))[:1000]), 150)
     rows = signature_matrix(docs, ref)
     path = tmp_path / "sigs.db"
-    db_write(path, ref, [d.id for d in docs], rows)
+    db_write(path, SignatureDb(ref.fingerprint, tuple(d.id for d in docs), rows))
     db = db_read(path)
     scan = _scan_rows(db, dnd_scan(db, ClassifierConfig(1.0, 0.93)))
     hits = {(a, b): (s, label) for a, b, s, label in scan}

@@ -29,7 +29,7 @@ import pytest
 
 import refsig
 from refsig.reference import ReferenceText, save_reference
-from refsig.store import db_write, ingest
+from refsig.store import SignatureDb, db_write, ingest
 from refsig.text import gram_keys, normalize
 
 
@@ -144,7 +144,8 @@ def test_dedup_peak_memory_does_not_grow_per_hit(tmp_path):
     rows = 1.0 + 0.3 * rng.random((DEDUP_ROWS, 10))
     ref = ReferenceText(_keys([f"{c}ab" for c in string.ascii_lowercase[:10]]), 10)
     db = tmp_path / "sigs.db"
-    db_write(db, ref, [f"doc-{k:05d}" for k in range(len(rows))], rows)
+    ids = tuple(f"doc-{k:05d}" for k in range(len(rows)))
+    db_write(db, SignatureDb(ref.fingerprint, ids, rows))
     few, many = tmp_path / "few.tsv", tmp_path / "many.tsv"
     base = _peak_kb("dedup", "--db", db, "--t1", 1.0, "--t2", 0.9999, "--out", few)
     peak = _peak_kb("dedup", "--db", db, "--t1", 0.99, "--t2", 0.5, "--out", many)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from refsig.gramio import escape_gram, parse_gram_line
 from refsig.reference import ReferenceText, load_reference, save_reference
-from refsig.store import db_read, db_write
+from refsig.store import SignatureDb, db_read, db_write
 from refsig.text import gram_keys, normalize
 
 
@@ -85,7 +85,7 @@ def test_db_round_trip(ids, partitions, data):
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sigs.db"
-        db_write(path, ref, ids, rows)
+        db_write(path, SignatureDb(ref.fingerprint, tuple(ids), rows))
         db = db_read(path)
     assert db.ids == tuple(ids)
     assert db.fingerprint == ref.fingerprint and db.partitions == partitions

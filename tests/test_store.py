@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from refsig.cli import main
-from refsig.reference import ReferenceText, SignatureMismatchError, signature_matrix
+from refsig.reference import ReferenceText, signature_matrix
 from refsig.store import (
     CorruptDbError,
     SignatureDb,
@@ -94,26 +94,26 @@ def test_ingest_records_bad_encoding_reports_file_offset(tmp_path):
     assert excinfo.value.reason == f"invalid start byte (line 2 of {path})"
 
 
-def _ref_and_sigs(doc_texts):
-    """A reference over the docs' grams, the doc ids and their signature rows."""
+def _ref_and_db(doc_texts):
+    """A reference over the docs' grams and the db of the docs' signature rows."""
     docs = [Document.from_raw(f"doc-{i}", t) for i, t in enumerate(doc_texts)]
     grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     ref = ReferenceText(_keys(grams), min(4, len(grams)))
-    return ref, [d.id for d in docs], signature_matrix(docs, ref)
+    ids = tuple(d.id for d in docs)
+    return ref, SignatureDb(ref.fingerprint, ids, signature_matrix(docs, ref))
 
 
 def test_db_round_trip_bit_exact(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["alpha beta gamma", "beta gamma delta", "unrelated words"])
+    ref, db = _ref_and_db(["alpha beta gamma", "beta gamma delta", "unrelated words"])
     path = tmp_path / "sigs.db"
-    db_write(path, ref, ids, rows)
-    db = db_read(path)
-    assert db.fingerprint == ref.fingerprint
-    assert db.partitions == ref.partitions
-    assert db.record_count == 3
-    for (doc_id, row), (read_id, scores) in zip(zip(ids, rows), zip(db.ids, db.scores)):
-        assert read_id == doc_id
-        assert scores.dtype == np.dtype("<f4")
-        assert scores.tobytes() == np.asarray(row, dtype="<f4").tobytes()
+    db_write(path, db)
+    read = db_read(path)
+    assert read.fingerprint == ref.fingerprint
+    assert read.partitions == ref.partitions
+    assert read.record_count == 3
+    assert read.ids == db.ids
+    assert read.scores.dtype == np.dtype("<f4")
+    assert read.scores.tobytes() == db.scores.tobytes()
 
 
 def test_signature_dbs_compare_and_hash_by_identity():
@@ -124,34 +124,54 @@ def test_signature_dbs_compare_and_hash_by_identity():
     assert hash(a) != hash(b) and len({a, b, a}) == 2
 
 
+_RECORDS = np.zeros(3, dtype=[("id", "S3"), ("scores", "<f8", (2,))])
+_RECORDS["scores"] = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
+        _RECORDS["scores"],
+        [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+    ],
+    ids=["float64", "strided-field", "nested-list"],
+)
+def test_signature_db_holds_contiguous_float32_rows(scores):
+    db = SignatureDb("f" * 64, ("x", "y", "z"), scores)
+    assert db.scores.dtype == np.dtype("<f4")
+    assert db.scores.flags.c_contiguous
+    assert db.scores.tolist() == np.float32([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]).tolist()
+
+
 def test_db_write_rejects_empty_id(tmp_path):
-    ref, _, rows = _ref_and_sigs(["one doc here"])
+    ref, db = _ref_and_db(["one doc here"])
     with pytest.raises(ValueError, match="empty"):
-        db_write(tmp_path / "sigs.db", ref, [""], rows)
+        db_write(tmp_path / "sigs.db", SignatureDb(ref.fingerprint, ("",), db.scores))
 
 
 def test_db_write_idempotent(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
+    _, db = _ref_and_db(["one doc here", "another doc"])
     p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
-    db_write(p1, ref, ids, rows)
-    db_write(p2, ref, ids, rows)
+    db_write(p1, db)
+    db_write(p2, db)
     assert p1.read_bytes() == p2.read_bytes()
-    db_write(p1, ref, ids, rows)  # overwrite in place
+    db_write(p1, db)  # overwrite in place
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_db_empty_is_valid(tmp_path):
-    ref, _, _ = _ref_and_sigs(["some text"])
+    ref, _ = _ref_and_db(["some text"])
     path = tmp_path / "empty.db"
-    db_write(path, ref, [], np.empty((0, ref.partitions)))
+    db_write(path, SignatureDb(ref.fingerprint, (), np.empty((0, ref.partitions))))
     db = db_read(path)
     assert db.record_count == 0
 
 
 def test_db_truncation_detected(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
+    _, db = _ref_and_db(["one doc here", "another doc"])
     path = tmp_path / "sigs.db"
-    db_write(path, ref, ids, rows)
+    db_write(path, db)
     data = path.read_bytes()
     path.write_bytes(data[:-7])
     with pytest.raises(CorruptDbError):
@@ -159,9 +179,9 @@ def test_db_truncation_detected(tmp_path):
 
 
 def test_db_corruption_detected(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
+    _, db = _ref_and_db(["one doc here", "another doc"])
     path = tmp_path / "sigs.db"
-    db_write(path, ref, ids, rows)
+    db_write(path, db)
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
@@ -169,49 +189,24 @@ def test_db_corruption_detected(tmp_path):
         db_read(path)
 
 
-def test_db_rejects_foreign_signature(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
-    other = ReferenceText(_keys(["zzz", "yyy"]), 2)
-    bad = rows[:, : other.partitions]
-    with pytest.raises(SignatureMismatchError):
-        db_write(tmp_path / "bad.db", ref, ids, bad)
-
-
-@pytest.mark.parametrize(
-    "shape_of",
-    [
-        lambda rows: rows[0],  # one row, not a matrix
-        lambda rows: rows[:1],  # fewer rows than ids
-        lambda rows: np.hstack([rows, rows[:, :1]]),  # wider than the reference
-    ],
-    ids=["1-D", "row-count", "width"],
-)
-def test_db_write_rejects_misshapen_matrix(tmp_path, shape_of):
-    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
-    with pytest.raises(SignatureMismatchError, match="shape"):
-        db_write(tmp_path / "bad.db", ref, ids, shape_of(rows))
-    assert not (tmp_path / "bad.db").exists()
-
-
 def test_db_rewrite_of_read_db_is_byte_identical(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["alpha beta gamma", "beta gamma delta", "unrelated words"])
+    _, db = _ref_and_db(["alpha beta gamma", "beta gamma delta", "unrelated words"])
     p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
-    db_write(p1, ref, ids, rows)
-    db = db_read(p1)
-    db_write(p2, ref, db.ids, db.scores)
+    db_write(p1, db)
+    db_write(p2, db_read(p1))
     assert p2.read_bytes() == p1.read_bytes()
 
 
 def test_db_rejects_nul_in_id(tmp_path):
-    ref, _, rows = _ref_and_sigs(["one doc here"])
+    ref, db = _ref_and_db(["one doc here"])
     with pytest.raises(ValueError, match="NUL"):
-        db_write(tmp_path / "bad.db", ref, ["evil\x00id"], rows)
+        db_write(tmp_path / "bad.db", SignatureDb(ref.fingerprint, ("evil\x00id",), db.scores))
 
 
 def test_db_rejects_duplicate_ids(tmp_path):
-    ref, ids, rows = _ref_and_sigs(["one doc here"])
+    ref, db = _ref_and_db(["one doc here"])
     with pytest.raises(ValueError, match="duplicate"):
-        db_write(tmp_path / "bad.db", ref, [ids[0], ids[0]], rows[[0, 0]])
+        db_write(tmp_path / "bad.db", SignatureDb(ref.fingerprint, db.ids * 2, db.scores[[0, 0]]))
 
 
 @pytest.mark.parametrize("first, second, whole, blocked", [
@@ -223,10 +218,10 @@ def test_db_rejects_duplicate_ids(tmp_path):
     (["a\tb", "c"], ["", "d"], "document id is empty", "document id 'a\\tb' contains a tab"),
     (["b", "b"], ["a", "a"], "duplicate document id 'a'", "duplicate document id 'b'"),
 ])
-def test_check_ids_block_by_block(tmp_path, first, second, whole, blocked):
-    ids, ref = first + second, ReferenceText(gram_keys("abc"), 1)
+def test_check_ids_block_by_block(first, second, whole, blocked):
+    ids = first + second
     with pytest.raises(ValueError) as exc:
-        db_write(tmp_path / "x.db", ref, ids, np.zeros((len(ids), 1)))
+        SignatureDb("f" * 64, tuple(ids), np.zeros((len(ids), 1)))
     assert str(exc.value) == whole
     seen: set[str] = set()
     with pytest.raises(ValueError) as exc:
@@ -296,13 +291,20 @@ def test_dedup_rejects_db_with_tab_in_id(tmp_path, capsys):
         (("x",), np.zeros((2, 2)), "scores have shape (2, 2), not (1, P)"),
         (("x", "y", "z"), np.zeros((2, 2)), "scores have shape (2, 2), not (3, P)"),
         (("x", "y"), np.zeros(2), "scores have shape (2,), not (2, P)"),
+        (("x",), np.zeros((1, 0)), "scores have shape (1, 0), not (1, P)"),
     ],
-    ids=["bad-id", "non-finite", "fewer-ids", "more-ids", "1-D"],
+    ids=["bad-id", "non-finite", "fewer-ids", "more-ids", "1-D", "no-partitions"],
 )
 def test_signature_db_rejects_bad_ids_and_rows(ids, scores, message):
     with pytest.raises(ValueError) as exc:
         SignatureDb("f" * 64, ids, scores)
     assert str(exc.value) == message
+
+
+def test_signature_db_rejects_a_fingerprint_db_read_would_reject():
+    # db_write writes whatever SignatureDb it is given, so none may hold a header db_read refuses.
+    with pytest.raises(ValueError, match="^fingerprint 'F+' is not 64 lowercase hex digits$"):
+        SignatureDb("F" * 64, ("x",), np.zeros((1, 2)))
 
 
 def test_forged_db_control_loads(tmp_path):
@@ -321,23 +323,26 @@ def test_forged_db_control_loads(tmp_path):
         (dict(fingerprint="A" * 64), "fingerprint"),
         (dict(fingerprint="a" * 63), "fingerprint"),
         (dict(fingerprint="g" * 64), "fingerprint"),
+        # Headers numpy cannot lay out as a record, over an empty payload.
+        (dict(partitions=10**15, records=()), "partitions=1000000000000000"),
+        (dict(id_bytes=10**15, records=()), "id_bytes=1000000000000000"),
     ],
 )
 def test_db_read_rejects_bad_header(tmp_path, header, match):
     path = _forge_db(tmp_path / "forged.db", **header)
-    with pytest.raises(CorruptDbError, match=match):
+    with pytest.raises(CorruptDbError, match=f"^{re.escape(str(path))}: .*{match}"):
         db_read(path)
 
 
-# 1e300 is finite in float64 and overflows the float32 that db_write stores.
+# 1e300 is finite in float64 and overflows the float32 rows a SignatureDb holds.
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e300])
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 def test_db_rejects_non_finite_scores(tmp_path, bad):
-    ref, ids, rows = _ref_and_sigs(["one doc here", "another doc"])
-    scores = rows[[1, 0]]
+    ref, db = _ref_and_db(["one doc here", "another doc"])
+    scores = db.scores[[1, 0]].astype(float)
     scores[1, 0] = bad
     with pytest.raises(ValueError, match="'doc-0' has a non-finite"):
-        db_write(tmp_path / "bad.db", ref, [ids[1], ids[0]], scores)
+        SignatureDb(ref.fingerprint, db.ids[::-1], scores)
     path = _forge_db(tmp_path / "forged.db", records=((b"w", (0.5, 0.25)), (b"x", (0.5, bad))))
     with pytest.raises(CorruptDbError, match="'x' has a non-finite"):
         db_read(path)
