@@ -25,7 +25,6 @@ from .ga import DEFAULT_SEED, GaConfig
 from .gramio import read_lines
 from .reference import (
     ClassifierConfig,
-    SignatureMismatchError,
     Verdict,
     load_reference,
     save_reference,
@@ -86,11 +85,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     docs = ingest(args.corpus, args.html_strip)
     result = cross_validate(docs, cfg, runs=args.runs)
-    for report in result.reports:
-        marker = " <- winner" if report.run == result.winner_run else ""
+    for run, report in enumerate(result.reports):
+        marker = " <- winner" if run == result.winner_run else ""
         print(
-            f"run {report.run}: train={report.train_size} test={report.test_size} "
-            f"train_mae={report.train_mae:.6f} holdout_mae={report.holdout_mae:.6f}{marker}"
+            f"run {run}: train={report.train_size} test={report.test_size} "
+            f"train_mae={report.history[-1].best_mae:.6f} "
+            f"holdout_mae={report.holdout_mae:.6f}{marker}"
         )
     save_reference(result.reference, args.out)
     print(f"wrote reference ({len(result.reference)} grams, "
@@ -120,9 +120,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
         ref = load_reference(args.ref)
         # Rows of another width were not signed with ref, whatever their header's fingerprint.
         if (ref.fingerprint, ref.partitions) != (db.fingerprint, db.partitions):
-            raise SignatureMismatchError(
-                f"database {args.db} was signed with a different reference text"
-            )
+            raise ValueError(f"database {args.db} was signed with a different reference text")
     hits = dnd_scan(db, cfg)
     _write_tsv(args.out, ("id_a", "id_b", "similarity", "label"), _pair_rows(db.ids, hits))
     duplicates = int(hits["duplicate"].sum())
@@ -171,7 +169,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_label_pairs(path: str) -> list[tuple[str, str]]:
-    """The positive pairs of an ``id_a id_b label`` TSV after its header, less ``distinct``."""
+    """The positive pairs of an ``id_a id_b label`` TSV after its header, less ``distinct``.
+    A row pairing an id with itself is rejected: no scan pairs a row with itself."""
     labels = {v.value for v in Verdict}
     lines = read_lines(path)
     if (header := next(lines, "")) != "id_a\tid_b\tlabel":
@@ -181,6 +180,8 @@ def _read_label_pairs(path: str) -> list[tuple[str, str]]:
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in labels:
             raise ValueError(f"{path}:{number}: bad label line {line!r}")
+        if parts[0] == parts[1]:
+            raise ValueError(f"{path}:{number}: label line pairs {parts[0]!r} with itself")
         if parts[2] != Verdict.DISTINCT.value:
             pairs.append((parts[0], parts[1]))
     return pairs
@@ -198,6 +199,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     texts, pairs = synthetic_texts(spec)
     out = Path(args.out)
     docs_dir = out / "docs"
+    # A stale document would join the corpus unlabelled, so refuse before writing any.
+    written = {doc_id for doc_id, _ in texts}
+    stale = sorted({p.name for p in docs_dir.iterdir()} - written) if docs_dir.is_dir() else []
+    if stale:
+        raise ValueError(f"{docs_dir} holds {len(stale)} entries that this corpus does not "
+                         f"write, the first {stale[0]!r}")
     docs_dir.mkdir(parents=True, exist_ok=True)
     for doc_id, text in texts:
         (docs_dir / doc_id).write_text(text, encoding="utf-8", newline="\n")

@@ -3,7 +3,6 @@ corpora with planted duplicates, and all-pairs DND scans."""
 
 from __future__ import annotations
 
-import math
 import random
 import string
 from dataclasses import dataclass, fields, replace
@@ -94,10 +93,8 @@ def split_corpus(
 
 @dataclass(frozen=True)
 class RunReport:
-    run: int
     train_size: int
     test_size: int
-    train_mae: float
     holdout_mae: float
     history: tuple[GenerationStats, ...]
 
@@ -112,8 +109,8 @@ class CrossValidationResult:
 def cross_validate(
     corpus: Sequence[Document], cfg: GaConfig, runs: int
 ) -> CrossValidationResult:
-    """Repeat split-train-evaluate and keep the reference with the lowest
-    held-out MAE.
+    """Repeat split-train-evaluate and keep the reference of the first run
+    with the least held-out MAE.
 
     Run r both splits and evolves with seed ``cfg.rng_seed + r``, so the
     whole procedure is reproducible from one seed.
@@ -121,24 +118,16 @@ def cross_validate(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     corpus = list(corpus)
+    refs: list[ReferenceText] = []
     reports: list[RunReport] = []
-    best_ref: ReferenceText | None = None
-    best_mae = math.inf
-    winner = 0
     for run in range(runs):
         seed = cfg.rng_seed + run
         train, test = split_corpus(corpus, seed)
         result: EvolveResult = evolve(train, replace(cfg, rng_seed=seed))
-        ref = ReferenceText(result.best.keys, cfg.partitions)
-        holdout = mae(ref, test)
-        reports.append(
-            RunReport(run, len(train), len(test), result.best.fitness, holdout, result.history)
-        )
-        if holdout < best_mae:
-            best_mae = holdout
-            best_ref = ref
-            winner = run
-    return CrossValidationResult(best_ref, winner, tuple(reports))
+        refs.append(ReferenceText(result.best.keys, cfg.partitions))
+        reports.append(RunReport(len(train), len(test), mae(refs[-1], test), result.history))
+    winner = min(range(runs), key=lambda run: reports[run].holdout_mae)
+    return CrossValidationResult(refs[winner], winner, tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +138,11 @@ _VOCAB_SEED = 93
 _VOCAB_SIZE = 1200
 
 
-def _make_vocabulary(size: int = _VOCAB_SIZE, seed: int = _VOCAB_SEED) -> tuple[str, ...]:
+def _make_vocabulary() -> tuple[str, ...]:
     # One shared pseudo-language for every generated corpus, so that corpora
     # produced from different seeds still share 3-gram statistics the way
     # same-language document collections do.
-    rng = random.Random(seed)
+    rng = random.Random(_VOCAB_SEED)
     onsets = [
         "b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s",
         "t", "v", "w", "z", "br", "ch", "cl", "cr", "dr", "fl", "fr", "gl",
@@ -164,7 +153,7 @@ def _make_vocabulary(size: int = _VOCAB_SIZE, seed: int = _VOCAB_SEED) -> tuple[
     codas = ["", "", "", "b", "ck", "d", "g", "k", "l", "ll", "m", "n", "nd",
              "ng", "nt", "p", "r", "rd", "s", "ss", "st", "t", "x"]
     words: set[str] = set()
-    while len(words) < size:
+    while len(words) < _VOCAB_SIZE:
         syllables = rng.randint(1, 3)
         word = "".join(rng.choice(onsets) + rng.choice(vowels) for _ in range(syllables))
         word += rng.choice(codas)

@@ -20,10 +20,6 @@ from .gramio import key_lines, line_keys, read_lines
 from .text import Document, count_cosine, count_matrix
 
 
-class SignatureMismatchError(ValueError):
-    """A signature matrix or database does not match its reference text."""
-
-
 def partition_sizes(length: int, parts: int) -> list[int]:
     """Near-equal contiguous slice sizes: the remainder goes to the first slices."""
     base, rem = divmod(length, parts)

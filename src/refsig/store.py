@@ -32,6 +32,8 @@ SCORE_DTYPE = "<f4"
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}")
+# Lone surrogates, such as a file name's undecodable bytes, are what UTF-8 cannot encode.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class CorruptDbError(ValueError):
@@ -155,15 +157,21 @@ def _record_dtype(id_bytes: int, partitions: int) -> np.dtype:
 
 def check_ids(ids: Sequence[str], seen: set[str]) -> None:
     """Raise ValueError naming a bad id of ``ids``: an empty one, one holding
-    a NUL, tab or newline, or the least id that repeats within ``ids`` or
-    is already in ``seen``. ``seen`` then gains ``ids``, so a corpus checked
-    one block at a time is held to what one check of all its ids demands."""
+    a NUL, tab or newline, one UTF-8 cannot encode, or the least id that
+    repeats within ``ids`` or is already in ``seen``. ``seen`` then gains
+    ``ids``, so a corpus checked one block at a time is held to what one
+    check of all its ids demands."""
     if "" in ids:
         raise ValueError("document id is empty")
     for char, name in _ID_FORBIDDEN.items():
         bad = next((doc_id for doc_id in ids if char in doc_id), None)
         if bad is not None:
             raise ValueError(f"document id {bad!r} contains {name}")
+    bad = next((doc_id for doc_id in ids if _SURROGATE_RE.search(doc_id)), None)
+    if bad is not None:
+        raise ValueError(
+            f"document id {bad!r} contains a lone surrogate, which UTF-8 cannot encode"
+        )
     fresh = set(ids)
     if len(fresh) != len(ids) or not seen.isdisjoint(fresh):
         ordered = sorted(ids)

@@ -110,6 +110,28 @@ def test_synth_layout(tmp_path, capsys):
     assert len(labels) == 6  # 4 (base, copy) pairs, and the two dups of one base
 
 
+def test_synth_refuses_a_docs_dir_holding_what_it_does_not_write(tmp_path, capsys):
+    out = tmp_path / "synthetic"
+    big = ("--bases", 30, "--near-dups", 4, "--dups", 2, "--words", 5, "--out", out)
+    assert _run("synth", *big) == 0
+
+    def files():
+        return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    before = files()
+    assert len(before) == 36 + 1  # the documents and labels.tsv
+    capsys.readouterr()
+    assert _run("synth", "--bases", 10, "--near-dups", 2, "--dups", 1, "--words", 5,
+                "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'docs'} holds 23 entries that this corpus does not write, "
+        "the first 'base-0010.txt'\n"
+    )
+    assert files() == before
+    assert _run("synth", *big) == 0  # the same corpus again writes the same bytes
+    assert files() == before
+
+
 def test_synth_writes_its_texts_without_vectorizing(tmp_path, monkeypatch):
     def refuse(cls, doc_id, raw):
         raise AssertionError(f"synth vectorized {doc_id!r}")
@@ -295,6 +317,22 @@ def test_eval_bad_label_line_is_named_by_file_and_line(tmp_path, capsys):
     )
 
 
+def test_eval_label_row_pairing_an_id_with_itself_is_named_by_file_and_line(tmp_path, capsys):
+    # dnd_scan never pairs a row with itself, so no scan could find such a pair.
+    corpus = _make_corpus(tmp_path, "the first document", "the second document", "the third")
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["the", "doc", "ume"]), 3), ref)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tduplicate\n"
+                      "doc-0.txt\tdoc-0.txt\tduplicate\n", encoding="utf-8")
+    assert _run("eval", "--ref", ref, "--corpus", corpus, "--labels", labels,
+                "--out", tmp_path / "r.tsv") == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}:3: label line pairs 'doc-0.txt' with itself\n"
+    )
+    assert not (tmp_path / "r.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -407,7 +445,15 @@ def _sign_reference(tmp_path):
     return ref, path
 
 
-@pytest.mark.parametrize("name, named", [("a\tb.txt", "a tab"), ("a\nb.txt", "a newline")])
+@pytest.mark.parametrize(
+    "name, named",
+    [
+        ("a\tb.txt", "a tab"),
+        ("a\nb.txt", "a newline"),
+        # The file name's byte 0xff, which is not UTF-8, reaches the id as a lone surrogate.
+        ("b\udcff.txt", "a lone surrogate, which UTF-8 cannot encode"),
+    ],
+)
 def test_sign_rejects_an_id_that_pairs_tsv_cannot_hold(tmp_path, capsys, name, named):
     _, ref = _sign_reference(tmp_path)
     corpus = _make_corpus(tmp_path, "the quick fox", "the lazy dog")

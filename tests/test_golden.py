@@ -1,14 +1,17 @@
-"""Golden outputs: `refsig topk`, a small `refsig train`, and `refsig sign`,
-`refsig dedup` and `refsig eval --labels` with that reference, at fixed
-seeds, must keep producing the same bytes from one commit to the next.
+"""Golden outputs: `refsig topk`, a small `refsig train` (its files and its
+per-run stdout), and `refsig sign`, `refsig dedup` and `refsig eval --labels`
+with that reference, at fixed seeds, must keep producing the same bytes from
+one commit to the next.
 
 The pool, reference and history digests were recorded before grams became
 packed keys between the tf-idf ranking and the reference file; the db and
 pairs digests before a reference held packed keys instead of str grams. A
 representation change that alters a tie order, an RNG draw, the reference
 fingerprint in the db header or a file byte shows up here. The history is
-compared without its ``elapsed_s`` column, which is wall time, and the eval
-report without its ``dataset`` (the corpus path) and ``runtime_s`` cells.
+compared without its ``elapsed_s`` column, which is wall time, the eval
+report without its ``dataset`` (the corpus path) and ``runtime_s`` cells,
+and the train stdout with its ``--out`` path masked and without the line
+naming the history file.
 """
 
 import hashlib
@@ -23,6 +26,9 @@ HISTORY_SHA256 = "19a8550b751a48444a36a65ee8cadf223f6a2ccaae5c48e360df6a2fd6569e
 DB_SHA256 = "dd3e4b67cc562fbfdee11cee3ae9bcdb69a6d5c9a41d44b43e33e1e395cf1398"
 PAIRS_SHA256 = "ff8590740403502318104b2dcfce0679201832cae7cd5641b6fdb57a145e948a"
 EVAL_SHA256 = "16c7ffb9107a5826a961135b2bbab7945ff80637e5f78f7c4460e7c34062efaa"
+# Recorded while `cross_validate` still tracked its own running best and
+# each run report carried its index and train MAE.
+TRAIN_STDOUT_SHA256 = "f17e3580e0a29c2be74b2f2513c2f984f8b71185a8be1c3802ed5956e7e7835a"
 
 
 def _sha256(data: bytes) -> str:
@@ -72,6 +78,16 @@ def test_train_reference_and_history_bytes_are_pinned(tmp_path):
     timeless = "".join("\t".join(row.split("\t")[:3]) + "\n" for row in rows)
     assert _sha256(ref.read_bytes()) == REF_SHA256
     assert _sha256(timeless.encode("utf-8")) == HISTORY_SHA256
+
+
+def test_train_stdout_is_pinned(tmp_path, capsys):
+    corpus = _corpus(tmp_path)
+    capsys.readouterr()
+    ref, _ = _train(tmp_path, corpus)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("wrote training history")
+    printed = "".join(line.replace(str(ref), "<out>") + "\n" for line in lines[:-1])
+    assert _sha256(printed.encode("utf-8")) == TRAIN_STDOUT_SHA256
 
 
 def test_sign_db_and_dedup_pairs_bytes_are_pinned(tmp_path):

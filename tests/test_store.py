@@ -287,13 +287,15 @@ def test_dedup_rejects_db_with_tab_in_id(tmp_path, capsys):
     "ids, scores, message",
     [
         (("x", "a\nb"), np.zeros((2, 2)), "document id 'a\\nb' contains a newline"),
+        (("x", "b\udcff.txt"), np.zeros((2, 2)),
+         "document id 'b\\udcff.txt' contains a lone surrogate, which UTF-8 cannot encode"),
         (("x", "y"), np.array([[0.5, 0.25], [np.nan, 0.0]]), "record 'y' has a non-finite score"),
         (("x",), np.zeros((2, 2)), "scores have shape (2, 2), not (1, P)"),
         (("x", "y", "z"), np.zeros((2, 2)), "scores have shape (2, 2), not (3, P)"),
         (("x", "y"), np.zeros(2), "scores have shape (2,), not (2, P)"),
         (("x",), np.zeros((1, 0)), "scores have shape (1, 0), not (1, P)"),
     ],
-    ids=["bad-id", "non-finite", "fewer-ids", "more-ids", "1-D", "no-partitions"],
+    ids=["bad-id", "not-utf8", "non-finite", "fewer-ids", "more-ids", "1-D", "no-partitions"],
 )
 def test_signature_db_rejects_bad_ids_and_rows(ids, scores, message):
     with pytest.raises(ValueError) as exc:
