@@ -37,9 +37,9 @@ cfg = GaConfig(
 result = evolve(corpus, cfg)
 
 print("\ngeneration   best MAE   mean MAE")
-for stats in result.history:
-    if stats.generation % 5 == 0 or stats.generation == len(result.history) - 1:
-        print(f"{stats.generation:10d}   {stats.best_mae:.4f}     {stats.mean_mae:.4f}")
+for generation, stats in enumerate(result.history):
+    if generation % 5 == 0 or generation == len(result.history) - 1:
+        print(f"{generation:10d}   {stats.best_mae:.4f}     {stats.mean_mae:.4f}")
 
 baseline = result.history[0].mean_mae
 final = result.history[-1].best_mae

@@ -7,6 +7,7 @@ import argparse
 import random
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -65,7 +66,16 @@ def _pair_rows(ids: tuple[str, ...], hits: np.ndarray) -> Iterator[tuple[str, st
             yield ids[i], ids[j], f"{similarity:.9f}", labels[duplicate]
 
 
+def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
+    """Reject an output path whose directory is missing, before any work is done."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
+
+
 def cmd_topk(args: argparse.Namespace) -> int:
+    _check_out_dirs(args, "out")
     pool = top_k(score_grams(iter_documents(args.corpus, args.html_strip)), args.k)
     save_pool(pool, args.out)
     note = " (corpus exhausted)" if pool.underfilled else ""
@@ -83,6 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         rng_seed=args.seed,
     )
+    _check_out_dirs(args, "out", "history")
     docs = ingest(args.corpus, args.html_strip)
     result = cross_validate(docs, cfg, runs=args.runs)
     for run, report in enumerate(result.reports):
@@ -98,8 +109,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.history:
         winner = result.reports[result.winner_run]
         rows = [
-            (s.generation, f"{s.best_mae:.6f}", f"{s.mean_mae:.6f}", f"{s.elapsed_s:.3f}")
-            for s in winner.history
+            (generation, f"{s.best_mae:.6f}", f"{s.mean_mae:.6f}", f"{s.elapsed_s:.3f}")
+            for generation, s in enumerate(winner.history)
         ]
         _write_tsv(args.history, ("generation", "best_mae", "mean_mae", "elapsed_s"), rows)
         print(f"wrote training history to {args.history}")
@@ -107,6 +118,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
+    _check_out_dirs(args, "out")
     db = sign_documents(iter_documents(args.corpus, args.html_strip), load_reference(args.ref))
     db_write(args.out, db)
     print(f"signed {db.record_count} documents into {args.out}")
@@ -115,6 +127,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 def cmd_dedup(args: argparse.Namespace) -> int:
     cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
+    _check_out_dirs(args, "out")
     db = db_read(args.db)
     if args.ref:
         ref = load_reference(args.ref)
@@ -133,6 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.sample < 2:
         raise ValueError(f"--sample must be at least 2, got {args.sample}")
     cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
+    _check_out_dirs(args, "out")
     label_pairs = _read_label_pairs(args.labels) if args.labels else None
     ref = load_reference(args.ref)
     docs = ingest(args.corpus, args.html_strip)
@@ -291,14 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message: Warning | str, *location: object) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Library warnings print as one line; showwarning stays, so they can still be caught.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -113,7 +113,9 @@ def cross_validate(
     with the least held-out MAE.
 
     Run r both splits and evolves with seed ``cfg.rng_seed + r``, so the
-    whole procedure is reproducible from one seed.
+    whole procedure is reproducible from one seed. A split whose training
+    side holds fewer than ``cfg.sample_size`` documents, or whose held-out
+    side holds fewer than 2, is rejected before anything is trained.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -123,6 +125,12 @@ def cross_validate(
     for run in range(runs):
         seed = cfg.rng_seed + run
         train, test = split_corpus(corpus, seed)
+        if len(train) < cfg.sample_size or len(test) < 2:
+            raise ValueError(
+                f"a corpus of {len(corpus)} documents splits into {len(train)} to train on "
+                f"and {len(test)} held out; training needs sample_size={cfg.sample_size} "
+                "and the holdout at least 2"
+            )
         result: EvolveResult = evolve(train, replace(cfg, rng_seed=seed))
         refs.append(ReferenceText(result.best.keys, cfg.partitions))
         reports.append(RunReport(len(train), len(test), mae(refs[-1], test), result.history))

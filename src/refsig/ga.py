@@ -77,7 +77,8 @@ class FitnessSample:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    generation: int
+    """One generation's survivors; its generation number is its index in the history."""
+
     best_mae: float
     mean_mae: float
     elapsed_s: float
@@ -175,53 +176,45 @@ def _select(chromosomes: list[Chromosome], size: int) -> list[Chromosome]:
     return ranked[:size]
 
 
-def _stats(generation: int, population: list[Chromosome], elapsed: float) -> GenerationStats:
-    fits = [c.fitness for c in population]
-    return GenerationStats(generation, fits[0], math.fsum(fits) / len(fits), elapsed)
-
-
 def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
     """Run the full search and return the best chromosome plus history.
 
     All randomness comes from one sequential stream seeded by
-    ``cfg.rng_seed``: the fitness sample is drawn once, the population is
-    seeded from the top tf-idf pool, and each generation pairs parents at
-    random, crosses every pair, mutates every offspring, and keeps the
-    best ``population_size`` of parents plus offspring. History records
-    generation 0 (the scored initial population) onward; the run stops after
-    ``max_generations`` generations, or earlier once the best MAE is 0.0,
-    which no candidate can improve on.
+    ``cfg.rng_seed``: the fitness sample is drawn once, generation 0's
+    offspring are seeded from the top tf-idf pool, and each later generation
+    pairs the survivors at random, crosses every pair and mutates every
+    offspring. Each generation keeps the best ``population_size`` of
+    survivors plus offspring. History records generation 0 onward; the run
+    stops after ``max_generations`` more generations, or earlier once the
+    best MAE is 0.0, which no candidate can improve on.
     """
     corpus = list(corpus)
-    if len(corpus) < cfg.sample_size:
-        raise ValueError(
-            f"corpus has {len(corpus)} documents, need at least sample_size={cfg.sample_size}"
-        )
     rng = random.Random(cfg.rng_seed)
     pool = top_k(score_grams(corpus), cfg.pool_size)
     sample = draw_fitness_sample(corpus, cfg.sample_size, rng)
 
-    start = time.perf_counter()
-    population = init_population(pool, cfg, rng)
-    for chromosome in population:
-        chromosome.fitness = fitness(chromosome, sample, cfg.partitions)
-    population = _select(population, cfg.population_size)
-    history = [_stats(0, population, time.perf_counter() - start)]
-
-    for generation in range(1, cfg.max_generations + 1):
-        if history[-1].best_mae == 0.0:
-            break
+    population: list[Chromosome] = []
+    history: list[GenerationStats] = []
+    for _ in range(cfg.max_generations + 1):
         start = time.perf_counter()
-        order = list(range(len(population)))
-        rng.shuffle(order)
-        offspring: list[Chromosome] = []
-        for k in range(0, len(order) - 1, 2):
-            first, second = crossover(population[order[k]], population[order[k + 1]], rng)
-            offspring.append(mutate(first, pool, rng))
-            offspring.append(mutate(second, pool, rng))
+        if not population:
+            offspring = init_population(pool, cfg, rng)
+        else:
+            order = list(range(len(population)))
+            rng.shuffle(order)
+            offspring = []
+            for k in range(0, len(order) - 1, 2):
+                first, second = crossover(population[order[k]], population[order[k + 1]], rng)
+                offspring.append(mutate(first, pool, rng))
+                offspring.append(mutate(second, pool, rng))
         for chromosome in offspring:
             chromosome.fitness = fitness(chromosome, sample, cfg.partitions)
         population = _select(population + offspring, cfg.population_size)
-        history.append(_stats(generation, population, time.perf_counter() - start))
+        fits = [c.fitness for c in population]
+        history.append(
+            GenerationStats(fits[0], math.fsum(fits) / len(fits), time.perf_counter() - start)
+        )
+        if fits[0] == 0.0:
+            break
 
     return EvolveResult(population[0], tuple(history), pool)

@@ -105,8 +105,9 @@ def _serialize(ref: ReferenceText) -> str:
     return f"P={ref.partitions}\n" + key_lines(ref.keys)
 
 
-# Documents per count matrix in signature_matrix, and per block that
-# store.sign_documents reads and signs: it bounds the memory of both.
+# Documents per count matrix in signature_matrix, per block that
+# store.sign_documents reads and signs, and per block that tfidf.score_grams
+# reads and counts: it bounds the memory of all three.
 SIGN_BLOCK = 64
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +283,52 @@ def test_missing_corpus_fails_cleanly(tmp_path, capsys):
     assert _run("topk", "--corpus", tmp_path / "nope", "--k", 5,
                 "--out", tmp_path / "pool.txt") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_rejects_a_split_it_cannot_use_before_training(tmp_path, capsys):
+    # 5 documents split 4 to train on and 1 held out: sample 4 fits, the holdout does not
+    corpus = _make_corpus(tmp_path, *(f"document number {i} has words" for i in range(5)))
+    ref = tmp_path / "ref.txt"
+    assert _run("train", "--corpus", corpus, "--sample", 4, "--runs", 2, "--population", 4,
+                "--ref-len", 10, "--partitions", 2, "--pool-size", 50, "--generations", 1,
+                "--out", ref) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a corpus of 5 documents splits into 4 to train on and 1 held out; "
+                   "training needs sample_size=4 and the holdout at least 2\n")
+    assert not ref.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("topk", "--corpus", "{tmp}/corpus", "--out", "{missing}/pool.txt"),
+        ("train", "--corpus", "{tmp}/corpus", "--out", "{missing}/ref.txt"),
+        ("train", "--corpus", "{tmp}/corpus", "--out", "{tmp}/ref.txt",
+         "--history", "{missing}/history.tsv"),
+        ("sign", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
+         "--out", "{missing}/sigs.db"),
+        ("dedup", "--db", "{tmp}/sigs.db", "--out", "{missing}/pairs.tsv"),
+        ("eval", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
+         "--out", "{missing}/report.tsv"),
+    ],
+    ids=["topk", "train-out", "train-history", "sign", "dedup", "eval"],
+)
+def test_every_command_checks_its_output_directory_before_reading(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def unread(*args, **kwargs):
+        raise AssertionError("input read before the output directory was checked")
+
+    for reader in ("ingest", "iter_documents", "db_read", "load_reference"):
+        monkeypatch.setattr(cli, reader, unread)
+    missing = tmp_path / "missing"
+    argv = [arg.format(tmp=tmp_path, missing=missing) for arg in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {argv[-2]} {argv[-1]}: directory {missing} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):
@@ -578,3 +628,29 @@ def test_sign_empty_corpus_writes_empty_db(tmp_path):
     db_write(expected, SignatureDb(ref.fingerprint, (), np.empty((0, ref.partitions))))
     assert db_path.read_bytes() == expected.read_bytes()
     assert db_read(db_path).record_count == 0
+
+
+@pytest.mark.parametrize("command", ["topk", "sign"])
+def test_cli_prints_a_library_warning_as_one_line(tmp_path, command):
+    # In a fresh interpreter: pytest records warnings in-process instead of printing them.
+    _, ref_path = _sign_reference(tmp_path)
+    records = tmp_path / "records.txt"
+    records.write_text("the quick fox\n\nthe lazy dog\n", encoding="utf-8")
+    argv = {
+        "topk": ["--k", "5000", "--out", tmp_path / "pool.txt"],
+        "sign": ["--ref", ref_path, "--out", tmp_path / "sigs.db"],
+    }[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "refsig", command, "--corpus", records, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    empty = "warning: 1 document has no 3-gram after normalization: '1'\n"
+    assert done.stderr == {
+        "topk": empty + "warning: corpus has only 19 distinct 3-grams, requested 5000\n",
+        "sign": empty,
+    }[command]

@@ -175,6 +175,23 @@ def test_cross_validate_run_splits_and_evolves_with_seed_plus_run(monkeypatch):
     assert seen == expected
 
 
+@pytest.mark.parametrize("count, sample", [(36, 30), (5, 4)], ids=["train-side", "holdout"])
+def test_cross_validate_rejects_a_split_it_cannot_use_before_training(
+    monkeypatch, count, sample
+):
+    # 36 documents split 28/8, short of a 30-document sample; 5 split 4/1, and 1 cannot be scored
+    def unreachable(train, cfg):
+        raise AssertionError("evolve ran on a split that cannot be used")
+
+    monkeypatch.setattr(evaluate, "evolve", unreachable)
+    train = int(count * 0.8)
+    error = (f"a corpus of {count} documents splits into {train} to train on and "
+             f"{count - train} held out; training needs sample_size={sample} ")
+    cfg = dataclasses.replace(_tiny_cfg(), sample_size=sample)
+    with pytest.raises(ValueError, match=error):
+        cross_validate(_word_salad_docs(count, seed=9), cfg, runs=2)
+
+
 def test_cross_validate_rejects_bad_runs():
     with pytest.raises(ValueError):
         cross_validate(_word_salad_docs(10, seed=6), _tiny_cfg(), runs=0)
