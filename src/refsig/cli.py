@@ -67,10 +67,14 @@ def _pair_rows(ids: tuple[str, ...], hits: np.ndarray) -> Iterator[tuple[str, st
 
 
 def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
-    """Reject an output path whose directory is missing, before any work is done."""
+    """Reject an output path that is a directory or whose directory is
+    missing, before any work is done."""
     for flag in flags:
-        path = getattr(args, flag)
-        if path is not None and not Path(path).parent.is_dir():
+        if (path := getattr(args, flag)) is None:
+            continue
+        if Path(path).is_dir():
+            raise ValueError(f"--{flag} {path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise ValueError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
 
 

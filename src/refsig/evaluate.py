@@ -17,21 +17,17 @@ from .reference import (
     ReferenceText,
     Verdict,
     mean_signature_error,
-    pairwise_signature_similarity,
     signature_matrix,
+    upper_blocks,
 )
 from .store import SignatureDb
-from .text import Document, brute_force_pairwise, key_columns, sorted_counts
+from .text import SCAN_BLOCK, Document, brute_force_pairwise, key_columns, sorted_counts
 
 
 def mae(ref: ReferenceText, docs: Sequence[Document]) -> float:
     """Mean absolute error of signature similarity vs exact cosine over all
     pairs of ``docs``."""
-    docs = list(docs)
-    if len(docs) < 2:
-        raise ValueError(f"need at least 2 documents to evaluate, got {len(docs)}")
-    oracle = brute_force_pairwise(docs)
-    return mean_signature_error(signature_matrix(docs, ref), oracle)
+    return mean_signature_error(signature_matrix(docs, ref), brute_force_pairwise(docs))
 
 
 @dataclass(frozen=True)
@@ -264,8 +260,6 @@ def generate_synthetic_corpus(
 # ---------------------------------------------------------------------------
 # All-pairs DND scan over a signature database.
 
-SCAN_BLOCK = 256  # rows per block: dnd_scan holds SCAN_BLOCK x N similarities
-
 # One scan hit: the db rows of a pair, the smaller id's row first.
 SCAN_HIT = np.dtype(
     [("first", np.intp), ("second", np.intp), ("similarity", float), ("duplicate", bool)]
@@ -274,7 +268,8 @@ SCAN_HIT = np.dtype(
 
 def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> np.ndarray:
     """Every duplicate and near-duplicate pair in the database, as one
-    :data:`SCAN_HIT` array sorted by (id of ``first``, id of ``second``).
+    :data:`SCAN_HIT` array sorted by (id of ``first``, id of ``second``),
+    read from :func:`upper_blocks` :data:`SCAN_BLOCK` rows at a time.
 
     ``duplicate`` is ``similarity >= cfg.t1`` on the same float64 values
     compared with ``cfg.t2``, so each hit's label equals :func:`classify`'s.
@@ -286,10 +281,7 @@ def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> np.ndarray:
     by_id = np.argsort(np.array(db.ids))
     matrix = np.asarray(db.scores, dtype=float)[by_id]
     firsts, seconds, sims_kept = [], [], []
-    for lo in range(0, db.record_count, SCAN_BLOCK):
-        # A block of rows against itself and every later row; triu keeps j > i.
-        sims = pairwise_signature_similarity(matrix[lo : lo + SCAN_BLOCK], matrix[lo:])
-        rows, cols = np.nonzero(np.triu(sims >= cfg.t2, k=1))
+    for lo, sims, rows, cols in upper_blocks(matrix, cfg.t2):
         firsts.append(by_id[rows + lo])
         seconds.append(by_id[cols + lo])
         sims_kept.append(sims[rows, cols])

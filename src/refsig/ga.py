@@ -20,7 +20,7 @@ import numpy as np
 
 from .gramio import key_lines
 from .reference import mean_signature_error, partition_layout, partition_scores
-from .text import Document, count_cosine, count_matrix, key_columns, sorted_counts
+from .text import Document, brute_force_pairwise, count_matrix, key_columns, sorted_counts
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -65,11 +65,11 @@ class Chromosome:
 
 @dataclass(frozen=True, eq=False)
 class FitnessSample:
-    """The exact pairwise cosine matrix of the fixed documents every
-    candidate is scored on, and their :func:`~refsig.text.count_matrix`
+    """The fixed documents every candidate is scored on: their exact cosines in
+    :func:`~refsig.text.brute_force_pairwise`'s row blocks, and their counts
     over ``keys``, the sorted packed keys of every gram they hold."""
 
-    oracle: np.ndarray
+    oracle: tuple[np.ndarray, ...]
     keys: np.ndarray
     counts: np.ndarray
     sq_norms: np.ndarray
@@ -94,7 +94,7 @@ class EvolveResult:
 def draw_fitness_sample(
     corpus: Sequence[Document], size: int, rng: random.Random
 ) -> FitnessSample:
-    """Pick ``size`` documents without replacement; the oracle is their counts' Gram product."""
+    """Pick ``size`` documents without replacement, with their exact cosines."""
     if size < 2:
         raise ValueError("fitness sample needs at least 2 documents")
     if len(corpus) < size:
@@ -102,8 +102,7 @@ def draw_fitness_sample(
     docs = rng.sample(list(corpus), size)
     vocab = sorted_counts(np.concatenate([doc.vector.keys for doc in docs]))[0]
     counts, sq_norms = count_matrix(docs, vocab)
-    oracle = count_cosine(counts @ counts.T, sq_norms, sq_norms)
-    return FitnessSample(oracle, vocab, counts, sq_norms)
+    return FitnessSample(tuple(brute_force_pairwise(docs)), vocab, counts, sq_norms)
 
 
 def init_population(pool: GramPool, cfg: GaConfig, rng: random.Random) -> list[Chromosome]:

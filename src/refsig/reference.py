@@ -12,12 +12,12 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gramio import key_lines, line_keys, read_lines
-from .text import Document, count_cosine, count_matrix
+from .text import SCAN_BLOCK, Document, count_cosine, count_matrix
 
 
 def partition_sizes(length: int, parts: int) -> list[int]:
@@ -131,33 +131,64 @@ def sign(doc: Document, ref: ReferenceText) -> np.ndarray:
     return signature_matrix([doc], ref)[0]
 
 
+EXACT_FLOOR = 1.0 - 1e-9  # equal rows land within a few ulps of 1.0
+
+
+def _exact_ones(sims: np.ndarray, a: np.ndarray, b: np.ndarray, rows, cols) -> None:
+    """The probe: equal rows ``a[rows]``, ``b[cols]`` at or above EXACT_FLOOR score 1.0."""
+    near = sims[rows, cols] >= EXACT_FLOOR
+    rows, cols = rows[near], cols[near]
+    equal = (a[rows] == b[cols]).all(axis=1)
+    sims[rows[equal], cols[equal]] = 1.0
+
+
 def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine of each row of ``a`` against each row of ``b``: 0.0 where either
     row is all-zero, exactly 1.0 where two non-zero rows are equal."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sims = count_cosine(a @ b.T, np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
-    # Equal rows land within a few ulps of 1.0, so only those entries are compared.
-    rows, cols = np.nonzero(sims >= 1.0 - 1e-9)
-    equal = (a[rows] == b[cols]).all(axis=1)
-    sims[rows[equal], cols[equal]] = 1.0
+    _exact_ones(sims, a, b, *np.nonzero(sims >= EXACT_FLOOR))
     return sims
 
 
-def mean_signature_error(sig_matrix: np.ndarray, oracle: np.ndarray) -> float:
-    """Mean absolute gap between signature similarity and exact cosine.
+def upper_blocks(m: np.ndarray, floor: float = 1.0) -> Iterator[tuple]:
+    """The pair kernel: ``(lo, sims, rows, cols)`` for each block of
+    :data:`SCAN_BLOCK` rows from ``lo``. ``sims[r, c]`` is the similarity of
+    rows ``lo + r`` and ``lo + c``, read only for pairs ``c > r``; ``(rows,
+    cols)`` are the pairs scoring at least ``floor``, in row-major order.
+    Only pairs at or above ``min(floor, EXACT_FLOOR)`` are probed for equal rows."""
+    m = np.asarray(m, dtype=float)
+    sq = np.einsum("ij,ij->i", m, m)  # once: a row's norm is the same in every block
+    for lo in range(0, len(m), SCAN_BLOCK):
+        block = m[lo : lo + SCAN_BLOCK]
+        sims = count_cosine(block @ m[lo:].T, sq[lo : lo + SCAN_BLOCK], sq[lo:])
+        rows, cols = np.nonzero(sims >= min(floor, EXACT_FLOOR))
+        rows, cols = rows[cols > rows], cols[cols > rows]
+        _exact_ones(sims, block, m[lo:], rows, cols)
+        hit = sims[rows, cols] >= floor
+        yield lo, sims, rows[hit], cols[hit]
 
-    Averages |sims[i, j] - oracle[i, j]| over the N(N-1)/2 unordered pairs,
-    where ``sims`` is :func:`pairwise_signature_similarity` of the rows.
-    """
-    n = sig_matrix.shape[0]
+
+def mean_signature_error(sig_matrix: np.ndarray, oracle: Iterable[np.ndarray]) -> float:
+    """Mean absolute gap between signature similarity and exact cosine over
+    the N(N-1)/2 pairs i < j: :func:`upper_blocks` beside ``oracle``'s blocks,
+    as :func:`~refsig.text.brute_force_pairwise` yields them. Up to
+    :data:`SCAN_BLOCK` rows this is ``np.mean`` over ``triu_indices`` bit for bit."""
+    n = len(sig_matrix)
     if n < 2:
-        raise ValueError("need at least 2 documents to compare")
-    if oracle.shape != (n, n):
-        raise ValueError(f"oracle shape {oracle.shape} does not match {n} documents")
-    sims = pairwise_signature_similarity(sig_matrix, sig_matrix)
-    iu = np.triu_indices(n, k=1)
-    return float(np.mean(np.abs(sims[iu] - oracle[iu])))
+        raise ValueError(f"need at least 2 documents to compare, got {n}")
+    total, exact_blocks = 0.0, iter(oracle)
+    for lo, sims, _, _ in upper_blocks(sig_matrix):
+        exact = next(exact_blocks, None)
+        if np.shape(exact) != sims.shape:
+            raise ValueError(f"oracle block {np.shape(exact)} does not match rows {lo}.. of {n}")
+        np.abs(np.subtract(sims, exact, out=sims), out=sims)
+        total += sims[~np.tri(*sims.shape, dtype=bool)].sum()
+        del sims, exact  # free this block before the next one is computed
+    if next(exact_blocks, None) is not None:
+        raise ValueError(f"oracle has more row blocks than {n} documents")
+    return float(total / (n * (n - 1) // 2))
 
 
 class Verdict(Enum):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -181,13 +181,13 @@ def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.nda
     ``sq_b``; a zero squared norm (an empty vector) scores 0.0. Integers
     below 2**53 are exact in float64 whatever order they were summed in,
     and sqrt(float(a) * float(b)) rounds as math.sqrt(a * b) does, so every
-    entry is bit-identical to :func:`cosine`. ``pairwise_signature_similarity``
-    feeds it float dots and squared norms of signature rows.
+    entry is bit-identical to :func:`cosine`. The signature pair kernel
+    (``reference.upper_blocks``) feeds it float dots and squared norms of
+    signature rows.
     """
     denom = np.sqrt(np.multiply.outer(sq_a, sq_b))
-    out = np.zeros(denom.shape)
-    np.divide(dots, denom, out=out, where=denom > 0)
-    return np.minimum(out, 1.0, out=out)
+    np.divide(dots, denom, out=denom, where=denom > 0)  # a zero denominator stays 0.0
+    return np.minimum(denom, 1.0, out=denom)
 
 
 def count_cells(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,32 +215,44 @@ def count_matrix(docs: Sequence[Document], vocab: np.ndarray) -> tuple[np.ndarra
     return counts, np.array([doc.vector.sq_norm for doc in docs], dtype=float)
 
 
+SCAN_BLOCK = 256  # rows per block of the pair kernel and the oracle: SCAN_BLOCK x N arrays
+
 # Vocabulary columns per dense block of the exact-cosine oracle: memory is
 # O(N * block) instead of O(N * V).
 ORACLE_BLOCK = 512
 
 
-def brute_force_pairwise(corpus: Sequence[Document]) -> np.ndarray:
-    """Exact cosine between every document pair; the ground-truth oracle.
-
-    Returns a symmetric N x N float matrix. Dot products are summed as
-    count-matrix products over blocks of vocabulary columns, so they are
-    exact integers and every entry is bit-identical to :func:`cosine`. A
-    diagonal entry is its squared norm x over sqrt(fl(x * x)), which is x in
-    IEEE binary64: 1.0, or 0.0 for an empty document.
-    """
+def brute_force_pairwise(corpus: Sequence[Document]) -> Iterator[np.ndarray]:
+    """The ground-truth oracle in the row blocks of ``reference.upper_blocks``:
+    for each block of :data:`SCAN_BLOCK` documents from ``lo``, their exact
+    cosines against documents ``lo`` onwards. Dot products are exact integer
+    count-matrix products, so every entry is bit-identical to :func:`cosine`.
+    A diagonal entry is its squared norm x over sqrt(fl(x * x)), which is x
+    in IEEE binary64: 1.0, or 0.0 for an empty document."""
     if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
     rows, keys, counts = count_cells(corpus)
     vocab = sorted_counts(keys)[0]  # one sort, where np.unique would argsort or hash
     cols = np.searchsorted(vocab, keys)
-    dots = np.zeros((n, n))
-    block = np.empty((n, min(ORACLE_BLOCK, len(vocab))))
-    for lo in range(0, len(vocab), ORACLE_BLOCK):
-        block[:] = 0.0
-        inside = (cols >= lo) & (cols < lo + ORACLE_BLOCK)
-        block[rows[inside], cols[inside] - lo] = counts[inside]
-        dots += block @ block.T
     sq = np.array([doc.vector.sq_norm for doc in corpus], dtype=float)
-    return count_cosine(dots, sq, sq)
+    for lo in range(0, n, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, n)
+        yield count_cosine(
+            _block_dots(rows, cols, counts, len(vocab), lo, hi, n), sq[lo:hi], sq[lo:]
+        )
+
+
+def _block_dots(rows, cols, counts, width: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """Exact dot products of documents lo..hi-1 against lo..n-1, from each
+    (document, gram) cell's row, vocabulary column (of ``width``) and count."""
+    start = np.searchsorted(rows, lo)
+    rows, cols, counts = rows[start:], cols[start:], counts[start:]
+    dots = np.zeros((hi - lo, n - lo))
+    dense = np.empty((n - lo, min(ORACLE_BLOCK, width)))
+    for c in range(0, width, ORACLE_BLOCK):
+        dense[:] = 0.0
+        inside = (cols >= c) & (cols < c + ORACLE_BLOCK)
+        dense[rows[inside] - lo, cols[inside] - c] = counts[inside]
+        dots += dense[: hi - lo] @ dense.T
+    return dots

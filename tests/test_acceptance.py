@@ -55,7 +55,7 @@ def test_criterion_1_full_vocabulary_equivalence():
     ref = ReferenceText(_keys(grams), len(grams))  # one gram per partition
     sigs = signature_matrix(docs, ref)
     sims = pairwise_signature_similarity(sigs, sigs)
-    oracle = brute_force_pairwise(docs)
+    (oracle,) = brute_force_pairwise(docs)  # 50 documents: one row block, the whole matrix
     n = len(docs)
     iu = np.triu_indices(n, k=1)
     gap = float(np.max(np.abs(sims[iu] - oracle[iu])))

@@ -299,36 +299,44 @@ def test_train_rejects_a_split_it_cannot_use_before_training(tmp_path, capsys):
     assert not ref.exists()
 
 
+_OUTPUT_ARGVS = {
+    "topk": ("topk", "--corpus", "{tmp}/corpus", "--out", "{out}"),
+    "train-out": ("train", "--corpus", "{tmp}/corpus", "--out", "{out}"),
+    "train-history": ("train", "--corpus", "{tmp}/corpus", "--out", "{tmp}/ref.txt",
+                      "--history", "{out}"),
+    "sign": ("sign", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus", "--out", "{out}"),
+    "dedup": ("dedup", "--db", "{tmp}/sigs.db", "--out", "{out}"),
+    "eval": ("eval", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus", "--out", "{out}"),
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("topk", "--corpus", "{tmp}/corpus", "--out", "{missing}/pool.txt"),
-        ("train", "--corpus", "{tmp}/corpus", "--out", "{missing}/ref.txt"),
-        ("train", "--corpus", "{tmp}/corpus", "--out", "{tmp}/ref.txt",
-         "--history", "{missing}/history.tsv"),
-        ("sign", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
-         "--out", "{missing}/sigs.db"),
-        ("dedup", "--db", "{tmp}/sigs.db", "--out", "{missing}/pairs.tsv"),
-        ("eval", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
-         "--out", "{missing}/report.tsv"),
-    ],
-    ids=["topk", "train-out", "train-history", "sign", "dedup", "eval"],
+    "argv, is_dir",
+    [pytest.param(argv, False, id=name) for name, argv in _OUTPUT_ARGVS.items()]
+    + [pytest.param(argv, True, id=f"{name}-is-a-directory")
+       for name, argv in _OUTPUT_ARGVS.items()],
 )
 def test_every_command_checks_its_output_directory_before_reading(
-    tmp_path, capsys, monkeypatch, argv
+    tmp_path, capsys, monkeypatch, argv, is_dir
 ):
     def unread(*args, **kwargs):
         raise AssertionError("input read before the output directory was checked")
 
     for reader in ("ingest", "iter_documents", "db_read", "load_reference"):
         monkeypatch.setattr(cli, reader, unread)
-    missing = tmp_path / "missing"
-    argv = [arg.format(tmp=tmp_path, missing=missing) for arg in argv]
+    # An output that is an existing directory, or a file in a missing one.
+    output = tmp_path / "existing" if is_dir else tmp_path / "missing" / "out.txt"
+    if is_dir:
+        output.mkdir()
+    argv = [arg.format(tmp=tmp_path, out=output) for arg in argv]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {argv[-2]} {argv[-1]}: directory {missing} does not exist\n"
-    assert list(tmp_path.iterdir()) == []
+    reason = "is a directory" if is_dir else f"directory {output.parent} does not exist"
+    assert err == f"error: {argv[-2]} {output}: {reason}\n"
+    assert list(tmp_path.iterdir()) == ([output] if is_dir else [])
+    if is_dir:
+        assert list(output.iterdir()) == []
 
 
 def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from refsig import evaluate
+from refsig import evaluate, reference
 from refsig.evaluate import (
     SCAN_HIT,
     ConfusionCounts,
@@ -408,6 +408,72 @@ def test_dnd_scan_sorts_by_python_str_order():
     pairs = [(a, b) for a, b, _, _ in hits]
     assert pairs == sorted(tuple(sorted(p)) for p in itertools.combinations(ids, 2))
     assert len(pairs) == len(ids) * (len(ids) - 1) // 2
+
+
+def _rows_with_copies(count, seed):
+    """Float32 signature-like rows with copies of row 7 across every block edge."""
+    block = evaluate.SCAN_BLOCK
+    scores = np.random.default_rng(seed).uniform(0, 1, size=(count, 150)).astype("<f4")
+    scores[[block - 1, block, count - 1]] = scores[7]
+    return scores
+
+
+@pytest.mark.parametrize("count", [700, 2050])
+def test_dnd_scan_equals_the_blocked_pairwise_loop_bit_for_bit(count):
+    # The sizes at which BLAS block shapes were seen to round differently:
+    # the scan must reproduce, bit for bit, a loop over the blocks it replaced.
+    block = evaluate.SCAN_BLOCK
+    scores = _rows_with_copies(count, seed=count)
+    matrix = scores.astype(float)
+    squares = np.einsum("ij,ij->i", matrix, matrix)
+    cfg = ClassifierConfig(0.999, 0.8)
+    expected = []
+    for lo in range(0, count, block):
+        # Norms taken once for the whole matrix equal the old per-block einsum.
+        tail = matrix[lo:]
+        assert squares[lo:].tobytes() == np.einsum("ij,ij->i", tail, tail).tobytes()
+        sims = pairwise_signature_similarity(matrix[lo : lo + block], tail)
+        rows, cols = np.nonzero(np.triu(sims >= cfg.t2, k=1))
+        expected += zip((rows + lo).tolist(), (cols + lo).tolist(), sims[rows, cols].tolist())
+    db = SignatureDb("f" * 64, tuple(f"doc-{k:04d}" for k in range(count)), scores)
+    hits = dnd_scan(db, cfg)
+    assert list(zip(*(hits[f].tolist() for f in ("first", "second", "similarity")))) == expected
+    assert 1000 < len(hits) < count * (count - 1) // 20
+    assert (hits["duplicate"] == (hits["similarity"] >= cfg.t1)).all()
+
+
+def test_dnd_scan_emits_equal_rows_at_one_with_t2_above_the_probe_floor(monkeypatch):
+    count = 2 * evaluate.SCAN_BLOCK + 37
+    db = SignatureDb("f" * 64, tuple(f"{k:04d}" for k in range(count)), _rows_with_copies(count, 5))
+    cfg = ClassifierConfig(t1=1.0, t2=1.0 - 1e-10)
+    copies = [7, evaluate.SCAN_BLOCK - 1, evaluate.SCAN_BLOCK, count - 1]
+    expected = [(i, j, 1.0, True) for i, j in itertools.combinations(copies, 2)]
+    assert dnd_scan(db, cfg).tolist() == expected
+    # Without the probe, some copies' cosines round below 1.0.
+    monkeypatch.setattr(reference, "_exact_ones", lambda *args: None)
+    assert (dnd_scan(db, cfg)["similarity"] < 1.0).any()
+
+
+def test_dnd_scan_probe_never_reads_a_pair_with_i_at_or_above_j(monkeypatch):
+    probed = []
+    exact_ones = reference._exact_ones
+
+    def spy(sims, a, b, rows, cols):
+        near = sims[rows, cols] >= reference.EXACT_FLOOR
+        probed.append((rows[near], cols[near]))
+        exact_ones(sims, a, b, rows, cols)
+
+    monkeypatch.setattr(reference, "_exact_ones", spy)
+    count = 2 * evaluate.SCAN_BLOCK + 37
+    db = SignatureDb("f" * 64, tuple(f"{k:04d}" for k in range(count)), _rows_with_copies(count, 5))
+    for t2 in (0.8, 1.0 - 1e-10):
+        probed.clear()
+        hits = dnd_scan(db, ClassifierConfig(1.0, t2))
+        assert len(probed) == 3  # one probe per row block
+        assert all((cols > rows).all() for rows, cols in probed)
+        # Only the six pairs of the four copies reach the probe.
+        assert sum(len(rows) for rows, _ in probed) == 6
+        assert (hits["similarity"] == 1.0).sum() == 6
 
 
 def test_dnd_scan_rejects_empty_db():

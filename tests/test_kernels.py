@@ -5,17 +5,21 @@ not within a tolerance."""
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsig import reference, text
 from refsig.ga import Chromosome, _select, draw_fitness_sample, fitness
 from refsig.reference import (
+    EXACT_FLOOR,
     ReferenceText,
     mean_signature_error,
+    pairwise_signature_similarity,
     partition_sizes,
     sign,
     signature_matrix,
+    upper_blocks,
 )
 from refsig.text import (
     Document,
@@ -124,9 +128,77 @@ def test_brute_force_pairwise_equals_cosine(monkeypatch):
     docs = _docs(TEXTS + texts + ["a" * 20000, ""])
     expected = np.array([[cosine(a.vector, b.vector) for b in docs] for a in docs])
     np.fill_diagonal(expected, [0.0 if d.vector.is_empty else 1.0 for d in docs])
-    assert brute_force_pairwise(docs).tobytes() == expected.tobytes()
+    assert [block.tobytes() for block in brute_force_pairwise(docs)] == [expected.tobytes()]
     monkeypatch.setattr(text, "ORACLE_BLOCK", 7)  # many vocabulary blocks
-    assert brute_force_pairwise(docs).tobytes() == expected.tobytes()
+    assert [block.tobytes() for block in brute_force_pairwise(docs)] == [expected.tobytes()]
+    monkeypatch.setattr(text, "SCAN_BLOCK", 4)  # many row blocks: rows lo.. against lo..
+    assert [block.tobytes() for block in brute_force_pairwise(docs)] == [
+        expected[lo : lo + 4, lo:].tobytes() for lo in range(0, len(docs), 4)
+    ]
+
+
+def _set_row_block(monkeypatch, rows):
+    """Make the pair kernel and the oracle both use row blocks of ``rows``."""
+    monkeypatch.setattr(reference, "SCAN_BLOCK", rows)
+    monkeypatch.setattr(text, "SCAN_BLOCK", rows)
+
+
+def test_upper_blocks_are_the_pairwise_blocks_above_the_diagonal(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = rng.uniform(0, 1, size=(23, 6))
+    m[[5, 11]] = 0.0  # all-zero rows
+    m[[9, 16, 22]] = m[2]  # copies within and across blocks
+    _set_row_block(monkeypatch, 8)
+    blocks = list(upper_blocks(m, floor=0.5))
+    assert [lo for lo, *_ in blocks] == [0, 8, 16]
+    for lo, sims, rows, cols in blocks:
+        expected = pairwise_signature_similarity(m[lo : lo + 8], m[lo:])
+        upper = ~np.tri(*expected.shape, dtype=bool)
+        assert sims.shape == expected.shape
+        assert sims[upper].tobytes() == expected[upper].tobytes()
+        listed = np.nonzero(upper & (expected >= 0.5))
+        assert (rows.tolist(), cols.tolist()) == (listed[0].tolist(), listed[1].tolist())
+    # At the default floor of 1.0 they are the pairs of equal rows.
+    listed = [(lo + r, lo + c) for lo, _, rows, cols in upper_blocks(m) for r, c in zip(rows, cols)]
+    assert listed == [(2, 9), (2, 16), (2, 22), (9, 16), (9, 22), (16, 22)]
+
+
+def test_mean_signature_error_sums_row_blocks(monkeypatch):
+    rng = random.Random(6)
+    docs = _docs(["".join(rng.choices("abcde ", k=rng.randint(0, 50))) for _ in range(21)] + TEXTS)
+    docs.append(Document("copy", docs[3].vector))
+    rows = signature_matrix(docs, ReferenceText(_keys(GRAMS), 4))
+    (oracle,) = brute_force_pairwise(docs)
+    iu = np.triu_indices(len(docs), k=1)
+    # One block: np.mean over the full matrices' upper triangle, bit for bit.
+    full = float(np.mean(np.abs(pairwise_signature_similarity(rows, rows)[iu] - oracle[iu])))
+    assert mean_signature_error(rows, brute_force_pairwise(docs)) == full
+    _set_row_block(monkeypatch, 5)
+    blocks = list(brute_force_pairwise(docs))
+    assert len(blocks) == 7
+    assert abs(mean_signature_error(rows, blocks) - full) <= 1e-15
+    for wrong in (blocks[:-1], blocks + blocks[-1:], blocks[:1] * 7):
+        with pytest.raises(ValueError):
+            mean_signature_error(rows, wrong)
+
+
+def test_fitness_probe_never_reads_a_pair_with_i_at_or_above_j(monkeypatch):
+    probed = []
+    exact_ones = reference._exact_ones
+
+    def spy(sims, a, b, rows, cols):
+        near = sims[rows, cols] >= EXACT_FLOOR
+        probed.append((rows[near], cols[near]))
+        exact_ones(sims, a, b, rows, cols)
+
+    monkeypatch.setattr(reference, "_exact_ones", spy)
+    docs = _docs(["abcabc", "abcabc", "the cat sat", "xyz", "abcabc", ""])
+    sample = draw_fitness_sample(docs, len(docs), random.Random(0))
+    fitness(_chromosome(("abc", "bca", "the", "cat")), sample, 2)
+    [(rows, cols)] = probed
+    assert (cols > rows).all()
+    # The three equal documents are three pairs; no diagonal entry is probed.
+    assert len(rows) == 3
 
 
 def test_select_matches_fitness_then_hash_order():
@@ -157,7 +229,7 @@ def test_kernels_equal_cosine_property(texts, grams, data):
     expected = _cosine_rows(docs, tuple(grams), partitions)
     assert signature_matrix(docs, ref).tobytes() == expected.tobytes()
 
-    oracle = brute_force_pairwise(docs)
+    (oracle,) = brute_force_pairwise(docs)
     for i, a in enumerate(docs):
         for j, b in enumerate(docs):
             if i != j:
@@ -165,6 +237,6 @@ def test_kernels_equal_cosine_property(texts, grams, data):
 
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
     drawn = random.Random(0).sample(docs, len(docs))
-    assert sample.oracle.tobytes() == brute_force_pairwise(drawn).tobytes()
+    assert [b.tobytes() for b in sample.oracle] == [b.tobytes() for b in brute_force_pairwise(drawn)]
     direct = mean_signature_error(signature_matrix(drawn, ref), sample.oracle)
     assert fitness(_chromosome(grams), sample, partitions) == direct

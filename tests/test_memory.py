@@ -8,6 +8,8 @@ so its peak grows with the corpus vocabulary, not with the documents. ``refsig d
 keeps its hits as arrays and writes them a slice at a time, and ``refsig
 eval --labels`` matches them against the labels as arrays of row pairs, so
 their peaks grow by tens of bytes per hit, not by a Python object per hit.
+``refsig eval`` compares every pair of its documents a row block at a time,
+so the peak of its MAE grows linearly with the documents, not quadratically.
 A document read by ``ingest`` keeps its 3-gram vector, not its text.
 
 The peak is the ``VmHWM`` of a fresh interpreter, read from
@@ -49,6 +51,13 @@ GROWTH_BOUND_KB = 8 * 1024
 DEDUP_ROWS = 1000
 # Python objects per hit cost about 400 B; the hit arrays, under 100 B.
 DEDUP_BOUND_BYTES_PER_HIT = 150
+
+MAE_SMALL, MAE_LARGE = 400, 1600
+# One MAE_LARGE x MAE_LARGE float64 matrix: a reducer that holds N x N arrays
+# grows by at least that. The pair kernel's row blocks and the oracle's column blocks
+# cost a few SCAN_BLOCK x N and N x ORACLE_BLOCK arrays: about 14 kB per
+# document, its own vector included.
+MAE_BOUND_KB = MAE_LARGE * MAE_LARGE * 8 // 1024
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
@@ -186,6 +195,26 @@ def test_eval_labels_peak_memory_does_not_grow_per_hit(tmp_path):
     per_hit = (peak - base) * 1024 / hits
     assert per_hit < DEDUP_BOUND_BYTES_PER_HIT, (
         f"peak grew {peak - base} kB for {hits} hits ({per_hit:.0f} B per hit)"
+    )
+
+
+@needs_proc
+def test_eval_mae_peak_memory_grows_linearly_with_documents(tmp_path):
+    rng = random.Random(0)
+    vocab = _vocab(rng)
+    ref = tmp_path / "ref.txt"
+    grams = ["".join(rng.choices(string.ascii_lowercase, k=3)) for _ in range(200)]
+    save_reference(ReferenceText(_keys(grams), 10), ref)
+    peaks = []
+    for n in (MAE_SMALL, MAE_LARGE):
+        # Short documents, so the peak is the pair kernel's, not the corpus's.
+        corpus = tmp_path / f"corpus-{n}"
+        _write_directory(corpus, (" ".join(rng.choices(vocab, k=12)) for _ in range(n)))
+        peaks.append(_peak_kb("eval", "--ref", ref, "--corpus", corpus, "--sample", n,
+                              "--out", tmp_path / f"eval-{n}.tsv"))
+    growth = peaks[1] - peaks[0]
+    assert growth < MAE_BOUND_KB, (
+        f"peak grew {growth} kB from {MAE_SMALL} to {MAE_LARGE} documents"
     )
 
 

@@ -150,7 +150,7 @@ def test_full_vocabulary_exactness_small():
     ref = ReferenceText(_keys(grams), len(grams))
     sigs = signature_matrix(docs, ref)
     sims = pairwise_signature_similarity(sigs, sigs)
-    oracle = brute_force_pairwise(docs)
+    (oracle,) = brute_force_pairwise(docs)
     assert np.max(np.abs(sims - oracle)) <= 1e-9
 
 

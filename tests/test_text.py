@@ -137,23 +137,23 @@ def test_cosine_properties():
 
 def test_brute_force_pairwise():
     single = [Document.from_raw("0", "abcd")]
-    assert brute_force_pairwise(single).tolist() == [[1.0]]
+    assert [mat.tolist() for mat in brute_force_pairwise(single)] == [[[1.0]]]
 
     twins = [Document.from_raw("0", "same text"), Document.from_raw("1", "same text")]
-    mat = brute_force_pairwise(twins)
+    (mat,) = brute_force_pairwise(twins)
     assert mat[0, 1] == 1.0 and mat[1, 0] == 1.0
 
     docs = [Document.from_raw("0", "abcd"), Document.from_raw("1", "bcde")]
-    mat = brute_force_pairwise(docs)
+    (mat,) = brute_force_pairwise(docs)
     assert mat[0, 1] == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(mat, mat.T)
 
     with_empty = [Document.from_raw("0", ""), Document.from_raw("1", "abcd")]
-    mat = brute_force_pairwise(with_empty)
+    (mat,) = brute_force_pairwise(with_empty)
     assert mat[0, 0] == 0.0 and mat[1, 1] == 1.0 and mat[0, 1] == 0.0
 
     with pytest.raises(ValueError):
-        brute_force_pairwise([])
+        list(brute_force_pairwise([]))
 
 
 def test_document_from_raw_consistency():
