@@ -7,6 +7,8 @@ documents get similar signatures, so comparing signatures stands in for
 comparing the full texts.
 """
 
+import numpy as np
+
 from refsig import (
     Document,
     ReferenceText,
@@ -47,8 +49,9 @@ grams = ["the", "he ", "qui", "uic", "ick", "bro", "row", "own",
          "fox", "ox ", "laz", "azy", "dog", "og ", "jum", "ump"]
 ref = ReferenceText(gram_keys("".join(grams))[::3], partitions=4)
 print(f"\nreference: {len(ref)} grams in {ref.partitions} partitions")
-for k, (lo, hi) in enumerate(zip(ref.starts, [*ref.starts[1:], len(ref)])):
-    print(f"  partition {k}: {sorted(set(gram_strings(ref.keys[lo:hi])))}")
+# Partitions are contiguous; the first ones take one gram more when the sizes differ.
+for k, part in enumerate(np.array_split(ref.keys, ref.partitions)):
+    print(f"  partition {k}: {sorted(set(gram_strings(part)))}")
 
 # --- signatures --------------------------------------------------------------
 

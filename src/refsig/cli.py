@@ -23,7 +23,7 @@ from .evaluate import (
     synthetic_texts,
 )
 from .ga import DEFAULT_SEED, GaConfig
-from .gramio import read_lines
+from .gramio import read_lines, write_whole
 from .reference import (
     ClassifierConfig,
     Verdict,
@@ -48,7 +48,7 @@ _REPORT_COLUMNS = (
 
 
 def _write_tsv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_whole(path) as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(str(cell) for cell in row) + "\n")

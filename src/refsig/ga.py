@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .gramio import key_lines
-from .reference import mean_signature_error, partition_layout, partition_scores
+from .reference import mean_signature_error, partition_layout, partition_scores, partition_sizes
 from .text import Document, brute_force_pairwise, count_matrix, key_columns, sorted_counts
 from .tfidf import GramPool, score_grams, top_k
 
@@ -139,25 +139,53 @@ def mutation_count(ref_len: int) -> int:
 
 def mutate(chromosome: Chromosome, pool: GramPool, rng: random.Random) -> Chromosome:
     """Replace a fixed number of distinct positions with fresh pool draws."""
-    if len(pool) == 0:
+    size = len(pool)
+    if size == 0:
         raise ValueError("cannot mutate with an empty gram pool")
     length = len(chromosome.keys)
     positions = rng.sample(range(length), mutation_count(length))
     keys = chromosome.keys.copy()
-    keys[positions] = pool.keys[[rng.randrange(len(pool)) for _ in positions]]
+    keys[positions] = pool.keys[[rng.randrange(size) for _ in positions]]
     return Chromosome(keys)
 
 
-def fitness(chromosome: Chromosome, sample: FitnessSample, partitions: int) -> float:
-    """Mean absolute error of signature similarity against the sample oracle.
+# Count-matrix cells a fitness chunk gathers, chromosomes x sample x ref_len:
+# it sets the chunk size, 6 chromosomes at sample 40 and ref_len 1000 and 2 at
+# sample 100, and so bounds the chunk's sums, signatures and pair blocks.
+# Chunks of 6 scored a generation as fast as chunks of 8 or 12, and raised
+# train's peak RSS by under 0.5 MB where chunks of 8 raised it by 0.7 MB.
+FITNESS_CELLS = 240_000
 
-    Equal bit for bit to scoring ``signature_matrix`` of the sample against
-    the chromosome's ``ReferenceText``, without building one.
+
+def fitness(
+    chromosomes: Sequence[Chromosome], sample: FitnessSample, partitions: int
+) -> list[float]:
+    """Mean absolute error of signature similarity against the sample oracle,
+    one per chromosome.
+
+    Chromosomes are scored in near-equal chunks of at most
+    :data:`FITNESS_CELLS` count-matrix cells, each laid out, signed and
+    compared as one stack. Each value is equal bit for bit to
+    scoring ``signature_matrix`` of the sample against that chromosome's
+    ``ReferenceText``, without building one.
     """
-    keys, positions, starts, part_sq = partition_layout(chromosome.keys, partitions)
-    cols = key_columns(sample.keys, keys)  # absent grams read the zero last column
-    sigs = partition_scores(sample.counts, sample.sq_norms, cols[positions], starts, part_sq)
-    return mean_signature_error(sigs, sample.oracle)
+    errors: list[float] = []
+    if not chromosomes:
+        return errors
+    most = max(1, FITNESS_CELLS // (len(sample.sq_norms) * len(chromosomes[0].keys)))
+    # Near-equal chunks: twice the chromosomes are twice the chunks of one size.
+    lo = 0
+    for size in partition_sizes(len(chromosomes), -(-len(chromosomes) // most)):
+        keys = np.stack([c.keys for c in chromosomes[lo : lo + size]])
+        lo += size
+        slots, part_sq = partition_layout(keys, partitions)
+        # Sorted keys are searched several times faster than the slots' order;
+        # absent grams and pads read the zero last row.
+        distinct, inverse = np.unique(slots, return_inverse=True)
+        rows = key_columns(sample.keys, distinct)[inverse.reshape(slots.shape)]
+        sigs = partition_scores(sample.counts, sample.sq_norms, rows, part_sq)
+        errors.extend(mean_signature_error(sigs, sample.oracle).tolist())
+    return errors
 
 
 def _select(chromosomes: list[Chromosome], size: int) -> list[Chromosome]:
@@ -206,8 +234,8 @@ def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
                 first, second = crossover(population[order[k]], population[order[k + 1]], rng)
                 offspring.append(mutate(first, pool, rng))
                 offspring.append(mutate(second, pool, rng))
-        for chromosome in offspring:
-            chromosome.fitness = fitness(chromosome, sample, cfg.partitions)
+        for chromosome, error in zip(offspring, fitness(offspring, sample, cfg.partitions)):
+            chromosome.fitness = error
         population = _select(population + offspring, cfg.population_size)
         fits = [c.fitness for c in population]
         history.append(

@@ -6,13 +6,19 @@ escapes, and all other non-printables are written as ``\\xHH`` escapes of
 their UTF-8 bytes. A line therefore decodes to exactly 3 characters.
 A ``\\x`` escape takes exactly two hex digits, in either case; any other
 use of a backslash is rejected with its column.
+
+Pool and reference files, like every other output, are written through
+:func:`write_whole`, so a failed write leaves the previous file in place.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -99,3 +105,21 @@ def read_lines(path: str | Path) -> Iterator[str]:
                 ) from None
             yield text.removesuffix("\n")
             offset += len(line)
+
+
+@contextmanager
+def write_whole(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Write ``path`` whole or not at all: yield a new temporary file beside it
+    (UTF-8 with ``\\n`` line ends, or bytes for mode ``"wb"``) and move that over
+    ``path`` once the block completes. If the block or the move fails, the
+    temporary file is removed and ``path`` keeps what it held."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(temp, mode.replace("w", "x"), **text) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

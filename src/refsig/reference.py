@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gramio import key_lines, line_keys, read_lines
-from .text import SCAN_BLOCK, Document, count_cosine, count_matrix
+from .gramio import key_lines, line_keys, read_lines, write_whole
+from .text import SCAN_BLOCK, Document, count_cosine, count_matrix, key_columns, sorted_counts
 
 
 def partition_sizes(length: int, parts: int) -> list[int]:
@@ -26,58 +26,61 @@ def partition_sizes(length: int, parts: int) -> list[int]:
     return [base + 1] * rem + [base] * (parts - rem)
 
 
-def partition_layout(
-    keys: np.ndarray, partitions: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The integer-count layout of the packed gram sequence ``keys`` split
-    into ``partitions`` slices.
+def partition_layout(keys: np.ndarray, partitions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of a (C, L) stack of packed gram sequences, each split into
+    ``partitions`` slices.
 
-    Returns the sorted distinct keys (the columns), the column of each
-    position, the start offset of each partition, and each partition's exact
-    squared norm as a float64. A gram repeated in a slice counts its multiplicity.
+    Slot ``[c, s, p]`` holds the s-th key of sequence c's partition p, or -1
+    past a shorter partition's end: :func:`~refsig.text.key_columns` sends a
+    -1 to a count matrix's spare zero row, so a pad adds nothing. Also
+    returns each (C, P) partition's exact squared norm as a float64, from
+    the runs of equal keys in its sorted slots: a run of m counts m * m.
     """
-    if not 1 <= partitions <= len(keys):
-        raise ValueError(f"partition count must be in 1..{len(keys)}, got {partitions}")
-    columns, positions = np.unique(keys, return_inverse=True)
-    sizes = partition_sizes(len(keys), partitions)
-    starts = np.zeros(partitions, dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    owner = np.repeat(np.arange(partitions), sizes)
-    cells, multiplicity = np.unique(owner * len(columns) + positions, return_counts=True)
-    part_sq = np.bincount(
-        cells // len(columns), weights=multiplicity.astype(float) ** 2, minlength=partitions
-    )
-    return columns, positions, starts, part_sq
+    if not 1 <= partitions <= keys.shape[-1]:
+        raise ValueError(f"partition count must be in 1..{keys.shape[-1]}, got {partitions}")
+    sizes = np.array(partition_sizes(keys.shape[-1], partitions))
+    at = np.arange(sizes[0])[:, None]  # slot s of each partition, as an (S, 1) column
+    position = np.cumsum(sizes) - sizes + at
+    slots = np.where(at < sizes, keys[:, np.minimum(position, keys.shape[-1] - 1)], -1)
+    # Within its run, the k-th equal key adds 2k + 1, and 1 + 3 + ... + (2m - 1) = m * m.
+    ordered = np.sort(slots, axis=1)
+    run_start = np.ones(ordered.shape, bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
+    k = at - np.maximum.accumulate(np.where(run_start, at, 0), axis=1)
+    part_sq = np.where(ordered >= 0, 2 * k + 1, 0).sum(axis=1).astype(float)
+    return slots, part_sq
 
 
 def partition_scores(
-    counts: np.ndarray,
-    sq_norms: np.ndarray,
-    positions: np.ndarray,
-    starts: np.ndarray,
-    part_sq: np.ndarray,
+    counts: np.ndarray, sq_norms: np.ndarray, slots: np.ndarray, part_sq: np.ndarray
 ) -> np.ndarray:
-    """The signature rows of document counts laid out by :func:`partition_layout`.
+    """The (C, N, P) signature rows of N documents against a stack of C
+    references laid out by :func:`partition_layout`.
 
-    ``counts[i, positions[k]]`` is document i's count of the gram at
-    reference position k, and ``sq_norms`` are the documents' squared
-    norms. A partition's dot product is the sum of those counts over its
-    positions, so one ``reduceat`` gives them all.
+    ``counts`` is a :func:`~refsig.text.count_matrix`, and ``slots`` hold
+    its rows: ``counts[slots[c, s, p], i]`` is document i's count of the
+    key in that slot. ``sq_norms`` are the documents' squared norms. A
+    partition's dot product is the sum of its slots' counts, an integer
+    whatever order they are added in.
     """
-    dots = np.add.reduceat(counts[:, positions], starts, axis=1)
-    return count_cosine(dots, sq_norms, part_sq)
+    dots = np.empty((len(slots), slots.shape[-1], len(sq_norms)))  # (C, P, N)
+    for sums, rows in zip(dots, slots):  # one reference's rows at a time bound the gather
+        counts[rows].sum(axis=0, out=sums)
+    return count_cosine(np.swapaxes(dots, -1, -2), sq_norms, part_sq)
 
 
 class ReferenceText:
     """An ordered sequence of packed 3-gram keys with a fixed partition count.
 
-    The partition layout (see :func:`partition_layout`) is computed once.
-    The fingerprint is a content hash over the grams and the partition
-    count; a signature database records it so that scores produced against
-    different references can never be compared silently.
+    The partition layout (see :func:`partition_layout`) is computed once, as
+    a stack of one whose slots hold rows of a count matrix over ``columns``,
+    the sorted distinct keys. The fingerprint is a content hash over the
+    grams and the partition count; a signature database records it so that
+    scores produced against different references can never be compared
+    silently.
     """
 
-    __slots__ = ("keys", "partitions", "columns", "positions", "starts", "part_sq", "fingerprint")
+    __slots__ = ("keys", "partitions", "columns", "slots", "part_sq", "fingerprint")
 
     def __init__(self, keys: np.ndarray, partitions: int):
         self.keys = np.array(keys, dtype=np.int64)
@@ -85,8 +88,9 @@ class ReferenceText:
         if not len(self.keys):
             raise ValueError("reference text needs at least one 3-gram")
         self.partitions = partitions
-        layout = partition_layout(self.keys, partitions)
-        self.columns, self.positions, self.starts, self.part_sq = layout
+        slots, self.part_sq = partition_layout(self.keys[None], partitions)
+        self.columns = sorted_counts(self.keys)[0]
+        self.slots = key_columns(self.columns, slots)
         self.fingerprint = hashlib.sha256(_serialize(self).encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:
@@ -120,8 +124,7 @@ def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray
     out = np.empty((len(docs), ref.partitions))
     for lo in range(0, len(docs), SIGN_BLOCK):
         counts, sq_norms = count_matrix(docs[lo : lo + SIGN_BLOCK], ref.columns)
-        scores = partition_scores(counts, sq_norms, ref.positions, ref.starts, ref.part_sq)
-        out[lo : lo + SIGN_BLOCK] = scores
+        out[lo : lo + SIGN_BLOCK] = partition_scores(counts, sq_norms, ref.slots, ref.part_sq)[0]
     return out
 
 
@@ -134,12 +137,14 @@ def sign(doc: Document, ref: ReferenceText) -> np.ndarray:
 EXACT_FLOOR = 1.0 - 1e-9  # equal rows land within a few ulps of 1.0
 
 
-def _exact_ones(sims: np.ndarray, a: np.ndarray, b: np.ndarray, rows, cols) -> None:
-    """The probe: equal rows ``a[rows]``, ``b[cols]`` at or above EXACT_FLOOR score 1.0."""
-    near = sims[rows, cols] >= EXACT_FLOOR
-    rows, cols = rows[near], cols[near]
-    equal = (a[rows] == b[cols]).all(axis=1)
-    sims[rows[equal], cols[equal]] = 1.0
+def _exact_ones(sims: np.ndarray, a: np.ndarray, b: np.ndarray, *pairs: np.ndarray) -> None:
+    """The probe: equal rows at or above EXACT_FLOOR score 1.0. ``pairs`` index
+    ``sims``, the last two arrays giving rows of ``a`` and of ``b`` and any before
+    them the stack entry; ``a[rows]``, ``b[cols]`` is the pair for 2-D inputs."""
+    near = sims[pairs] >= EXACT_FLOOR
+    *stack, rows, cols = (k[near] for k in pairs)
+    equal = (a[(*stack, rows)] == b[(*stack, cols)]).all(axis=-1)
+    sims[tuple(k[equal] for k in (*stack, rows, cols))] = 1.0
 
 
 def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,42 +158,57 @@ def pairwise_signature_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def upper_blocks(m: np.ndarray, floor: float = 1.0) -> Iterator[tuple]:
-    """The pair kernel: ``(lo, sims, rows, cols)`` for each block of
+    """The pair kernel: ``(lo, sims, *pairs)`` for each block of
     :data:`SCAN_BLOCK` rows from ``lo``. ``sims[r, c]`` is the similarity of
-    rows ``lo + r`` and ``lo + c``, read only for pairs ``c > r``; ``(rows,
-    cols)`` are the pairs scoring at least ``floor``, in row-major order.
-    Only pairs at or above ``min(floor, EXACT_FLOOR)`` are probed for equal rows."""
+    rows ``lo + r`` and ``lo + c``, read only for pairs ``c > r``; ``pairs``
+    are ``(rows, cols)`` of the pairs scoring at least ``floor``, in
+    row-major order. Only pairs at or above ``min(floor, EXACT_FLOOR)`` are
+    probed for equal rows.
+
+    ``m`` may also be a stack (C, N, P) of matrices: then ``sims`` is (C, r, c)
+    and ``pairs`` is ``(stack, rows, cols)``. Each matrix's blocks are
+    bit-identical to its own 2-D call's."""
     m = np.asarray(m, dtype=float)
-    sq = np.einsum("ij,ij->i", m, m)  # once: a row's norm is the same in every block
-    for lo in range(0, len(m), SCAN_BLOCK):
-        block = m[lo : lo + SCAN_BLOCK]
-        sims = count_cosine(block @ m[lo:].T, sq[lo : lo + SCAN_BLOCK], sq[lo:])
-        rows, cols = np.nonzero(sims >= min(floor, EXACT_FLOOR))
-        rows, cols = rows[cols > rows], cols[cols > rows]
-        _exact_ones(sims, block, m[lo:], rows, cols)
-        hit = sims[rows, cols] >= floor
-        yield lo, sims, rows[hit], cols[hit]
+    sq = np.einsum("...ij,...ij->...i", m, m)  # once: a row's norm is the same in every block
+    for lo in range(0, m.shape[-2], SCAN_BLOCK):
+        block, rest = m[..., lo : lo + SCAN_BLOCK, :], m[..., lo:, :]
+        sims = count_cosine(
+            block @ np.swapaxes(rest, -1, -2), sq[..., lo : lo + SCAN_BLOCK], sq[..., lo:]
+        )
+        pairs = np.nonzero(sims >= min(floor, EXACT_FLOOR))
+        pairs = tuple(k[pairs[-1] > pairs[-2]] for k in pairs)
+        _exact_ones(sims, block, rest, *pairs)
+        hit = sims[pairs] >= floor
+        yield (lo, sims, *(k[hit] for k in pairs))
 
 
-def mean_signature_error(sig_matrix: np.ndarray, oracle: Iterable[np.ndarray]) -> float:
+def mean_signature_error(sigs: np.ndarray, oracle: Iterable[np.ndarray]) -> float | np.ndarray:
     """Mean absolute gap between signature similarity and exact cosine over
     the N(N-1)/2 pairs i < j: :func:`upper_blocks` beside ``oracle``'s blocks,
     as :func:`~refsig.text.brute_force_pairwise` yields them. Up to
-    :data:`SCAN_BLOCK` rows this is ``np.mean`` over ``triu_indices`` bit for bit."""
-    n = len(sig_matrix)
+    :data:`SCAN_BLOCK` rows this is ``np.mean`` over ``triu_indices`` bit for bit.
+
+    ``sigs`` is an N x P matrix, or a (C, N, P) stack of them against one
+    oracle: then the result is an array of C errors, each bit-identical to
+    its matrix's own."""
+    sigs = np.asarray(sigs, dtype=float)
+    n = sigs.shape[-2]
     if n < 2:
         raise ValueError(f"need at least 2 documents to compare, got {n}")
-    total, exact_blocks = 0.0, iter(oracle)
-    for lo, sims, _, _ in upper_blocks(sig_matrix):
+    totals, exact_blocks = np.zeros(sigs.shape[:-2]), iter(oracle)
+    for lo, sims, *_ in upper_blocks(sigs):
         exact = next(exact_blocks, None)
-        if np.shape(exact) != sims.shape:
+        if np.shape(exact) != sims.shape[-2:]:
             raise ValueError(f"oracle block {np.shape(exact)} does not match rows {lo}.. of {n}")
         np.abs(np.subtract(sims, exact, out=sims), out=sims)
-        total += sims[~np.tri(*sims.shape, dtype=bool)].sum()
+        upper = ~np.tri(*exact.shape, dtype=bool)
+        # One 1-D sum per matrix: a stacked sum may add in another order.
+        totals.flat[:] += [gaps[upper].sum() for gaps in sims.reshape(-1, *exact.shape)]
         del sims, exact  # free this block before the next one is computed
     if next(exact_blocks, None) is not None:
         raise ValueError(f"oracle has more row blocks than {n} documents")
-    return float(total / (n * (n - 1) // 2))
+    errors = totals / (n * (n - 1) // 2)
+    return errors if errors.ndim else float(errors)
 
 
 class Verdict(Enum):
@@ -231,7 +251,8 @@ def classify(similarity: float, cfg: ClassifierConfig) -> Verdict:
 def save_reference(ref: ReferenceText, path: str | Path) -> None:
     """Write the exchange file: P header, escaped gram lines, hash trailer."""
     text = _serialize(ref) + f"sha256={ref.fingerprint}\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    with write_whole(path) as fh:
+        fh.write(text)
 
 
 def load_reference(path: str | Path) -> ReferenceText:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gramio import read_lines
+from .gramio import read_lines, write_whole
 from .reference import SIGN_BLOCK, ReferenceText, signature_matrix
 from .text import Document
 
@@ -213,7 +213,8 @@ def db_write(path: str | Path, db: SignatureDb) -> None:
         "%%\n"
     ).encode("ascii")
     body = header + records.tobytes()
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    with write_whole(path, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest())
 
 
 def db_read(path: str | Path) -> SignatureDb:

@@ -177,15 +177,15 @@ def cosine(a: SparseNGramVector, b: SparseNGramVector) -> float:
 def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
     """Cosines from integer dot products and squared norms held in float64.
 
-    ``dots[i, j]`` pairs row ``i`` of ``sq_a`` with column ``j`` of
-    ``sq_b``; a zero squared norm (an empty vector) scores 0.0. Integers
-    below 2**53 are exact in float64 whatever order they were summed in,
-    and sqrt(float(a) * float(b)) rounds as math.sqrt(a * b) does, so every
-    entry is bit-identical to :func:`cosine`. The signature pair kernel
+    ``dots[..., i, j]`` pairs ``sq_a[..., i]`` with ``sq_b[..., j]``, leading
+    axes broadcasting as a stack; a zero squared norm (an empty vector)
+    scores 0.0. Integers below 2**53 are exact in float64 whatever order
+    they were summed in, and sqrt(float(a) * float(b)) rounds as
+    math.sqrt(a * b) does, so every entry is bit-identical to :func:`cosine`. The signature pair kernel
     (``reference.upper_blocks``) feeds it float dots and squared norms of
     signature rows.
     """
-    denom = np.sqrt(np.multiply.outer(sq_a, sq_b))
+    denom = np.sqrt(sq_a[..., :, None] * sq_b[..., None, :])
     np.divide(dots, denom, out=denom, where=denom > 0)  # a zero denominator stays 0.0
     return np.minimum(denom, 1.0, out=denom)
 
@@ -205,13 +205,14 @@ def key_columns(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def count_matrix(docs: Sequence[Document], vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 counts of ``docs`` over the sorted packed keys ``vocab``, and their
-    squared norms. A spare last column stays all zero: :func:`key_columns`
-    sends a gram outside ``vocab`` there, so looking one up reads a count of 0."""
+    """Float64 counts of ``docs`` over the sorted packed keys ``vocab``, one row
+    per key, so that looking up grams gathers whole rows, and the documents'
+    squared norms. A spare last row stays all zero: :func:`key_columns` sends a
+    gram outside ``vocab`` there, so looking one up reads a count of 0."""
     rows, keys, cells = count_cells(docs)
-    counts = np.zeros((len(docs), len(vocab) + 1))
-    counts[rows, key_columns(vocab, keys)] = cells
-    counts[:, -1] = 0.0
+    counts = np.zeros((len(vocab) + 1, len(docs)))
+    counts[key_columns(vocab, keys), rows] = cells
+    counts[-1] = 0.0
     return counts, np.array([doc.vector.sq_norm for doc in docs], dtype=float)
 
 
@@ -232,27 +233,40 @@ def brute_force_pairwise(corpus: Sequence[Document]) -> Iterator[np.ndarray]:
     if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
-    rows, keys, counts = count_cells(corpus)
-    vocab = sorted_counts(keys)[0]  # one sort, where np.unique would argsort or hash
-    cols = np.searchsorted(vocab, keys)
+    cells, edges, width = _cells_by_vocabulary_block(corpus)
     sq = np.array([doc.vector.sq_norm for doc in corpus], dtype=float)
     for lo in range(0, n, SCAN_BLOCK):
         hi = min(lo + SCAN_BLOCK, n)
-        yield count_cosine(
-            _block_dots(rows, cols, counts, len(vocab), lo, hi, n), sq[lo:hi], sq[lo:]
-        )
+        yield count_cosine(_block_dots(*cells, edges, width, lo, hi, n), sq[lo:hi], sq[lo:])
 
 
-def _block_dots(rows, cols, counts, width: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """Exact dot products of documents lo..hi-1 against lo..n-1, from each
-    (document, gram) cell's row, vocabulary column (of ``width``) and count."""
-    start = np.searchsorted(rows, lo)
-    rows, cols, counts = rows[start:], cols[start:], counts[start:]
+def _cells_by_vocabulary_block(docs: Sequence[Document]) -> tuple[tuple, np.ndarray, int]:
+    """Each (document, gram) cell's row, vocabulary column and count, ordered by
+    vocabulary block of :data:`ORACLE_BLOCK` columns with rows ascending inside
+    each, so that a row block's cells in one vocabulary block are a slice. Also
+    returns the bounds of each block's cells, block b's being ``edges[b]`` to
+    ``edges[b + 1]``, and the vocabulary's width."""
+    rows, keys, counts = count_cells(docs)  # by row
+    vocab = sorted_counts(keys)[0]  # one sort, where np.unique would argsort or hash
+    width, cols = len(vocab), np.searchsorted(vocab, keys)
+    # The peak grows with the cells, so hold as few copies of them as may be.
+    del keys, vocab
+    order = np.argsort(cols // ORACLE_BLOCK, kind="stable")
+    rows = rows[order]
+    counts = counts[order]
+    cols = cols[order]
+    edges = np.searchsorted(cols // ORACLE_BLOCK, range(-(-width // ORACLE_BLOCK) + 1))
+    return (rows, cols, counts), edges, width
+
+
+def _block_dots(rows, cols, counts, edges, width: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """Exact dot products of documents lo..hi-1 against lo..n-1, from the cells
+    of :func:`_cells_by_vocabulary_block`."""
     dots = np.zeros((hi - lo, n - lo))
     dense = np.empty((n - lo, min(ORACLE_BLOCK, width)))
-    for c in range(0, width, ORACLE_BLOCK):
+    for c, start, end in zip(range(0, width, ORACLE_BLOCK), edges[:-1], edges[1:]):
+        start += np.searchsorted(rows[start:end], lo)
         dense[:] = 0.0
-        inside = (cols >= c) & (cols < c + ORACLE_BLOCK)
-        dense[rows[inside] - lo, cols[inside] - c] = counts[inside]
+        dense[rows[start:end] - lo, cols[start:end] - c] = counts[start:end]
         dots += dense[: hi - lo] @ dense.T
     return dots

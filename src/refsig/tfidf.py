@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gramio import key_lines, line_keys, read_lines
+from .gramio import key_lines, line_keys, read_lines, write_whole
 from .reference import SIGN_BLOCK
 from .text import Document, check_keys, run_bounds
 
@@ -121,7 +121,8 @@ def top_k(ranked: tuple[np.ndarray, ...], k: int) -> GramPool:
 
 def save_pool(pool: GramPool, path: str | Path) -> None:
     """Write one escaped gram per line, rank order."""
-    Path(path).write_text(key_lines(pool.keys), encoding="utf-8", newline="\n")
+    with write_whole(path) as fh:
+        fh.write(key_lines(pool.keys))
 
 
 def load_pool(path: str | Path) -> GramPool:

@@ -261,10 +261,9 @@ def test_criterion_6_fitness_oracle_consistency():
     pool = top_k(score_grams(docs), 600)
     rng = random.Random(123)
     partitions = 10
+    chromosomes = [Chromosome(pool.keys[rng.choices(range(len(pool)), k=60)]) for _ in range(100)]
     worst = 0.0
-    for _ in range(100):
-        chromosome = Chromosome(pool.keys[rng.choices(range(len(pool)), k=60)])
-        ga_value = fitness(chromosome, sample, partitions)
+    for chromosome, ga_value in zip(chromosomes, fitness(chromosomes, sample, partitions)):
         naive_value = _naive_fitness(chromosome, drawn, partitions)
         worst = max(worst, abs(ga_value - naive_value))
     _verdict(

@@ -124,7 +124,8 @@ def test_traced_train_counts_the_ga_and_the_pool(tmp_path):
     assert calls.get("ga.evolve") == runs
     assert calls.get("tfidf.score_grams") == runs
     assert calls.get("tfidf.top_k") == runs
-    assert calls.get("ga.fitness") == runs * population * (generations + 1)
+    # One fitness call scores a whole generation's offspring.
+    assert calls.get("ga.fitness") == runs * (generations + 1)
     # k exceeds every training split's distinct grams, so each pool holds them all.
     docs = ingest(str(corpus))
     distinct = 0

@@ -171,7 +171,7 @@ def test_fitness_single_pair_formula():
     docs = (Document.from_raw("0", "abcd"), Document.from_raw("1", "bcde"))
     sample = draw_fitness_sample(docs, 2, random.Random(0))
     chromosome = Chromosome(_keys(("abc", "bcd", "cde", "def")))
-    got = fitness(chromosome, sample, partitions=2)
+    [got] = fitness([chromosome], sample, partitions=2)
     ref = ReferenceText(chromosome.keys, 2)
     rows = signature_matrix(docs, ref)
     sim = pairwise_signature_similarity(rows[:1], rows[1:])[0, 0]
@@ -184,7 +184,7 @@ def test_fitness_zero_for_full_vocabulary_reference():
     sample = draw_fitness_sample(docs, 10, random.Random(0))
     grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
     chromosome = Chromosome(_keys(grams))
-    assert fitness(chromosome, sample, partitions=len(grams)) <= 1e-9
+    assert fitness([chromosome], sample, partitions=len(grams))[0] <= 1e-9
 
 
 def test_draw_fitness_sample_contract():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refsig import reference, text
+from refsig import ga, reference, text
 from refsig.ga import Chromosome, _select, draw_fitness_sample, fitness
 from refsig.reference import (
     EXACT_FLOOR,
@@ -85,7 +85,7 @@ def test_signature_matrix_and_sign_equal_cosine_loop(monkeypatch):
     assert not signature_matrix(docs, ReferenceText(_keys(GRAMS), 3))[0].any()  # empty document
 
 
-def test_fitness_equals_signature_matrix_error():
+def test_fitness_equals_signature_matrix_error(monkeypatch):
     rng = random.Random(4)
     corpus = _docs(
         ["".join(rng.choice("abcde 😀") for _ in range(rng.randint(0, 60))) for _ in range(12)]
@@ -97,28 +97,38 @@ def test_fitness_equals_signature_matrix_error():
     absent = ["qqq", "𝔘𝔘𝔘", "zz "]  # no sample document contains these
     assert not set(absent) & set(present)
     for _ in range(30):
-        grams = tuple(rng.choices(present + absent, k=rng.randint(1, 40)))
-        partitions = rng.randint(1, len(grams))
-        ref = ReferenceText(_keys(grams), partitions)
-        expected = mean_signature_error(signature_matrix(drawn, ref), sample.oracle)
-        assert fitness(_chromosome(grams), sample, partitions) == expected
+        length = rng.randint(1, 40)
+        partitions = rng.randint(1, length)
+        population = [rng.choices(present + absent, k=length) for _ in range(3)]
+        expected = [
+            mean_signature_error(signature_matrix(drawn, ReferenceText(_keys(grams), partitions)),
+                                 sample.oracle)
+            for grams in population
+        ]
+        chromosomes = [_chromosome(grams) for grams in population]
+        assert fitness(chromosomes, sample, partitions) == expected
+        # chunks of 2 and a last chunk of 1 give the same values
+        monkeypatch.setattr(ga, "FITNESS_CELLS", 2 * 15 * length)
+        assert fitness(chromosomes, sample, partitions) == expected
+        monkeypatch.undo()
     # a chromosome made only of absent grams signs every document all-zero
     expected = mean_signature_error(np.zeros((15, 2)), sample.oracle)
-    assert fitness(_chromosome(absent * 2), sample, 2) == expected
+    assert fitness([_chromosome(absent * 2)], sample, 2) == [expected]
+    assert fitness([], sample, 2) == []
 
 
-def test_count_matrix_spare_column_is_zero():
+def test_count_matrix_spare_row_is_zero():
     docs = _docs(TEXTS)
     every = np.unique(np.concatenate([d.vector.keys for d in docs]))
     vocab = every[::2]  # half the grams the documents hold are outside it
     counts, sq_norms = count_matrix(docs, vocab)
-    assert counts.shape == (len(docs), len(vocab) + 1)
-    assert not counts[:, -1].any()
-    for row, doc in zip(counts, docs):
+    assert counts.shape == (len(vocab) + 1, len(docs))
+    assert not counts[-1].any()
+    for column, doc in zip(counts.T, docs):
         held = dict(zip(doc.vector.keys.tolist(), doc.vector.counts.tolist()))
-        assert row[:-1].tolist() == [held.get(key, 0) for key in vocab.tolist()]
+        assert column[:-1].tolist() == [held.get(key, 0) for key in vocab.tolist()]
     assert sq_norms.tolist() == [d.vector.sq_norm for d in docs]
-    assert not counts[:, text.key_columns(vocab, every[1::2])].any()
+    assert not counts[text.key_columns(vocab, every[1::2])].any()
 
 
 def test_brute_force_pairwise_equals_cosine(monkeypatch):
@@ -186,19 +196,54 @@ def test_fitness_probe_never_reads_a_pair_with_i_at_or_above_j(monkeypatch):
     probed = []
     exact_ones = reference._exact_ones
 
-    def spy(sims, a, b, rows, cols):
-        near = sims[rows, cols] >= EXACT_FLOOR
-        probed.append((rows[near], cols[near]))
-        exact_ones(sims, a, b, rows, cols)
+    def spy(sims, a, b, *pairs):
+        near = sims[pairs] >= EXACT_FLOOR
+        probed.append(tuple(k[near] for k in pairs))
+        exact_ones(sims, a, b, *pairs)
 
     monkeypatch.setattr(reference, "_exact_ones", spy)
     docs = _docs(["abcabc", "abcabc", "the cat sat", "xyz", "abcabc", ""])
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
-    fitness(_chromosome(("abc", "bca", "the", "cat")), sample, 2)
-    [(rows, cols)] = probed
+    population = [
+        ("abc", "bca", "the", "cat"), ("cat", "the", "abc", "abc"), ("xyz", "sat", "bca", "cat")
+    ]
+    fitness([_chromosome(grams) for grams in population], sample, 2)
+    [(stack, rows, cols)] = probed
     assert (cols > rows).all()
-    # The three equal documents are three pairs; no diagonal entry is probed.
-    assert len(rows) == 3
+    # The three equal documents are three pairs per chromosome; no diagonal entry is probed.
+    assert np.bincount(stack, minlength=len(population)).tolist() == [3] * len(population)
+
+
+def test_stacked_pair_kernel_equals_each_matrix_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(8)
+    stack = rng.uniform(0, 1, size=(5, 23, 6))
+    stack[:, [5, 11]] = 0.0  # all-zero rows
+    stack[:, [9, 16, 22]] = stack[:, [2]]  # copies within and across blocks
+    stack[3] = 0.0  # a matrix of zero rows only
+    exact = rng.uniform(0, 1, size=(23, 23))
+    _set_row_block(monkeypatch, 8)
+    oracle = [exact[lo : lo + 8, lo:] for lo in range(0, 23, 8)]
+    each = [list(upper_blocks(m, floor=0.5)) for m in stack]
+    for k, (lo, sims, where, rows, cols) in enumerate(upper_blocks(stack, floor=0.5)):
+        assert lo == 8 * k
+        for c in range(len(stack)):
+            _, expected, *pairs = each[c][k]
+            assert sims[c].tobytes() == expected.tobytes()
+            mine = where == c
+            assert [rows[mine].tolist(), cols[mine].tolist()] == [p.tolist() for p in pairs]
+    errors = mean_signature_error(stack, oracle)
+    assert errors.tolist() == [mean_signature_error(m, oracle) for m in stack]
+    # A fitness population of 5 in chunks of 2 crosses a chunk boundary and 3 row blocks.
+    docs = _docs(["".join(random.Random(k).choices("abcd ", k=30)) for k in range(19)] + TEXTS)
+    sample = draw_fitness_sample(docs, 20, random.Random(1))
+    drawn = random.Random(1).sample(docs, 20)
+    population = [_chromosome(random.Random(k).choices(GRAMS, k=9)) for k in range(5)]
+    monkeypatch.setattr(ga, "FITNESS_CELLS", 2 * 20 * 9)
+    assert len(sample.oracle) == 3
+    assert fitness(population, sample, 4) == [
+        mean_signature_error(signature_matrix(drawn, ReferenceText(c.keys, 4)), sample.oracle)
+        for c in population
+    ]
 
 
 def test_select_matches_fitness_then_hash_order():
@@ -218,12 +263,12 @@ _gram = st.text(alphabet=_CHARS, min_size=3, max_size=3)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    texts=st.lists(st.text(alphabet=_CHARS, max_size=30), min_size=2, max_size=8),
+    texts=st.lists(st.text(alphabet=_CHARS, max_size=30), min_size=1, max_size=8),
     grams=st.lists(_gram, min_size=1, max_size=25),
     data=st.data(),
 )
 def test_kernels_equal_cosine_property(texts, grams, data):
-    docs = _docs(texts)
+    docs = _docs(texts + [""])  # and an empty document
     partitions = data.draw(st.integers(1, len(grams)))
     ref = ReferenceText(_keys(grams), partitions)
     expected = _cosine_rows(docs, tuple(grams), partitions)
@@ -238,5 +283,13 @@ def test_kernels_equal_cosine_property(texts, grams, data):
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
     drawn = random.Random(0).sample(docs, len(docs))
     assert [b.tobytes() for b in sample.oracle] == [b.tobytes() for b in brute_force_pairwise(drawn)]
-    direct = mean_signature_error(signature_matrix(drawn, ref), sample.oracle)
-    assert fitness(_chromosome(grams), sample, partitions) == direct
+    # One population: the drawn grams, one of them repeated, and grams no document holds.
+    repeated = [grams[0]] + grams[:-1]
+    absent = data.draw(st.lists(st.sampled_from(["qqq", "xyz", "😀zz"]), min_size=len(grams),
+                                max_size=len(grams)))
+    population = [_chromosome(g) for g in (grams, repeated, absent, grams[::-1], grams)]
+    scores = fitness(population, sample, partitions)
+    for chromosome, score in zip(population, scores):
+        direct = ReferenceText(chromosome.keys, partitions)
+        assert score == mean_signature_error(signature_matrix(drawn, direct), sample.oracle)
+        assert score == fitness([chromosome], sample, partitions)[0]

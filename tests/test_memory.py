@@ -30,9 +30,11 @@ import numpy as np
 import pytest
 
 import refsig
+from refsig import ga
 from refsig.reference import ReferenceText, save_reference
 from refsig.store import SignatureDb, db_write, ingest
-from refsig.text import gram_keys, normalize
+from refsig.text import Document, gram_keys, normalize
+from refsig.tfidf import score_grams, top_k
 
 
 def _keys(grams):
@@ -58,6 +60,12 @@ MAE_SMALL, MAE_LARGE = 400, 1600
 # cost a few SCAN_BLOCK x N and N x ORACLE_BLOCK arrays: about 14 kB per
 # document, its own vector included.
 MAE_BOUND_KB = MAE_LARGE * MAE_LARGE * 8 // 1024
+
+# A fitness chunk of up to FITNESS_CELLS count-matrix cells gathers one
+# chromosome's cells at a time (0.8 MB at sample 100 and ref_len 1000) beside
+# the chunk's sums, signatures and pair blocks: under 8 bytes a cell. Scoring
+# a 40-chromosome generation at sample 100 as one chunk takes 16 MB.
+FITNESS_BYTES_PER_CELL = 8
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
@@ -234,3 +242,21 @@ def test_ingest_retains_less_per_document_than_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert per_doc < text_bytes, f"{per_doc:.0f} B retained per document of {text_bytes} B text"
+
+
+def test_fitness_peak_memory_is_bounded_by_its_chunk():
+    rng = random.Random(1)
+    vocab = _vocab(rng)
+    docs = [Document.from_raw(str(k), " ".join(rng.choices(vocab, k=60))) for k in range(100)]
+    sample = ga.draw_fitness_sample(docs, 100, random.Random(0))
+    cfg = ga.GaConfig(population_size=40, ref_len=1000, partitions=150, sample_size=100)
+    population = ga.init_population(top_k(score_grams(docs), 3000), cfg, random.Random(2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ga.fitness(population, sample, cfg.partitions)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = FITNESS_BYTES_PER_CELL * ga.FITNESS_CELLS
+    assert peak < bound, f"scoring 40 chromosomes peaked at {peak} B, bound {bound} B"

@@ -27,17 +27,19 @@ def _keys(grams):
 
 def _partition_counts(ref):
     """Each partition's gram counts, read back from the reference's layout."""
-    grams, ends = gram_strings(ref.columns), [*ref.starts[1:], len(ref)]
-    return [Counter(grams[c] for c in ref.positions[lo:hi]) for lo, hi in zip(ref.starts, ends)]
+    grams = gram_strings(ref.columns)
+    return [
+        Counter(grams[row] for row in ref.slots[0, :, p] if row < len(grams))
+        for p in range(ref.partitions)
+    ]
 
 
 def test_partition_examples():
     ref = ReferenceText(_keys(["abc", "bcd", "cde", "def"]), 2)
     assert gram_strings(ref.columns) == ["abc", "bcd", "cde", "def"]
-    assert ref.positions.tolist() == [0, 1, 2, 3]
-    assert ref.starts.tolist() == [0, 2]
+    assert ref.slots.tolist() == [[[0, 2], [1, 3]]]  # slot s of partition p
     assert _partition_counts(ref) == [{"abc": 1, "bcd": 1}, {"cde": 1, "def": 1}]
-    assert ref.part_sq.tolist() == [2.0, 2.0]
+    assert ref.part_sq.tolist() == [[2.0, 2.0]]
 
     assert partition_sizes(5, 2) == [3, 2]
     assert partition_sizes(4, 2) == [2, 2]
@@ -45,22 +47,27 @@ def test_partition_examples():
     sizes = partition_sizes(1000, 150)
     assert sizes == [7] * 100 + [6] * 50
     assert sum(sizes) == 1000
-    starts = ReferenceText(_keys(["abc"] * 1000), 150).starts
-    assert starts.tolist() == [sum(sizes[:k]) for k in range(150)]
+    slots, part_sq = partition_layout(np.arange(1000)[None], 150)
+    starts = [sum(sizes[:k]) for k in range(150)]
+    assert slots[0].T.tolist() == [
+        [start + s if s < size else -1 for s in range(7)] for start, size in zip(starts, sizes)
+    ]
+    assert part_sq.tolist() == [[float(size) for size in sizes]]
 
 
 def test_partition_accumulates_duplicate_grams():
     ref = ReferenceText(_keys(["abc", "abc", "xyz"]), 2)
     assert gram_strings(ref.columns) == ["abc", "xyz"]
-    assert ref.positions.tolist() == [0, 0, 1]
+    assert ref.slots.tolist() == [[[0, 1], [0, 2]]]  # the pad reads the spare last row, 2
     assert _partition_counts(ref) == [{"abc": 2}, {"xyz": 1}]
-    assert ref.part_sq.tolist() == [4.0, 1.0]
-    # a gram shared between partitions is one column counted in each
-    columns, positions, starts, part_sq = partition_layout(gram_keys("abcxyzabcabc")[::3], 2)
-    assert gram_strings(columns) == ["abc", "xyz"]
-    assert positions.tolist() == [0, 1, 0, 0]
-    assert starts.tolist() == [0, 2]
-    assert part_sq.tolist() == [2.0, 4.0]
+    assert ref.part_sq.tolist() == [[4.0, 1.0]]
+    # a gram shared between partitions is counted in each; each sequence of a
+    # stack is laid out on its own
+    keys = gram_keys("abcxyzabcabc")[::3]
+    slots, part_sq = partition_layout(np.stack([keys, keys[::-1]]), 2)
+    abc, xyz = _keys(["abc", "xyz"]).tolist()
+    assert slots.tolist() == [[[abc, abc], [xyz, abc]], [[abc, xyz], [abc, abc]]]
+    assert part_sq.tolist() == [[2.0, 4.0], [4.0, 2.0]]
 
 
 def test_reference_validation():

@@ -1,17 +1,21 @@
 """Property tests for the file round trips (gram lines, reference files,
 signature databases) and for the idempotence of ``normalize``."""
 
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refsig.cli import _write_tsv
 from refsig.gramio import escape_gram, parse_gram_line
 from refsig.reference import ReferenceText, load_reference, save_reference
 from refsig.store import SignatureDb, db_read, db_write
 from refsig.text import gram_keys, normalize
+from refsig.tfidf import GramPool, save_pool
 
 
 def _keys(grams):
@@ -90,6 +94,50 @@ def test_db_round_trip(ids, partitions, data):
     assert db.ids == tuple(ids)
     assert db.fingerprint == ref.fingerprint and db.partitions == partitions
     assert db.scores.tobytes() == rows.astype("<f4").tobytes()
+
+
+# Each output writer, writing ``n`` rows, grams or records to ``path``.
+WRITERS = {
+    "tsv": lambda path, n: _write_tsv(path, ("k",), [(k,) for k in range(n)]),
+    "db": lambda path, n: db_write(
+        path, SignatureDb("f" * 64, tuple(map(str, range(n))), np.zeros((n, 2), "<f4"))
+    ),
+    "reference": lambda path, n: save_reference(ReferenceText(_keys(["abc"] * n), 1), path),
+    "pool": lambda path, n: save_pool(GramPool(_keys(["abc", "bcd", "cde"][:n]), n), path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    WRITERS[writer](path, 2)
+    before = path.read_bytes()
+
+    def full_disk(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)  # fails once the new file is written
+    with pytest.raises(OSError, match="no space"):
+        WRITERS[writer](path, 3)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    monkeypatch.undo()
+    WRITERS[writer](path, 3)
+    assert path.read_bytes() != before
+
+
+def test_a_tsv_writer_failing_midway_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    WRITERS["tsv"](path, 2)
+
+    def rows():
+        yield ("written",)
+        raise RuntimeError("the scan failed")
+
+    with pytest.raises(RuntimeError, match="scan failed"):
+        _write_tsv(path, ("k",), rows())
+    assert path.read_text() == "k\n0\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
 
 
 @settings(max_examples=200, deadline=None)
