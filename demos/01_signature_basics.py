@@ -30,16 +30,16 @@ print("raw:       ", repr(raw))
 print("normalized:", repr(text))
 
 # Grams are counted as sorted packed int64 keys; gram_strings turns them back into text.
-vec = extract_3grams(text)
-print(f"\n{len(vec)} distinct 3-grams, total mass {vec.counts.sum()}")
-print("a few of them:", dict(zip(gram_strings(vec.keys[:6]), vec.counts[:6].tolist())))
+keys, counts = extract_3grams(text)
+print(f"\n{len(keys)} distinct 3-grams, total mass {counts.sum()}")
+print("a few of them:", dict(zip(gram_strings(keys[:6]), counts[:6].tolist())))
 
 # exact cosine is the ground truth the signatures approximate
 a = Document.from_raw("a", "the quick brown fox jumps over the lazy dog")
 b = Document.from_raw("b", "the quick brown fox jumped over a lazy dog")
 c = Document.from_raw("c", "completely unrelated sentence about databases")
-print("\nexact cosine a~b:", round(cosine(a.vector, b.vector), 4))
-print("exact cosine a~c:", round(cosine(a.vector, c.vector), 4))
+print("\nexact cosine a~b:", round(cosine(a, b), 4))
+print("exact cosine a~c:", round(cosine(a, c), 4))
 
 # --- a reference text and its partitions ------------------------------------
 

@@ -22,7 +22,7 @@ from refsig import (
 
 spec = SyntheticCorpusSpec(base_doc_count=150, near_dup_count=15, dup_count=10, rng_seed=11)
 corpus, _ = generate_synthetic_corpus(spec)
-texts, _ = synthetic_texts(spec)  # documents keep only their 3-gram vectors
+texts, _ = synthetic_texts(spec)  # documents keep only their 3-gram counts
 print(f"training corpus: {len(corpus)} documents, ~{len(texts[0][1])} chars each")
 
 cfg = GaConfig(

@@ -66,9 +66,15 @@ def _pair_rows(ids: tuple[str, ...], hits: np.ndarray) -> Iterator[tuple[str, st
             yield ids[i], ids[j], f"{similarity:.9f}", labels[duplicate]
 
 
-def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
-    """Reject an output path that is a directory or whose directory is
-    missing, before any work is done."""
+def _check_outputs(args: argparse.Namespace, *flags: str) -> None:
+    """Reject an output path that is a directory, whose directory is
+    missing, or that resolves to one of the command's inputs or its other
+    output, before any work is done."""
+    taken = {
+        Path(path).resolve(): flag
+        for flag in ("corpus", "ref", "db", "labels")
+        if (path := getattr(args, flag, None)) is not None
+    }
     for flag in flags:
         if (path := getattr(args, flag)) is None:
             continue
@@ -76,10 +82,14 @@ def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
             raise ValueError(f"--{flag} {path}: is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
+        if (other := taken.setdefault(Path(path).resolve(), flag)) != flag:
+            raise ValueError(f"--{flag} {path}: is the same file as --{other}")
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
-    _check_out_dirs(args, "out")
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
+    _check_outputs(args, "out")
     pool = top_k(score_grams(iter_documents(args.corpus, args.html_strip)), args.k)
     save_pool(pool, args.out)
     note = " (corpus exhausted)" if pool.underfilled else ""
@@ -88,6 +98,8 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     cfg = GaConfig(
         population_size=args.population,
         ref_len=args.ref_len,
@@ -97,7 +109,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         rng_seed=args.seed,
     )
-    _check_out_dirs(args, "out", "history")
+    _check_outputs(args, "out", "history")
     docs = ingest(args.corpus, args.html_strip)
     result = cross_validate(docs, cfg, runs=args.runs)
     for run, report in enumerate(result.reports):
@@ -122,7 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
-    _check_out_dirs(args, "out")
+    _check_outputs(args, "out")
     db = sign_documents(iter_documents(args.corpus, args.html_strip), load_reference(args.ref))
     db_write(args.out, db)
     print(f"signed {db.record_count} documents into {args.out}")
@@ -131,7 +143,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 def cmd_dedup(args: argparse.Namespace) -> int:
     cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
-    _check_out_dirs(args, "out")
+    _check_outputs(args, "out")
     db = db_read(args.db)
     if args.ref:
         ref = load_reference(args.ref)
@@ -150,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.sample < 2:
         raise ValueError(f"--sample must be at least 2, got {args.sample}")
     cfg = ClassifierConfig(t1=args.t1, t2=args.t2)
-    _check_out_dirs(args, "out")
+    _check_outputs(args, "out")
     label_pairs = _read_label_pairs(args.labels) if args.labels else None
     ref = load_reference(args.ref)
     docs = ingest(args.corpus, args.html_strip)

@@ -83,14 +83,14 @@ _EMPTY_IDS_SHOWN = 3
 
 
 def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Document]:
-    """Read a corpus one normalized, vectorized document at a time.
+    """Read a corpus one normalized, 3-gram-counted document at a time.
 
     A directory yields one document per file, id = relative POSIX path,
     sorted. A plain file is read as line-delimited records with ids
     "0", "1", ... Files must decode as UTF-8; decode errors carry the
     offending byte offset. ``html_strip`` applies :func:`strip_html` before
     normalizing. Once the corpus is exhausted, one warning counts the
-    documents whose vector is empty: those shorter than 3 characters after
+    documents without a 3-gram: those shorter than 3 characters after
     normalization, which sign all-zero and score 0.0 against every document.
     """
     if os.path.isdir(path):
@@ -105,7 +105,7 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
         if html_strip:
             raw = strip_html(raw)
         doc = Document.from_raw(doc_id, raw)
-        if doc.vector.is_empty:
+        if not doc.sq_norm:
             empty += 1
             if empty <= _EMPTY_IDS_SHOWN:
                 shown_ids.append(doc_id)

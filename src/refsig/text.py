@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -88,40 +87,6 @@ def gram_strings(keys: np.ndarray) -> list[str]:
     return [flat[i : i + NGRAM_SIZE] for i in range(0, len(flat), NGRAM_SIZE)]
 
 
-class SparseNGramVector:
-    """3-gram counts: sorted, unique packed ``keys`` and their ``counts``,
-    with the exact integer squared norm."""
-
-    __slots__ = ("keys", "counts", "sq_norm")
-
-    def __init__(self, keys: np.ndarray, counts: np.ndarray):
-        keys = np.asarray(keys, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if keys.ndim != 1 or keys.shape != counts.shape:
-            raise ValueError(f"keys {keys.shape} and counts {counts.shape} are not one row each")
-        if len(keys) and (keys[0] < 0 or (keys[1:] <= keys[:-1]).any()):
-            raise ValueError("keys must be non-negative, sorted and unique")
-        if (counts < 1).any():
-            raise ValueError(f"counts must be >= 1, got {counts.min()}")
-        self.keys, self.counts = keys, counts
-        self.sq_norm: int = int(counts @ counts)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.keys) == 0
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseNGramVector):
-            return NotImplemented
-        return np.array_equal(self.keys, other.keys) and np.array_equal(self.counts, other.counts)
-
-    def __repr__(self) -> str:
-        return f"SparseNGramVector({len(self.keys)} grams, sq_norm={self.sq_norm})"
-
-
 def run_bounds(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values in sorted ``keys`` starts, and then
     ``len(keys)``: run i is ``keys[bounds[i]:bounds[i + 1]]``."""
@@ -140,34 +105,50 @@ def sorted_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
-def extract_3grams(text: str) -> SparseNGramVector:
-    """Count every 3-character window of ``text`` (stride 1, spaces included).
+def extract_3grams(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Count every 3-character window of ``text`` (stride 1, spaces included)
+    as sorted, unique packed keys and their counts.
 
-    Text shorter than 3 characters yields an empty vector.
+    Text shorter than 3 characters yields no keys.
     """
-    return SparseNGramVector(*sorted_counts(gram_keys(text)))
+    return sorted_counts(gram_keys(text))
 
 
-@dataclass(frozen=True)
 class Document:
-    """A corpus entry: opaque id and the 3-gram vector of its normalized text.
-    The text itself is not kept: every comparison reads the vector."""
+    """A corpus entry: an opaque id and the 3-gram counts of its normalized
+    text, as sorted, unique packed ``keys`` and their ``counts``, with the
+    exact integer squared norm. The text itself is not kept: every
+    comparison reads the counts."""
 
-    id: str
-    vector: SparseNGramVector
+    __slots__ = ("id", "keys", "counts", "sq_norm")
+
+    def __init__(self, doc_id: str, keys: np.ndarray, counts: np.ndarray):
+        keys = np.asarray(keys, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if keys.ndim != 1 or keys.shape != counts.shape:
+            raise ValueError(f"keys {keys.shape} and counts {counts.shape} are not one row each")
+        if len(keys) and (keys[0] < 0 or (keys[1:] <= keys[:-1]).any()):
+            raise ValueError("keys must be non-negative, sorted and unique")
+        if (counts < 1).any():
+            raise ValueError(f"counts must be >= 1, got {counts.min()}")
+        self.id, self.keys, self.counts = doc_id, keys, counts
+        self.sq_norm: int = int(counts @ counts)
 
     @classmethod
     def from_raw(cls, doc_id: str, raw: str) -> "Document":
-        return cls(doc_id, extract_3grams(normalize(raw)))
+        return cls(doc_id, *extract_3grams(normalize(raw)))
+
+    def __repr__(self) -> str:
+        return f"Document({self.id!r}, {len(self.keys)} grams, sq_norm={self.sq_norm})"
 
 
-def cosine(a: SparseNGramVector, b: SparseNGramVector) -> float:
-    """Cosine similarity of two count vectors; 0.0 when either is empty.
+def cosine(a: Document, b: Document) -> float:
+    """Cosine similarity of two documents' 3-gram counts; 0.0 when either is empty.
 
     The denominator is sqrt of the exact integer product of squared norms,
-    so identical vectors score exactly 1.0.
+    so documents with the same counts score exactly 1.0.
     """
-    if a.is_empty or b.is_empty:
+    if not (a.sq_norm and b.sq_norm):
         return 0.0
     _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
     dot = int(a.counts[ia] @ b.counts[ib])
@@ -190,11 +171,17 @@ def count_cosine(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.nda
     return np.minimum(denom, 1.0, out=denom)
 
 
+def gram_cells(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray]:
+    """The packed key and count of each (document, gram) cell of ``docs``,
+    document by document: :func:`count_cells` without the rows, which would
+    raise a streaming tf-idf pass's peak memory by the size of the keys."""
+    return np.concatenate([doc.keys for doc in docs]), np.concatenate([doc.counts for doc in docs])
+
+
 def count_cells(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row, packed key and count of each (document, gram) cell of ``docs``."""
-    rows = np.repeat(np.arange(len(docs)), [len(doc.vector) for doc in docs])
-    keys = np.concatenate([doc.vector.keys for doc in docs])
-    return rows, keys, np.concatenate([doc.vector.counts for doc in docs])
+    rows = np.repeat(np.arange(len(docs)), [len(doc.keys) for doc in docs])
+    return rows, *gram_cells(docs)
 
 
 def key_columns(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -213,7 +200,7 @@ def count_matrix(docs: Sequence[Document], vocab: np.ndarray) -> tuple[np.ndarra
     counts = np.zeros((len(vocab) + 1, len(docs)))
     counts[key_columns(vocab, keys), rows] = cells
     counts[-1] = 0.0
-    return counts, np.array([doc.vector.sq_norm for doc in docs], dtype=float)
+    return counts, np.array([doc.sq_norm for doc in docs], dtype=float)
 
 
 SCAN_BLOCK = 256  # rows per block of the pair kernel and the oracle: SCAN_BLOCK x N arrays
@@ -234,7 +221,7 @@ def brute_force_pairwise(corpus: Sequence[Document]) -> Iterator[np.ndarray]:
         raise ValueError("corpus must not be empty")
     n = len(corpus)
     cells, edges, width = _cells_by_vocabulary_block(corpus)
-    sq = np.array([doc.vector.sq_norm for doc in corpus], dtype=float)
+    sq = np.array([doc.sq_norm for doc in corpus], dtype=float)
     for lo in range(0, n, SCAN_BLOCK):
         hi = min(lo + SCAN_BLOCK, n)
         yield count_cosine(_block_dots(*cells, edges, width, lo, hi, n), sq[lo:hi], sq[lo:])

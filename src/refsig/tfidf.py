@@ -17,7 +17,7 @@ import numpy as np
 
 from .gramio import key_lines, line_keys, read_lines, write_whole
 from .reference import SIGN_BLOCK
-from .text import Document, check_keys, run_bounds
+from .text import Document, check_keys, gram_cells, run_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,18 +65,16 @@ def score_grams(corpus: Iterable[Document]) -> tuple[np.ndarray, np.ndarray, np.
     docs = iter(corpus)
     n = 0
     merged = (np.empty(0, np.int64),) * 3  # keys, tf, df
-    cells: list[np.ndarray] = []  # the cell keys of blocks not yet merged
-    counts: list[np.ndarray] = []  # and each cell's count
+    waiting: list[tuple[np.ndarray, np.ndarray]] = []  # blocks' cell keys and counts
     while block := list(islice(docs, SIGN_BLOCK)):
         n += len(block)
-        cells.append(np.concatenate([doc.vector.keys for doc in block]))
-        counts.append(np.concatenate([doc.vector.counts for doc in block]))
-        if sum(map(len, cells)) >= 2 * len(merged[0]):
-            merged = _merge_counts(merged, cells, counts)
-            cells, counts = [], []
+        waiting.append(gram_cells(block))
+        if sum(len(keys) for keys, _ in waiting) >= 2 * len(merged[0]):
+            merged = _merge_counts(merged, waiting)
+            waiting = []
     if n == 0:
         raise ValueError("cannot score an empty corpus")
-    grams, tf, df = _merge_counts(merged, cells, counts) if cells else merged
+    grams, tf, df = _merge_counts(merged, waiting) if waiting else merged
     # math.log per distinct df: np.log may differ in the last bit and reorder ties.
     df_values, df_index = np.unique(df, return_inverse=True)
     idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])
@@ -86,14 +84,16 @@ def score_grams(corpus: Iterable[Document]) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _merge_counts(
-    merged: tuple[np.ndarray, ...], cells: list[np.ndarray], counts: list[np.ndarray]
+    merged: tuple[np.ndarray, ...], waiting: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, ...]:
-    """The sorted (keys, tf, df) columns of ``merged`` plus more (document,
-    gram) cells and their counts, all int64. One argsort lays the merged
-    keys and the cells out by key, and tf sums each run's counts. A
-    document lists each gram once, so df is a run's length, which counts
-    a merged key once too often, plus that key's merged df."""
+    """The sorted (keys, tf, df) columns of ``merged`` plus blocks of more
+    (document, gram) cells, each block their keys and counts, all int64.
+    One argsort lays the merged keys and the cells out by key, and tf sums
+    each run's counts. A document lists each gram once, so df is a run's
+    length, which counts a merged key once too often, plus that key's
+    merged df."""
     keys, tf, df = merged
+    cells, counts = zip(*waiting)
     joined = np.concatenate([keys, *cells])
     order = np.argsort(joined)
     joined = joined[order]

@@ -131,7 +131,7 @@ def test_traced_train_counts_the_ga_and_the_pool(tmp_path):
     distinct = 0
     for run in range(runs):
         train, _ = split_corpus(docs, seed + run)
-        distinct += len(np.unique(np.concatenate([d.vector.keys for d in train])))
+        distinct += len(np.unique(np.concatenate([d.keys for d in train])))
     work = tracer.work["tfidf.top_k"]
     assert work["requested"] == runs * k
     assert work["grams"] == distinct

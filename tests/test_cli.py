@@ -271,6 +271,8 @@ def test_invalid_thresholds_rejected_before_work(tmp_path, capsys):
         (["eval", "--t1", 0.5, "--t2", 0.9], ["--ref", "--labels"], "thresholds"),
         (["eval"], ["--ref", "--labels"], str(missing["--labels"])),
         (["train", "--population", 0], [], "population_size"),
+        (["train", "--runs", 0], [], "--runs must be at least 1, got 0"),
+        (["topk", "--k", 0], [], "--k must be at least 1, got 0"),
     ]
     for command, flags, named in cases:
         paths = [arg for flag in [*flags, "--corpus", "--out"] for arg in (flag, missing[flag])]
@@ -337,6 +339,44 @@ def test_every_command_checks_its_output_directory_before_reading(
     assert list(tmp_path.iterdir()) == ([output] if is_dir else [])
     if is_dir:
         assert list(output.iterdir()) == []
+
+
+# Each command given an output path that is one of its inputs or its other
+# output: the flag named, that path, and the flag it collides with.
+_SAME_FILE_ARGVS = {
+    "topk": (("topk", "--corpus", "{tmp}/records.txt", "--out", "{tmp}/records.txt"),
+             "--out", "--corpus"),
+    "train": (("train", "--corpus", "{tmp}/corpus", "--runs", 1, "--sample", 4,
+               "--population", 4, "--ref-len", 10, "--partitions", 2, "--pool-size", 50,
+               "--generations", 1, "--out", "{tmp}/ref.txt", "--history", "{tmp}/ref.txt"),
+              "--history", "--out"),
+    "sign": (("sign", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
+              "--out", "{tmp}/ref.txt"), "--out", "--ref"),
+    # The same file by another spelling.
+    "dedup": (("dedup", "--db", "{tmp}/sigs.db", "--out", "{tmp}/corpus/../sigs.db"),
+              "--out", "--db"),
+    "eval": (("eval", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
+              "--labels", "{tmp}/labels.tsv", "--out", "{tmp}/labels.tsv"), "--out", "--labels"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, other", _SAME_FILE_ARGVS.values(), ids=list(_SAME_FILE_ARGVS))
+def test_every_command_rejects_an_output_that_is_an_input(tmp_path, capsys, argv, flag, other):
+    corpus = _make_corpus(tmp_path, *(f"document {i} about {w} and more {w}"
+                                      for i, w in enumerate("abcdefghijkl")))
+    (tmp_path / "records.txt").write_text("one record\nanother record\n", encoding="utf-8")
+    save_reference(ReferenceText(_keys(["doc", "ocu", "abo", "mor"]), 2), tmp_path / "ref.txt")
+    assert _run("sign", "--ref", tmp_path / "ref.txt", "--corpus", corpus,
+                "--out", tmp_path / "sigs.db") == 0
+    (tmp_path / "labels.tsv").write_text("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tdistinct\n",
+                                         encoding="utf-8")
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv = [str(arg).format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 1
+    path = argv[argv.index(flag) + 1]
+    assert capsys.readouterr() == ("", f"error: {flag} {path}: is the same file as {other}\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):

@@ -40,7 +40,7 @@ def _keys(grams):
 
 def _corpus_grams(docs):
     """All distinct 3-grams of ``docs``, sorted."""
-    return sorted({g for d in docs for g in gram_strings(d.vector.keys)})
+    return sorted({g for d in docs for g in gram_strings(d.keys)})
 
 
 def _word_salad_docs(count, seed, length=120):
@@ -223,7 +223,7 @@ def test_synthetic_corpus_vectorizes_synthetic_texts():
     assert [d.id for d in docs] == [doc_id for doc_id, _ in texts]
     for doc, (_, text) in zip(docs, texts):
         assert normalize(text) == text  # so `refsig synth` writes what signing reads
-        assert doc.vector == extract_3grams(text)
+        assert np.array_equal((doc.keys, doc.counts), extract_3grams(text))
 
 
 def test_synthetic_duplicates_are_identical():
@@ -231,7 +231,7 @@ def test_synthetic_duplicates_are_identical():
     texts, (pair,) = synthetic_texts(spec)
     assert dict(texts)[pair.id_a] == dict(texts)[pair.id_b]
     by_id = {d.id: d for d in generate_synthetic_corpus(spec)[0]}
-    assert cosine(by_id[pair.id_a].vector, by_id[pair.id_b].vector) == 1.0
+    assert cosine(by_id[pair.id_a], by_id[pair.id_b]) == 1.0
 
 
 def test_synthetic_zero_edit_fraction_is_identity():
@@ -322,7 +322,7 @@ def test_dnd_scan_orthogonal_signatures_empty():
 
 def test_dnd_scan_order_independent():
     docs = _word_salad_docs(8, seed=7)
-    docs.append(Document("dup", docs[0].vector))
+    docs.append(Document("dup", docs[0].keys, docs[0].counts))
     ref = ReferenceText(_keys(_corpus_grams(docs)), 5)
     cfg = ClassifierConfig(0.95, 0.80)
     db_forward = _db_from(ref, docs)

@@ -175,14 +175,14 @@ def test_fitness_single_pair_formula():
     ref = ReferenceText(chromosome.keys, 2)
     rows = signature_matrix(docs, ref)
     sim = pairwise_signature_similarity(rows[:1], rows[1:])[0, 0]
-    oracle = cosine(docs[0].vector, docs[1].vector)
+    oracle = cosine(docs[0], docs[1])
     assert got == pytest.approx(abs(sim - oracle), abs=1e-15)
 
 
 def test_fitness_zero_for_full_vocabulary_reference():
     docs = _word_salad_docs(10, seed=2, length=60)
     sample = draw_fitness_sample(docs, 10, random.Random(0))
-    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
+    grams = sorted({g for d in docs for g in gram_strings(d.keys)})
     chromosome = Chromosome(_keys(grams))
     assert fitness([chromosome], sample, partitions=len(grams))[0] <= 1e-9
 
@@ -194,7 +194,7 @@ def test_draw_fitness_sample_contract():
     assert len({d.id for d in drawn}) == 4
     (oracle,) = brute_force_pairwise(drawn)
     assert [block.tobytes() for block in sample.oracle] == [oracle.tobytes()]
-    assert sample.sq_norms.tolist() == [d.vector.sq_norm for d in drawn]
+    assert sample.sq_norms.tolist() == [d.sq_norm for d in drawn]
     # no document is drawn twice: distinct word salads never score 1.0
     assert (oracle[~np.eye(4, dtype=bool)] < 1.0).all()
     with pytest.raises(ValueError):

@@ -72,20 +72,20 @@ def test_key_order_is_str_order(a, b):
 @given(_texts)
 def test_extract_3grams_equals_counter_of_slices(text):
     expected = _window_counts(text)
-    vec = extract_3grams(text)
-    assert gram_strings(vec.keys) == sorted(expected)
-    assert vec.counts.tolist() == [expected[g] for g in sorted(expected)]
-    assert vec.sq_norm == sum(c * c for c in expected.values())
-    assert vec.is_empty == (len(text) < 3)
+    doc = Document("t", *extract_3grams(text))
+    assert gram_strings(doc.keys) == sorted(expected)
+    assert doc.counts.tolist() == [expected[g] for g in sorted(expected)]
+    assert doc.sq_norm == sum(c * c for c in expected.values())
+    assert (len(doc.keys) == 0) == (len(text) < 3)
 
 
 @pytest.mark.parametrize("text", ["", "ab", "aaaa", "abc", "x😀yx😀y\U0010ffff x😀y"])
 def test_extract_3grams_equals_np_unique(text):
     # Counts come from one sort and its run lengths, not from np.unique.
-    vec = extract_3grams(text)
+    got_keys, got_counts = extract_3grams(text)
     keys, counts = np.unique(gram_keys(text), return_counts=True)
-    assert vec.keys.dtype == vec.counts.dtype == np.int64
-    assert np.array_equal(vec.keys, keys) and np.array_equal(vec.counts, counts)
+    assert got_keys.dtype == got_counts.dtype == np.int64
+    assert np.array_equal(got_keys, keys) and np.array_equal(got_counts, counts)
 
 
 @pytest.mark.parametrize("keys", [
@@ -123,7 +123,7 @@ def _score_grams_reference(texts):
 @given(st.lists(st.text(alphabet=st.one_of(st.sampled_from("abc "), _char), max_size=30),
                 min_size=1, max_size=8))
 def test_score_grams_equals_str_keyed_reference(texts):
-    docs = [Document(str(i), extract_3grams(t)) for i, t in enumerate(texts)]
+    docs = [Document(str(i), *extract_3grams(t)) for i, t in enumerate(texts)]
     keys, score, df = score_grams(docs)
     ranked = list(zip(gram_strings(keys), score.tolist(), df.tolist()))
     assert ranked == _score_grams_reference(texts)

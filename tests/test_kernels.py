@@ -23,7 +23,6 @@ from refsig.reference import (
 )
 from refsig.text import (
     Document,
-    SparseNGramVector,
     brute_force_pairwise,
     cosine,
     count_matrix,
@@ -65,9 +64,9 @@ def _cosine_rows(docs, grams, partitions):
     parts, start = [], 0
     for size in partition_sizes(len(grams), partitions):
         keys = gram_keys("".join(grams[start : start + size]))[::3]
-        parts.append(SparseNGramVector(*np.unique(keys, return_counts=True)))
+        parts.append(Document("part", *np.unique(keys, return_counts=True)))
         start += size
-    return np.array([[cosine(doc.vector, part) for part in parts] for doc in docs])
+    return np.array([[cosine(doc, part) for part in parts] for doc in docs])
 
 
 def test_signature_matrix_and_sign_equal_cosine_loop(monkeypatch):
@@ -93,7 +92,7 @@ def test_fitness_equals_signature_matrix_error(monkeypatch):
     )
     sample = draw_fitness_sample(corpus, 15, random.Random(2))
     drawn = random.Random(2).sample(list(corpus), 15)  # the documents the sample holds
-    present = sorted({g for doc in drawn for g in gram_strings(doc.vector.keys)})
+    present = sorted({g for doc in drawn for g in gram_strings(doc.keys)})
     absent = ["qqq", "𝔘𝔘𝔘", "zz "]  # no sample document contains these
     assert not set(absent) & set(present)
     for _ in range(30):
@@ -119,15 +118,15 @@ def test_fitness_equals_signature_matrix_error(monkeypatch):
 
 def test_count_matrix_spare_row_is_zero():
     docs = _docs(TEXTS)
-    every = np.unique(np.concatenate([d.vector.keys for d in docs]))
+    every = np.unique(np.concatenate([d.keys for d in docs]))
     vocab = every[::2]  # half the grams the documents hold are outside it
     counts, sq_norms = count_matrix(docs, vocab)
     assert counts.shape == (len(vocab) + 1, len(docs))
     assert not counts[-1].any()
     for column, doc in zip(counts.T, docs):
-        held = dict(zip(doc.vector.keys.tolist(), doc.vector.counts.tolist()))
+        held = dict(zip(doc.keys.tolist(), doc.counts.tolist()))
         assert column[:-1].tolist() == [held.get(key, 0) for key in vocab.tolist()]
-    assert sq_norms.tolist() == [d.vector.sq_norm for d in docs]
+    assert sq_norms.tolist() == [d.sq_norm for d in docs]
     assert not counts[text.key_columns(vocab, every[1::2])].any()
 
 
@@ -136,8 +135,8 @@ def test_brute_force_pairwise_equals_cosine(monkeypatch):
     texts = ["".join(rng.choices("abcdefg 😀", k=rng.randint(0, 80))) for _ in range(15)]
     # A squared norm of 19998**2, whose square is above 2**53, and an empty text.
     docs = _docs(TEXTS + texts + ["a" * 20000, ""])
-    expected = np.array([[cosine(a.vector, b.vector) for b in docs] for a in docs])
-    np.fill_diagonal(expected, [0.0 if d.vector.is_empty else 1.0 for d in docs])
+    expected = np.array([[cosine(a, b) for b in docs] for a in docs])
+    np.fill_diagonal(expected, [0.0 if d.sq_norm == 0 else 1.0 for d in docs])
     assert [block.tobytes() for block in brute_force_pairwise(docs)] == [expected.tobytes()]
     monkeypatch.setattr(text, "ORACLE_BLOCK", 7)  # many vocabulary blocks
     assert [block.tobytes() for block in brute_force_pairwise(docs)] == [expected.tobytes()]
@@ -176,7 +175,7 @@ def test_upper_blocks_are_the_pairwise_blocks_above_the_diagonal(monkeypatch):
 def test_mean_signature_error_sums_row_blocks(monkeypatch):
     rng = random.Random(6)
     docs = _docs(["".join(rng.choices("abcde ", k=rng.randint(0, 50))) for _ in range(21)] + TEXTS)
-    docs.append(Document("copy", docs[3].vector))
+    docs.append(Document("copy", docs[3].keys, docs[3].counts))
     rows = signature_matrix(docs, ReferenceText(_keys(GRAMS), 4))
     (oracle,) = brute_force_pairwise(docs)
     iu = np.triu_indices(len(docs), k=1)
@@ -278,7 +277,7 @@ def test_kernels_equal_cosine_property(texts, grams, data):
     for i, a in enumerate(docs):
         for j, b in enumerate(docs):
             if i != j:
-                assert oracle[i, j] == cosine(a.vector, b.vector)
+                assert oracle[i, j] == cosine(a, b)
 
     sample = draw_fitness_sample(docs, len(docs), random.Random(0))
     drawn = random.Random(0).sample(docs, len(docs))

@@ -153,7 +153,7 @@ def test_full_vocabulary_exactness_small():
     rng = random.Random(5)
     texts = ["".join(rng.choice("abcde ") for _ in range(rng.randint(20, 80))) for _ in range(10)]
     docs = [Document.from_raw(str(i), t) for i, t in enumerate(texts)]
-    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
+    grams = sorted({g for d in docs for g in gram_strings(d.keys)})
     ref = ReferenceText(_keys(grams), len(grams))
     sigs = signature_matrix(docs, ref)
     sims = pairwise_signature_similarity(sigs, sigs)

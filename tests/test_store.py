@@ -30,7 +30,7 @@ def test_ingest_directory(tmp_path):
     (sub / "c.txt").write_text("nested", encoding="utf-8")
     docs = ingest(tmp_path)
     assert [d.id for d in docs] == ["a.txt", "b.txt", "sub/c.txt"]
-    assert docs[0].vector == extract_3grams("hello world")
+    assert np.array_equal((docs[0].keys, docs[0].counts), extract_3grams("hello world"))
 
 
 def test_ingest_records_file(tmp_path):
@@ -38,13 +38,13 @@ def test_ingest_records_file(tmp_path):
     path.write_text("First LINE\nsecond\nthird one\n", encoding="utf-8")
     docs = ingest(path)
     assert [d.id for d in docs] == ["0", "1", "2"]
-    assert docs[0].vector == extract_3grams("first line")
+    assert np.array_equal((docs[0].keys, docs[0].counts), extract_3grams("first line"))
 
 
 def test_ingest_html_strip(tmp_path):
     (tmp_path / "page.html").write_text("<p>Hi</p><b>You</b>", encoding="utf-8")
     docs = ingest(tmp_path, html_strip=True)
-    assert docs[0].vector == extract_3grams("hi you")
+    assert np.array_equal((docs[0].keys, docs[0].counts), extract_3grams("hi you"))
 
 
 def test_strip_html_entities():
@@ -58,7 +58,7 @@ def test_ingest_empty_file_warns(tmp_path):
     with pytest.warns(UserWarning, match="no 3-gram"):
         docs = ingest(tmp_path)
     assert len(docs) == 2
-    assert docs[0].vector.is_empty
+    assert docs[0].sq_norm == 0
 
 
 def test_ingest_missing_path(tmp_path):
@@ -97,7 +97,7 @@ def test_ingest_records_bad_encoding_reports_file_offset(tmp_path):
 def _ref_and_db(doc_texts):
     """A reference over the docs' grams and the db of the docs' signature rows."""
     docs = [Document.from_raw(f"doc-{i}", t) for i, t in enumerate(doc_texts)]
-    grams = sorted({g for d in docs for g in gram_strings(d.vector.keys)})
+    grams = sorted({g for d in docs for g in gram_strings(d.keys)})
     ref = ReferenceText(_keys(grams), min(4, len(grams)))
     ids = tuple(d.id for d in docs)
     return ref, SignatureDb(ref.fingerprint, ids, signature_matrix(docs, ref))

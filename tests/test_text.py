@@ -6,7 +6,6 @@ import pytest
 
 from refsig.text import (
     Document,
-    SparseNGramVector,
     brute_force_pairwise,
     cosine,
     count_cells,
@@ -17,14 +16,14 @@ from refsig.text import (
 )
 
 
-def _vec(counts: dict[str, int]) -> SparseNGramVector:
-    """A vector from str gram counts."""
+def _vec(counts: dict[str, int]) -> Document:
+    """A document from str gram counts."""
     grams = sorted(counts)
-    return SparseNGramVector(gram_keys("".join(grams))[::3], [counts[g] for g in grams])
+    return Document("v", gram_keys("".join(grams))[::3], [counts[g] for g in grams])
 
 
-def _counts(vec: SparseNGramVector) -> dict[str, int]:
-    return dict(zip(gram_strings(vec.keys), vec.counts.tolist()))
+def _counts(keys: np.ndarray, counts: np.ndarray) -> dict[str, int]:
+    return dict(zip(gram_strings(keys), counts.tolist()))
 
 
 def test_normalize_examples():
@@ -70,21 +69,21 @@ def test_normalize_idempotent_and_invariant():
 
 
 def test_extract_3grams_examples():
-    assert _counts(extract_3grams("abcd")) == {"abc": 1, "bcd": 1}
-    assert _counts(extract_3grams("aaaa")) == {"aaa": 2}
-    assert _counts(extract_3grams("ab")) == {}
-    assert extract_3grams("").is_empty
+    assert _counts(*extract_3grams("abcd")) == {"abc": 1, "bcd": 1}
+    assert _counts(*extract_3grams("aaaa")) == {"aaa": 2}
+    assert _counts(*extract_3grams("ab")) == {}
+    assert len(extract_3grams("")[0]) == 0
 
 
 def test_window_count_conservation():
     rng = random.Random(7)
     for _ in range(200):
         text = normalize(_random_text(rng, max_len=120))
-        vec = extract_3grams(text)
+        keys, counts = extract_3grams(text)
         if len(text) >= 3:
-            assert vec.counts.sum() == len(text) - 2
+            assert counts.sum() == len(text) - 2
         else:
-            assert vec.is_empty
+            assert len(keys) == 0
 
 
 def test_vector_validation():
@@ -95,7 +94,7 @@ def test_vector_validation():
     keys = gram_keys("abcbcd")[::3]
     for bad_keys in (keys[::-1], keys[[0, 0]], keys - keys[1], keys[None]):
         with pytest.raises(ValueError):
-            SparseNGramVector(bad_keys, [1, 1])
+            Document("v", bad_keys, [1, 1])
 
 
 def test_vector_norm_cache():
@@ -116,7 +115,7 @@ def test_cosine_examples():
     assert cosine(_vec({}), _vec({})) == 0.0
 
 
-def _random_vector(rng: random.Random) -> SparseNGramVector:
+def _random_vector(rng: random.Random) -> Document:
     grams = [f"t{i:02d}" for i in range(12)]
     picked = rng.sample(grams, rng.randint(0, 8))
     return _vec({g: rng.randint(1, 9) for g in picked})
@@ -129,9 +128,9 @@ def test_cosine_properties():
         s = cosine(a, b)
         assert 0.0 <= s <= 1.0
         assert cosine(b, a) == s
-        if not a.is_empty:
+        if a.sq_norm:
             k = rng.randint(2, 7)
-            scaled = SparseNGramVector(a.keys, k * a.counts)
+            scaled = Document("scaled", a.keys, k * a.counts)
             assert abs(cosine(scaled, b) - s) <= 1e-12
 
 
@@ -158,7 +157,7 @@ def test_brute_force_pairwise():
 
 def test_document_from_raw_consistency():
     doc = Document.from_raw("d", "The  QUICK fox")
-    assert doc.vector == extract_3grams("the quick fox")
+    assert np.array_equal((doc.keys, doc.counts), extract_3grams("the quick fox"))
 
 
 def test_count_cells_vocabulary_is_sorted_union():

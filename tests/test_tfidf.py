@@ -67,7 +67,7 @@ def test_scores_match_direct_recomputation():
     docs = _docs(*texts)
     scores = _entries(score_grams(docs))
     n = len(docs)
-    vectors = [dict(zip(gram_strings(d.vector.keys), d.vector.counts.tolist())) for d in docs]
+    vectors = [dict(zip(gram_strings(d.keys), d.counts.tolist())) for d in docs]
     for entry in scores:
         tf = sum(v.get(entry.gram, 0) for v in vectors)
         df = sum(1 for v in vectors if entry.gram in v)
@@ -166,9 +166,9 @@ def test_blocked_counts_merge_waiting_blocks_into_a_wide_vocabulary(stream, monk
     merges = []  # (grams already merged, blocks waiting) per merge
     merge = tfidf._merge_counts
 
-    def recording_merge(merged, cells, counts):
-        merges.append((len(merged[0]), len(cells)))
-        return merge(merged, cells, counts)
+    def recording_merge(merged, waiting):
+        merges.append((len(merged[0]), len(waiting)))
+        return merge(merged, waiting)
 
     monkeypatch.setattr(tfidf, "_merge_counts", recording_merge)
     _assert_scores_one_shot(docs, stream)
