@@ -68,13 +68,17 @@ def _pair_rows(ids: tuple[str, ...], hits: np.ndarray) -> Iterator[tuple[str, st
 
 def _check_outputs(args: argparse.Namespace, *flags: str) -> None:
     """Reject an output path that is a directory, whose directory is
-    missing, or that resolves to one of the command's inputs or its other
-    output, before any work is done."""
+    missing, that resolves to one of the command's inputs or its other
+    output, or that lies inside a ``--corpus`` directory, where the next
+    read of the corpus would take it for a document, before any work is
+    done."""
     taken = {
         Path(path).resolve(): flag
         for flag in ("corpus", "ref", "db", "labels")
         if (path := getattr(args, flag, None)) is not None
     }
+    corpus = getattr(args, "corpus", None)
+    corpus_dir = Path(corpus).resolve() if corpus and Path(corpus).is_dir() else None
     for flag in flags:
         if (path := getattr(args, flag)) is None:
             continue
@@ -84,6 +88,8 @@ def _check_outputs(args: argparse.Namespace, *flags: str) -> None:
             raise ValueError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
         if (other := taken.setdefault(Path(path).resolve(), flag)) != flag:
             raise ValueError(f"--{flag} {path}: is the same file as --{other}")
+        if corpus_dir and Path(path).resolve().is_relative_to(corpus_dir):
+            raise ValueError(f"--{flag} {path}: lies inside the --corpus directory {corpus}")
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
@@ -237,7 +243,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                          f"write, the first {stale[0]!r}")
     docs_dir.mkdir(parents=True, exist_ok=True)
     for doc_id, text in texts:
-        (docs_dir / doc_id).write_text(text, encoding="utf-8", newline="\n")
+        with write_whole(docs_dir / doc_id) as fh:
+            fh.write(text)
     rows = [(p.id_a, p.id_b, p.label.value) for p in pairs]
     rows.sort()
     _write_tsv(out / "labels.tsv", ("id_a", "id_b", "label"), rows)

@@ -21,7 +21,7 @@ from .reference import (
     upper_blocks,
 )
 from .store import SignatureDb
-from .text import SCAN_BLOCK, Document, brute_force_pairwise, key_columns, sorted_counts
+from .text import Document, brute_force_pairwise, key_columns, sorted_counts
 
 
 def mae(ref: ReferenceText, docs: Sequence[Document]) -> float:
@@ -269,7 +269,7 @@ SCAN_HIT = np.dtype(
 def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> np.ndarray:
     """Every duplicate and near-duplicate pair in the database, as one
     :data:`SCAN_HIT` array sorted by (id of ``first``, id of ``second``),
-    read from :func:`upper_blocks` :data:`SCAN_BLOCK` rows at a time.
+    read from :func:`upper_blocks` :data:`~refsig.text.SCAN_BLOCK` rows at a time.
 
     ``duplicate`` is ``similarity >= cfg.t1`` on the same float64 values
     compared with ``cfg.t2``, so each hit's label equals :func:`classify`'s.

@@ -19,15 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .gramio import key_lines
-from .reference import mean_signature_error, partition_layout, partition_scores, partition_sizes
-from .text import (
-    Document,
-    brute_force_pairwise,
-    count_matrix,
-    gram_cells,
-    key_columns,
-    sorted_counts,
-)
+from .reference import mean_signature_error, partition_layout, partition_scores
+from .text import Document, brute_force_pairwise, count_matrix, gram_cells, sorted_counts
 from .tfidf import GramPool, score_grams, top_k
 
 DEFAULT_SEED = 0
@@ -171,26 +164,19 @@ def fitness(
     """Mean absolute error of signature similarity against the sample oracle,
     one per chromosome.
 
-    Chromosomes are scored in near-equal chunks of at most
-    :data:`FITNESS_CELLS` count-matrix cells, each laid out, signed and
-    compared as one stack. Each value is equal bit for bit to
-    scoring ``signature_matrix`` of the sample against that chromosome's
+    Chromosomes are scored in slices of at most :data:`FITNESS_CELLS`
+    count-matrix cells, each laid out over ``sample.keys``, signed and
+    compared as one stack. Each value is equal bit for bit to scoring
+    ``signature_matrix`` of the sample against that chromosome's
     ``ReferenceText``, without building one.
     """
     errors: list[float] = []
     if not chromosomes:
         return errors
     most = max(1, FITNESS_CELLS // (len(sample.sq_norms) * len(chromosomes[0].keys)))
-    # Near-equal chunks: twice the chromosomes are twice the chunks of one size.
-    lo = 0
-    for size in partition_sizes(len(chromosomes), -(-len(chromosomes) // most)):
-        keys = np.stack([c.keys for c in chromosomes[lo : lo + size]])
-        lo += size
-        slots, part_sq = partition_layout(keys, partitions)
-        # Sorted keys are searched several times faster than the slots' order;
-        # absent grams and pads read the zero last row.
-        distinct, inverse = np.unique(slots, return_inverse=True)
-        rows = key_columns(sample.keys, distinct)[inverse.reshape(slots.shape)]
+    for lo in range(0, len(chromosomes), most):
+        keys = np.stack([c.keys for c in chromosomes[lo : lo + most]])
+        rows, part_sq = partition_layout(keys, partitions, sample.keys)
         sigs = partition_scores(sample.counts, sample.sq_norms, rows, part_sq)
         errors.extend(mean_signature_error(sigs, sample.oracle).tolist())
     return errors

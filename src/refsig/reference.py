@@ -26,15 +26,18 @@ def partition_sizes(length: int, parts: int) -> list[int]:
     return [base + 1] * rem + [base] * (parts - rem)
 
 
-def partition_layout(keys: np.ndarray, partitions: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of a (C, L) stack of packed gram sequences, each split into
-    ``partitions`` slices.
+def partition_layout(
+    keys: np.ndarray, partitions: int, vocab: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count-matrix rows of a (C, L) stack of packed gram sequences, each
+    split into ``partitions`` slices, over the sorted keys ``vocab``.
 
-    Slot ``[c, s, p]`` holds the s-th key of sequence c's partition p, or -1
-    past a shorter partition's end: :func:`~refsig.text.key_columns` sends a
-    -1 to a count matrix's spare zero row, so a pad adds nothing. Also
-    returns each (C, P) partition's exact squared norm as a float64, from
-    the runs of equal keys in its sorted slots: a run of m counts m * m.
+    Row ``[c, s, p]`` is the :func:`~refsig.text.count_matrix` row over
+    ``vocab`` of the s-th key of sequence c's partition p. A key outside
+    ``vocab``, and a pad past a shorter partition's end, read the spare zero
+    row ``len(vocab)``, so they add nothing. Also returns each (C, P)
+    partition's exact squared norm as a float64, from the runs of equal keys
+    in its sorted slots: a run of m counts m * m.
     """
     if not 1 <= partitions <= keys.shape[-1]:
         raise ValueError(f"partition count must be in 1..{keys.shape[-1]}, got {partitions}")
@@ -48,7 +51,10 @@ def partition_layout(keys: np.ndarray, partitions: int) -> tuple[np.ndarray, np.
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
     k = at - np.maximum.accumulate(np.where(run_start, at, 0), axis=1)
     part_sq = np.where(ordered >= 0, 2 * k + 1, 0).sum(axis=1).astype(float)
-    return slots, part_sq
+    # Sorted keys are searched several times faster than the slots' order;
+    # key_columns sends a -1 pad, as any key outside vocab, to row len(vocab).
+    distinct, inverse = np.unique(slots, return_inverse=True)
+    return key_columns(vocab, distinct)[inverse.reshape(slots.shape)], part_sq
 
 
 def partition_scores(
@@ -72,12 +78,12 @@ def partition_scores(
 class ReferenceText:
     """An ordered sequence of packed 3-gram keys with a fixed partition count.
 
-    The partition layout (see :func:`partition_layout`) is computed once, as
-    a stack of one whose slots hold rows of a count matrix over ``columns``,
-    the sorted distinct keys. The fingerprint is a content hash over the
-    grams and the partition count; a signature database records it so that
-    scores produced against different references can never be compared
-    silently.
+    The partition layout is computed once, as :func:`partition_layout` of a
+    stack of one over ``columns``, the sorted distinct keys: ``slots`` are
+    rows of a count matrix over ``columns``. The fingerprint is a content
+    hash over the grams and the partition count; a signature database
+    records it so that scores produced against different references can
+    never be compared silently.
     """
 
     __slots__ = ("keys", "partitions", "columns", "slots", "part_sq", "fingerprint")
@@ -88,9 +94,8 @@ class ReferenceText:
         if not len(self.keys):
             raise ValueError("reference text needs at least one 3-gram")
         self.partitions = partitions
-        slots, self.part_sq = partition_layout(self.keys[None], partitions)
         self.columns = sorted_counts(self.keys)[0]
-        self.slots = key_columns(self.columns, slots)
+        self.slots, self.part_sq = partition_layout(self.keys[None], partitions, self.columns)
         self.fingerprint = hashlib.sha256(_serialize(self).encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:

@@ -151,6 +151,33 @@ def test_synth_writes_its_texts_without_vectorizing(tmp_path, monkeypatch):
         assert (out / "docs" / doc_id).read_bytes() == expected.encode("utf-8")
 
 
+def _files(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_synth_keeps_each_document_whole_when_a_write_fails(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "synthetic"
+    flags = ("--bases", 6, "--near-dups", 2, "--dups", 2, "--seed", 4, "--out", out)
+    assert _run("synth", *flags) == 0
+    before = _files(out)
+    texts, pairs = synthetic_texts(SyntheticCorpusSpec(
+        base_doc_count=6, near_dup_count=2, dup_count=2, rng_seed=4))
+    # New texts, the k-th holding a lone surrogate, which UTF-8 cannot encode.
+    k = 4
+    edited = [(doc_id, f"new text {i}" if i != k else "new text \ud800")
+              for i, (doc_id, _) in enumerate(texts)]
+    monkeypatch.setattr(cli, "synthetic_texts", lambda spec: (edited, pairs))
+    capsys.readouterr()
+    assert _run("synth", *flags) == 1
+    assert "surrogates not allowed" in capsys.readouterr().err
+    after = _files(out)
+    assert after.keys() == before.keys()  # no temporary file is left
+    for i, (doc_id, _) in enumerate(texts):
+        path = out / "docs" / doc_id
+        assert after[path] == (f"new text {i}".encode() if i < k else before[path])
+    assert after[out / "labels.tsv"] == before[out / "labels.tsv"]
+
+
 def test_topk_writes_pool(tmp_path):
     corpus = _make_corpus(tmp_path, "the quick brown fox", "lazy dogs sleep", "quick quick fox")
     out = tmp_path / "pool.txt"
@@ -342,26 +369,41 @@ def test_every_command_checks_its_output_directory_before_reading(
 
 
 # Each command given an output path that is one of its inputs or its other
-# output: the flag named, that path, and the flag it collides with.
-_SAME_FILE_ARGVS = {
+# output, or that lies inside its --corpus directory, where the next read of
+# the corpus would take it for a document: the flag named, that path, and why.
+_IN_CORPUS = "lies inside the --corpus directory {tmp}/corpus"
+_COLLIDING_ARGVS = {
     "topk": (("topk", "--corpus", "{tmp}/records.txt", "--out", "{tmp}/records.txt"),
-             "--out", "--corpus"),
+             "--out", "is the same file as --corpus"),
     "train": (("train", "--corpus", "{tmp}/corpus", "--runs", 1, "--sample", 4,
                "--population", 4, "--ref-len", 10, "--partitions", 2, "--pool-size", 50,
                "--generations", 1, "--out", "{tmp}/ref.txt", "--history", "{tmp}/ref.txt"),
-              "--history", "--out"),
+              "--history", "is the same file as --out"),
     "sign": (("sign", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
-              "--out", "{tmp}/ref.txt"), "--out", "--ref"),
+              "--out", "{tmp}/ref.txt"), "--out", "is the same file as --ref"),
     # The same file by another spelling.
     "dedup": (("dedup", "--db", "{tmp}/sigs.db", "--out", "{tmp}/corpus/../sigs.db"),
-              "--out", "--db"),
+              "--out", "is the same file as --db"),
     "eval": (("eval", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
-              "--labels", "{tmp}/labels.tsv", "--out", "{tmp}/labels.tsv"), "--out", "--labels"),
+              "--labels", "{tmp}/labels.tsv", "--out", "{tmp}/labels.tsv"),
+             "--out", "is the same file as --labels"),
+    "topk-in-corpus": (("topk", "--corpus", "{tmp}/corpus", "--k", 5,
+                        "--out", "{tmp}/corpus/pool.txt"), "--out", _IN_CORPUS),
+    "train-in-corpus": (("train", "--corpus", "{tmp}/corpus", "--runs", 1, "--sample", 4,
+                         "--population", 4, "--ref-len", 10, "--partitions", 2,
+                         "--pool-size", 50, "--generations", 1, "--out", "{tmp}/trained.txt",
+                         "--history", "{tmp}/corpus/history.tsv"), "--history", _IN_CORPUS),
+    # The corpus by another spelling.
+    "sign-in-corpus": (("sign", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
+                        "--out", "{tmp}/corpus/../corpus/sigs.db"), "--out", _IN_CORPUS),
+    "eval-in-corpus": (("eval", "--ref", "{tmp}/ref.txt", "--corpus", "{tmp}/corpus",
+                        "--out", "{tmp}/corpus/report.tsv"), "--out", _IN_CORPUS),
 }
 
 
-@pytest.mark.parametrize("argv, flag, other", _SAME_FILE_ARGVS.values(), ids=list(_SAME_FILE_ARGVS))
-def test_every_command_rejects_an_output_that_is_an_input(tmp_path, capsys, argv, flag, other):
+@pytest.mark.parametrize("argv, flag, reason", _COLLIDING_ARGVS.values(),
+                         ids=list(_COLLIDING_ARGVS))
+def test_every_command_rejects_an_output_that_is_an_input(tmp_path, capsys, argv, flag, reason):
     corpus = _make_corpus(tmp_path, *(f"document {i} about {w} and more {w}"
                                       for i, w in enumerate("abcdefghijkl")))
     (tmp_path / "records.txt").write_text("one record\nanother record\n", encoding="utf-8")
@@ -371,12 +413,12 @@ def test_every_command_rejects_an_output_that_is_an_input(tmp_path, capsys, argv
     (tmp_path / "labels.tsv").write_text("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tdistinct\n",
                                          encoding="utf-8")
     capsys.readouterr()
-    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    before = _files(tmp_path)
     argv = [str(arg).format(tmp=tmp_path) for arg in argv]
     assert main(argv) == 1
     path = argv[argv.index(flag) + 1]
-    assert capsys.readouterr() == ("", f"error: {flag} {path}: is the same file as {other}\n")
-    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    assert capsys.readouterr() == ("", f"error: {flag} {path}: {reason.format(tmp=tmp_path)}\n")
+    assert _files(tmp_path) == before
 
 
 def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):

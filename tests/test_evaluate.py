@@ -31,7 +31,15 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import SignatureDb, db_read, db_write
-from refsig.text import Document, cosine, extract_3grams, gram_keys, gram_strings, normalize
+from refsig.text import (
+    SCAN_BLOCK,
+    Document,
+    cosine,
+    extract_3grams,
+    gram_keys,
+    gram_strings,
+    normalize,
+)
 
 
 def _keys(grams):
@@ -354,7 +362,7 @@ def test_dnd_scan_blocks_match_full_matrix_loop(exact):
     # products must equal the full N x N product bit for bit. Other scores may
     # round differently per block shape, because BLAS picks its summation
     # order by shape; there the similarities must agree within 1e-15.
-    block = evaluate.SCAN_BLOCK
+    block = SCAN_BLOCK
     rng = np.random.default_rng(4)
     size = (2 * block + 37, 5)
     scores = rng.integers(0, 4, size=size) if exact else rng.uniform(0, 1, size=size)
@@ -412,7 +420,7 @@ def test_dnd_scan_sorts_by_python_str_order():
 
 def _rows_with_copies(count, seed):
     """Float32 signature-like rows with copies of row 7 across every block edge."""
-    block = evaluate.SCAN_BLOCK
+    block = SCAN_BLOCK
     scores = np.random.default_rng(seed).uniform(0, 1, size=(count, 150)).astype("<f4")
     scores[[block - 1, block, count - 1]] = scores[7]
     return scores
@@ -422,7 +430,7 @@ def _rows_with_copies(count, seed):
 def test_dnd_scan_equals_the_blocked_pairwise_loop_bit_for_bit(count):
     # The sizes at which BLAS block shapes were seen to round differently:
     # the scan must reproduce, bit for bit, a loop over the blocks it replaced.
-    block = evaluate.SCAN_BLOCK
+    block = SCAN_BLOCK
     scores = _rows_with_copies(count, seed=count)
     matrix = scores.astype(float)
     squares = np.einsum("ij,ij->i", matrix, matrix)
@@ -443,10 +451,10 @@ def test_dnd_scan_equals_the_blocked_pairwise_loop_bit_for_bit(count):
 
 
 def test_dnd_scan_emits_equal_rows_at_one_with_t2_above_the_probe_floor(monkeypatch):
-    count = 2 * evaluate.SCAN_BLOCK + 37
+    count = 2 * SCAN_BLOCK + 37
     db = SignatureDb("f" * 64, tuple(f"{k:04d}" for k in range(count)), _rows_with_copies(count, 5))
     cfg = ClassifierConfig(t1=1.0, t2=1.0 - 1e-10)
-    copies = [7, evaluate.SCAN_BLOCK - 1, evaluate.SCAN_BLOCK, count - 1]
+    copies = [7, SCAN_BLOCK - 1, SCAN_BLOCK, count - 1]
     expected = [(i, j, 1.0, True) for i, j in itertools.combinations(copies, 2)]
     assert dnd_scan(db, cfg).tolist() == expected
     # Without the probe, some copies' cosines round below 1.0.
@@ -464,7 +472,7 @@ def test_dnd_scan_probe_never_reads_a_pair_with_i_at_or_above_j(monkeypatch):
         exact_ones(sims, a, b, rows, cols)
 
     monkeypatch.setattr(reference, "_exact_ones", spy)
-    count = 2 * evaluate.SCAN_BLOCK + 37
+    count = 2 * SCAN_BLOCK + 37
     db = SignatureDb("f" * 64, tuple(f"{k:04d}" for k in range(count)), _rows_with_copies(count, 5))
     for t2 in (0.8, 1.0 - 1e-10):
         probed.clear()

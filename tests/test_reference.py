@@ -14,11 +14,12 @@ from refsig.reference import (
     mean_signature_error,
     pairwise_signature_similarity,
     partition_layout,
+    partition_scores,
     partition_sizes,
     save_reference,
     signature_matrix,
 )
-from refsig.text import Document, brute_force_pairwise, gram_keys, gram_strings
+from refsig.text import Document, brute_force_pairwise, count_matrix, gram_keys, gram_strings
 
 
 def _keys(grams):
@@ -47,10 +48,10 @@ def test_partition_examples():
     sizes = partition_sizes(1000, 150)
     assert sizes == [7] * 100 + [6] * 50
     assert sum(sizes) == 1000
-    slots, part_sq = partition_layout(np.arange(1000)[None], 150)
+    slots, part_sq = partition_layout(np.arange(1000)[None], 150, np.arange(1000))
     starts = [sum(sizes[:k]) for k in range(150)]
     assert slots[0].T.tolist() == [
-        [start + s if s < size else -1 for s in range(7)] for start, size in zip(starts, sizes)
+        [start + s if s < size else 1000 for s in range(7)] for start, size in zip(starts, sizes)
     ]
     assert part_sq.tolist() == [[float(size) for size in sizes]]
 
@@ -62,12 +63,18 @@ def test_partition_accumulates_duplicate_grams():
     assert _partition_counts(ref) == [{"abc": 2}, {"xyz": 1}]
     assert ref.part_sq.tolist() == [[4.0, 1.0]]
     # a gram shared between partitions is counted in each; each sequence of a
-    # stack is laid out on its own
-    keys = gram_keys("abcxyzabcabc")[::3]
-    slots, part_sq = partition_layout(np.stack([keys, keys[::-1]]), 2)
-    abc, xyz = _keys(["abc", "xyz"]).tolist()
-    assert slots.tolist() == [[[abc, abc], [xyz, abc]], [[abc, xyz], [abc, abc]]]
-    assert part_sq.tolist() == [[2.0, 4.0], [4.0, 2.0]]
+    # stack is laid out on its own; over a vocabulary that lacks "qrs", that
+    # key and the pad past the shorter partition both read the spare row, 2
+    keys = gram_keys("abcxyzabcabcqrs")[::3]
+    vocab = _keys(["abc", "xyz"])
+    rows, part_sq = partition_layout(np.stack([keys, keys[::-1]]), 2, vocab)
+    assert rows.tolist() == [[[0, 0], [1, 2], [0, 2]], [[2, 1], [0, 0], [0, 2]]]
+    assert part_sq.tolist() == [[5.0, 2.0], [5.0, 2.0]]
+    # over the documents' own vocabulary, the stack scores as each sequence's own reference
+    docs = [Document("a", vocab, [2, 1]), Document("b", vocab[1:], [3]), Document("e", [], [])]
+    scores = partition_scores(*count_matrix(docs, vocab), rows, part_sq)
+    for seq, score in zip((keys, keys[::-1]), scores):
+        assert score.tobytes() == signature_matrix(docs, ReferenceText(seq, 2)).tobytes()
 
 
 def test_reference_validation():
