@@ -279,7 +279,7 @@ def dnd_scan(db: SignatureDb, cfg: ClassifierConfig) -> np.ndarray:
     # Rows are scanned in id order, so each hit's first row has the smaller
     # id and the blocks emit the hits already sorted.
     by_id = np.argsort(np.array(db.ids))
-    matrix = np.asarray(db.scores, dtype=float)[by_id]
+    matrix = db.scores[by_id].astype(float)
     firsts, seconds, sims_kept = [], [], []
     for lo, sims, rows, cols in upper_blocks(matrix, cfg.t2):
         firsts.append(by_id[rows + lo])

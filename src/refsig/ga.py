@@ -2,14 +2,14 @@
 
 Fitness of a candidate is the mean absolute error between signature-space
 similarity and exact cosine over a fixed sample of document pairs (lower
-is better). Selection is elitist truncation over parents plus offspring,
-so the best fitness never worsens between generations.
+is better). Selection is elitist truncation: one stable sort of survivors
+then offspring by fitness, cut to the population size, so the best fitness
+never worsens between generations and a tie keeps the earlier chromosome.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 import time
@@ -182,21 +182,6 @@ def fitness(
     return errors
 
 
-def _select(chromosomes: list[Chromosome], size: int) -> list[Chromosome]:
-    """The ``size`` best by (fitness, content_hash); only ties are hashed."""
-    ranked: list[Chromosome] = []
-    for _, group in itertools.groupby(
-        sorted(chromosomes, key=lambda c: c.fitness), key=lambda c: c.fitness
-    ):
-        tied = list(group)
-        if len(tied) > 1:
-            tied.sort(key=Chromosome.content_hash)
-        ranked.extend(tied)
-        if len(ranked) >= size:
-            break
-    return ranked[:size]
-
-
 def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
     """Run the full search and return the best chromosome plus history.
 
@@ -205,9 +190,11 @@ def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
     offspring are seeded from the top tf-idf pool, and each later generation
     pairs the survivors at random, crosses every pair and mutates every
     offspring. Each generation keeps the best ``population_size`` of
-    survivors plus offspring. History records generation 0 onward; the run
-    stops after ``max_generations`` more generations, or earlier once the
-    best MAE is 0.0, which no candidate can improve on.
+    survivors plus offspring by one stable sort on fitness: on a tie,
+    survivors stay ahead of offspring and offspring keep their breeding
+    order. History records generation 0 onward; the run stops after
+    ``max_generations`` more generations, or earlier once the best MAE is
+    0.0, which no candidate can improve on.
     """
     corpus = list(corpus)
     rng = random.Random(cfg.rng_seed)
@@ -221,16 +208,16 @@ def evolve(corpus: Sequence[Document], cfg: GaConfig) -> EvolveResult:
         if not population:
             offspring = init_population(pool, cfg, rng)
         else:
-            order = list(range(len(population)))
-            rng.shuffle(order)
-            offspring = []
-            for k in range(0, len(order) - 1, 2):
-                first, second = crossover(population[order[k]], population[order[k + 1]], rng)
-                offspring.append(mutate(first, pool, rng))
-                offspring.append(mutate(second, pool, rng))
+            parents = population.copy()
+            rng.shuffle(parents)
+            offspring = [
+                mutate(child, pool, rng)
+                for pair in zip(parents[::2], parents[1::2])
+                for child in crossover(*pair, rng)
+            ]
         for chromosome, error in zip(offspring, fitness(offspring, sample, cfg.partitions)):
             chromosome.fitness = error
-        population = _select(population + offspring, cfg.population_size)
+        population = sorted(population + offspring, key=lambda c: c.fitness)[: cfg.population_size]
         fits = [c.fitness for c in population]
         history.append(
             GenerationStats(fits[0], math.fsum(fits) / len(fits), time.perf_counter() - start)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from dataclasses import fields
 
@@ -244,6 +246,56 @@ def test_evolve_length_conservation_and_pool_closure():
     result = evolve(docs, _small_cfg())
     assert len(_grams(result.best)) == 20
     assert set(_grams(result.best)) <= set(_grams(result.pool))
+
+
+def _traced_evolve(monkeypatch, values, **overrides):
+    """Run evolve with fitness drawn from ``values``; return the result, each
+    generation's offspring, and each later generation's survivors as evolve
+    hands them to the shuffle that pairs them."""
+    offspring, survivors = [], []
+
+    def scripted_fitness(chromosomes, sample, partitions):
+        offspring.append(list(chromosomes))
+        return [next(values) for _ in chromosomes]
+
+    def recording_init(pool, cfg, rng):
+        shuffle = rng.shuffle
+
+        def recording_shuffle(parents):
+            survivors.append(list(parents))
+            shuffle(parents)
+
+        rng.shuffle = recording_shuffle
+        return init_population(pool, cfg, rng)
+
+    monkeypatch.setattr("refsig.ga.fitness", scripted_fitness)
+    monkeypatch.setattr("refsig.ga.init_population", recording_init)
+    result = evolve(_word_salad_docs(16, seed=4), _small_cfg(**overrides))
+    return result, offspring, survivors
+
+
+def test_evolve_ties_keep_survivors_ahead_of_offspring(monkeypatch):
+    result, offspring, survivors = _traced_evolve(monkeypatch, itertools.repeat(0.25))
+    first = [id(c) for c in offspring[0]]
+    assert len(offspring) == 7 and len(survivors) == 6
+    # Every offspring ties every survivor, so generation 0 survives whole,
+    # as the same objects in the same order, however its grams hash.
+    assert result.best is offspring[0][0]
+    assert all([id(c) for c in generation] == first for generation in survivors)
+    assert [(s.best_mae, s.mean_mae) for s in result.history] == [(0.25, 0.25)] * 7
+
+
+def test_evolve_keeps_the_lowest_fitnesses_in_ascending_order(monkeypatch):
+    values = iter(random.Random(7).random, None)
+    result, offspring, survivors = _traced_evolve(monkeypatch, values, population_size=7)
+    assert len({c.fitness for generation in offspring for c in generation}) == 7 + 6 * 6
+    population = []
+    for generation, stats in enumerate(result.history):
+        kept = sorted(c.fitness for c in population + offspring[generation])[:7]
+        assert (stats.best_mae, stats.mean_mae) == (kept[0], math.fsum(kept) / 7)
+        if generation < len(survivors):
+            population = survivors[generation]
+            assert [c.fitness for c in population] == kept
 
 
 def test_evolve_early_stop():

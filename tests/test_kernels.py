@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsig import ga, reference, text
-from refsig.ga import Chromosome, _select, draw_fitness_sample, fitness
+from refsig.ga import Chromosome, draw_fitness_sample, fitness
 from refsig.reference import (
     EXACT_FLOOR,
     ReferenceText,
@@ -55,8 +55,8 @@ def _keys(grams):
     return gram_keys("".join(grams))[::3]
 
 
-def _chromosome(grams, fitness=None):
-    return Chromosome(_keys(grams), fitness)
+def _chromosome(grams):
+    return Chromosome(_keys(grams))
 
 
 def _cosine_rows(docs, grams, partitions):
@@ -243,17 +243,6 @@ def test_stacked_pair_kernel_equals_each_matrix_bit_for_bit(monkeypatch):
         mean_signature_error(signature_matrix(drawn, ReferenceText(c.keys, 4)), sample.oracle)
         for c in population
     ]
-
-
-def test_select_matches_fitness_then_hash_order():
-    rng = random.Random(3)
-    population = []
-    for _ in range(40):
-        grams = tuple(rng.choices(["abc", "bcd", "cde"], k=3))
-        population.append(_chromosome(grams, fitness=rng.choice([0.1, 0.2, 0.3, 0.25])))
-    expected = sorted(population, key=lambda c: (c.fitness, c.content_hash()))
-    for size in (1, 7, 20, 40, 60):
-        assert [id(c) for c in _select(population, size)] == [id(c) for c in expected[:size]]
 
 
 _CHARS = "ab c😀é"
