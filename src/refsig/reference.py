@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .gramio import key_lines, line_keys, read_lines, write_whole
-from .text import SCAN_BLOCK, Document, count_cosine, count_matrix, key_columns, sorted_counts
+from .text import SCAN_BLOCK, Document, count_cosine, count_matrix, sorted_counts
 
 
 def partition_sizes(length: int, parts: int) -> list[int]:
@@ -26,35 +26,27 @@ def partition_sizes(length: int, parts: int) -> list[int]:
     return [base + 1] * rem + [base] * (parts - rem)
 
 
-def partition_layout(
-    keys: np.ndarray, partitions: int, vocab: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The count-matrix rows of a (C, L) stack of packed gram sequences, each
-    split into ``partitions`` slices, over the sorted keys ``vocab``.
-
-    Row ``[c, s, p]`` is the :func:`~refsig.text.count_matrix` row over
-    ``vocab`` of the s-th key of sequence c's partition p. A key outside
-    ``vocab``, and a pad past a shorter partition's end, read the spare zero
-    row ``len(vocab)``, so they add nothing. Also returns each (C, P)
-    partition's exact squared norm as a float64, from the runs of equal keys
-    in its sorted slots: a run of m counts m * m.
-    """
-    if not 1 <= partitions <= keys.shape[-1]:
-        raise ValueError(f"partition count must be in 1..{keys.shape[-1]}, got {partitions}")
-    sizes = np.array(partition_sizes(keys.shape[-1], partitions))
+def partition_layout(codes: np.ndarray, partitions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of a (C, L) stack of non-negative codes, equal where their
+    grams are equal (a :class:`ReferenceText`'s column positions, a GA
+    genome's pool indices), each sequence split into ``partitions`` slices:
+    slot ``[c, s, p]`` is the s-th code of sequence c's partition p, and -1
+    past a shorter partition's end. Also returns each (C, P) partition's
+    exact squared norm as a float64, from the runs of equal codes in its
+    sorted slots: a run of m counts m * m."""
+    if not 1 <= partitions <= codes.shape[-1]:
+        raise ValueError(f"partition count must be in 1..{codes.shape[-1]}, got {partitions}")
+    sizes = np.array(partition_sizes(codes.shape[-1], partitions))
     at = np.arange(sizes[0])[:, None]  # slot s of each partition, as an (S, 1) column
     position = np.cumsum(sizes) - sizes + at
-    slots = np.where(at < sizes, keys[:, np.minimum(position, keys.shape[-1] - 1)], -1)
-    # Within its run, the k-th equal key adds 2k + 1, and 1 + 3 + ... + (2m - 1) = m * m.
+    slots = np.where(at < sizes, codes[:, np.minimum(position, codes.shape[-1] - 1)], -1)
+    # Within its run, the k-th equal code adds 2k + 1, and 1 + 3 + ... + (2m - 1) = m * m.
     ordered = np.sort(slots, axis=1)
     run_start = np.ones(ordered.shape, bool)
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
     k = at - np.maximum.accumulate(np.where(run_start, at, 0), axis=1)
     part_sq = np.where(ordered >= 0, 2 * k + 1, 0).sum(axis=1).astype(float)
-    # Sorted keys are searched several times faster than the slots' order;
-    # key_columns sends a -1 pad, as any key outside vocab, to row len(vocab).
-    distinct, inverse = np.unique(slots, return_inverse=True)
-    return key_columns(vocab, distinct)[inverse.reshape(slots.shape)], part_sq
+    return slots, part_sq
 
 
 def partition_scores(
@@ -65,9 +57,9 @@ def partition_scores(
 
     ``counts`` is a :func:`~refsig.text.count_matrix`, and ``slots`` hold
     its rows: ``counts[slots[c, s, p], i]`` is document i's count of the
-    key in that slot. ``sq_norms`` are the documents' squared norms. A
-    partition's dot product is the sum of its slots' counts, an integer
-    whatever order they are added in.
+    key in that slot, and a -1 pad reads the spare zero row. ``sq_norms``
+    are the documents' squared norms. A partition's dot product is the sum
+    of its slots' counts, an integer whatever order they are added in.
     """
     dots = np.empty((len(slots), slots.shape[-1], len(sq_norms)))  # (C, P, N)
     for sums, rows in zip(dots, slots):  # one reference's rows at a time bound the gather
@@ -79,8 +71,9 @@ class ReferenceText:
     """An ordered sequence of packed 3-gram keys with a fixed partition count.
 
     The partition layout is computed once, as :func:`partition_layout` of a
-    stack of one over ``columns``, the sorted distinct keys: ``slots`` are
-    rows of a count matrix over ``columns``. The fingerprint is a content
+    stack of one holding each key's position in ``columns``, the sorted
+    distinct keys: ``slots`` are rows of a count matrix over ``columns``,
+    and a -1 pad reads its spare last row. The fingerprint is a content
     hash over the grams and the partition count; a signature database
     records it so that scores produced against different references can
     never be compared silently.
@@ -95,7 +88,8 @@ class ReferenceText:
             raise ValueError("reference text needs at least one 3-gram")
         self.partitions = partitions
         self.columns = sorted_counts(self.keys)[0]
-        self.slots, self.part_sq = partition_layout(self.keys[None], partitions, self.columns)
+        codes = np.searchsorted(self.columns, self.keys)
+        self.slots, self.part_sq = partition_layout(codes[None], partitions)
         self.fingerprint = hashlib.sha256(_serialize(self).encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:

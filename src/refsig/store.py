@@ -78,8 +78,16 @@ def _read_utf8(path: str) -> str:
         raise UnicodeDecodeError(exc.encoding, data, exc.start, exc.end, reason) from None
 
 
-# Ids of gramless documents named in the one warning that counts them.
-_EMPTY_IDS_SHOWN = 3
+# Ids named in a warning that counts documents without a 3-gram.
+_IDS_SHOWN = 3
+
+
+def _warn_without_3grams(count: int, shown_ids: list[str], where: str) -> None:
+    """One warning: ``count`` documents have no 3-gram ``where``, the first named."""
+    more = ", ..." if count > _IDS_SHOWN else ""
+    verb = "document has" if count == 1 else "documents have"
+    shown = ", ".join(map(repr, shown_ids))
+    warnings.warn(f"{count} {verb} no 3-gram {where}: {shown}{more}", stacklevel=3)
 
 
 def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Document]:
@@ -107,14 +115,11 @@ def iter_documents(path: str | Path, html_strip: bool = False) -> Iterator[Docum
         doc = Document.from_raw(doc_id, raw)
         if not doc.sq_norm:
             empty += 1
-            if empty <= _EMPTY_IDS_SHOWN:
+            if empty <= _IDS_SHOWN:
                 shown_ids.append(doc_id)
         yield doc
     if empty:
-        shown = ", ".join(map(repr, shown_ids))
-        more = ", ..." if empty > _EMPTY_IDS_SHOWN else ""
-        verb = "document has" if empty == 1 else "documents have"
-        warnings.warn(f"{empty} {verb} no 3-gram after normalization: {shown}{more}", stacklevel=2)
+        _warn_without_3grams(empty, shown_ids, "after normalization")
 
 
 def ingest(path: str | Path, html_strip: bool = False) -> list[Document]:
@@ -183,9 +188,12 @@ def check_ids(ids: Sequence[str], seen: set[str]) -> None:
 def sign_documents(docs: Iterable[Document], ref: ReferenceText) -> SignatureDb:
     """The float32 signature rows of ``docs`` against ``ref``, as the db that
     ``sign`` writes and ``dedup`` scans. Only one block of documents is held
-    at a time, and each block's ids are checked before it is signed."""
+    at a time, and each block's ids are checked before it is signed. One
+    warning counts documents with 3-grams that sign all-zero, which score
+    0.0 against every document, even an identical one."""
     docs = iter(docs)
     ids: list[str] = []
+    zero_ids: list[str] = []
     seen: set[str] = set()
     blocks = [np.empty((0, ref.partitions), SCORE_DTYPE)]
     while block := list(islice(docs, SIGN_BLOCK)):
@@ -193,6 +201,10 @@ def sign_documents(docs: Iterable[Document], ref: ReferenceText) -> SignatureDb:
         check_ids(block_ids, seen)
         ids.extend(block_ids)
         blocks.append(signature_matrix(block, ref).astype(SCORE_DTYPE))
+        zero_ids += [block_ids[i] for i in np.flatnonzero(~blocks[-1].any(1)) if block[i].sq_norm]
+    if zero_ids:
+        where = "in common with the reference, so each signs all-zero"
+        _warn_without_3grams(len(zero_ids), zero_ids[:_IDS_SHOWN], where)
     return SignatureDb(ref.fingerprint, tuple(ids), np.concatenate(blocks))
 
 

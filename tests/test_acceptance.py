@@ -21,7 +21,7 @@ from refsig.evaluate import (
     generate_synthetic_corpus,
     prf,
 )
-from refsig.ga import Chromosome, GaConfig, draw_fitness_sample, evolve, fitness
+from refsig.ga import GaConfig, draw_fitness_sample, evolve, fitness
 from refsig.reference import (
     ClassifierConfig,
     ReferenceText,
@@ -221,8 +221,8 @@ def _naive_cosine(a: dict, b: dict) -> float:
     return min(1.0, dot / math.sqrt(sq_a * sq_b))
 
 
-def _naive_fitness(chromosome, docs, partitions) -> float:
-    grams = gram_strings(chromosome.keys)
+def _naive_fitness(keys, docs, partitions) -> float:
+    grams = gram_strings(keys)
     base, rem = divmod(len(grams), partitions)
     slices, start = [], 0
     for k in range(partitions):
@@ -256,15 +256,15 @@ def test_criterion_6_fitness_oracle_consistency():
             base_doc_count=30, near_dup_count=0, dup_count=0, rng_seed=77, words_per_doc=60
         )
     )
-    sample = draw_fitness_sample(docs, 30, random.Random(0))
-    drawn = random.Random(0).sample(docs, 30)  # the documents the sample holds
     pool = top_k(score_grams(docs), 600)
+    sample = draw_fitness_sample(docs, pool, 30, random.Random(0))
+    drawn = random.Random(0).sample(docs, 30)  # the documents the sample holds
     rng = random.Random(123)
     partitions = 10
-    chromosomes = [Chromosome(pool.keys[rng.choices(range(len(pool)), k=60)]) for _ in range(100)]
+    population = [np.array(rng.choices(range(len(pool)), k=60)) for _ in range(100)]
     worst = 0.0
-    for chromosome, ga_value in zip(chromosomes, fitness(chromosomes, sample, partitions)):
-        naive_value = _naive_fitness(chromosome, drawn, partitions)
+    for genes, ga_value in zip(population, fitness(population, sample, partitions)):
+        naive_value = _naive_fitness(pool.keys[genes], drawn, partitions)
         worst = max(worst, abs(ga_value - naive_value))
     _verdict(
         6,

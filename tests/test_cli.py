@@ -298,6 +298,8 @@ def test_invalid_thresholds_rejected_before_work(tmp_path, capsys):
         (["eval", "--t1", 0.5, "--t2", 0.9], ["--ref", "--labels"], "thresholds"),
         (["eval"], ["--ref", "--labels"], str(missing["--labels"])),
         (["train", "--population", 0], [], "population_size"),
+        # a population of one has no pair to cross, so no generation after 0 could breed
+        (["train", "--population", 1], [], "population_size must be >= 2"),
         (["train", "--runs", 0], [], "--runs must be at least 1, got 0"),
         (["topk", "--k", 0], [], "--k must be at least 1, got 0"),
     ]

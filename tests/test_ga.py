@@ -41,6 +41,10 @@ def _grams(chromosome_or_pool):
     return tuple(gram_strings(chromosome_or_pool.keys))
 
 
+def _gene_grams(genes, pool):
+    return tuple(gram_strings(pool.keys[genes]))
+
+
 def _pool_of(grams):
     return GramPool(_keys(grams), len(grams))
 
@@ -61,6 +65,8 @@ def test_config_validation():
         GaConfig(partitions=20, ref_len=10)
     with pytest.raises(ValueError):
         GaConfig(sample_size=1)
+    with pytest.raises(ValueError, match="population_size must be >= 2"):
+        GaConfig(population_size=1)  # no pair to cross
 
 
 def test_init_population_degenerate_pool():
@@ -68,7 +74,7 @@ def test_init_population_degenerate_pool():
     cfg = GaConfig(population_size=3, ref_len=5, partitions=2, pool_size=1, sample_size=2)
     population = init_population(pool, cfg, random.Random(0))
     assert len(population) == 3
-    assert all(_grams(c) == ("abc",) * 5 for c in population)
+    assert all(_gene_grams(genes, pool) == ("abc",) * 5 for genes in population)
 
 
 def test_init_population_deterministic():
@@ -76,8 +82,11 @@ def test_init_population_deterministic():
     cfg = GaConfig(population_size=4, ref_len=6, partitions=2, pool_size=4, sample_size=2)
     first = init_population(pool, cfg, random.Random(42))
     second = init_population(pool, cfg, random.Random(42))
-    assert [_grams(c) for c in first] == [_grams(c) for c in second]
-    assert all(set(_grams(c)) <= set(_grams(pool)) for c in first)
+    assert [genes.tolist() for genes in first] == [genes.tolist() for genes in second]
+    # each gene picks the gram that drawing from the pool's grams themselves picks
+    rng = random.Random(42)
+    drawn = [tuple(rng.choices(_grams(pool), k=6)) for _ in range(4)]
+    assert [_gene_grams(genes, pool) for genes in first] == drawn
 
 
 def test_init_population_rejects_empty_pool():
@@ -90,9 +99,9 @@ def test_array_holders_compare_and_hash_by_identity():
     docs = _word_salad_docs(3, seed=1)
     holders = [
         (_pool_of(["abc", "bcd"]), _pool_of(["abc", "bcd"])),
-        (Chromosome(_keys(["abc", "bcd"])), Chromosome(_keys(["abc", "bcd"]))),
-        (draw_fitness_sample(docs, 3, random.Random(0)),
-         draw_fitness_sample(docs, 3, random.Random(0))),
+        (Chromosome(_keys(["abc", "bcd"]), 0.5), Chromosome(_keys(["abc", "bcd"]), 0.5)),
+        (draw_fitness_sample(docs, _pool_of(["abc"]), 3, random.Random(0)),
+         draw_fitness_sample(docs, _pool_of(["abc"]), 3, random.Random(0))),
     ]
     for a, b in holders:
         assert a == a and a != b
@@ -100,33 +109,32 @@ def test_array_holders_compare_and_hash_by_identity():
 
 
 def test_crossover_is_single_shared_cut():
-    a = Chromosome(_keys(("g1.", "g2.", "g3.", "g4.")))
-    b = Chromosome(_keys(("h1.", "h2.", "h3.", "h4.")))
+    a, b = np.arange(4), np.arange(4, 8)
     for seed in range(25):
         c1, c2 = crossover(a, b, random.Random(seed))
-        assert len(_grams(c1)) == len(_grams(c2)) == 4
+        assert len(c1) == len(c2) == 4
         cuts = [
             cut
             for cut in range(1, 4)
-            if _grams(c1) == _grams(a)[:cut] + _grams(b)[cut:]
-            and _grams(c2) == _grams(b)[:cut] + _grams(a)[cut:]
+            if c1.tolist() == a[:cut].tolist() + b[cut:].tolist()
+            and c2.tolist() == b[:cut].tolist() + a[cut:].tolist()
         ]
         assert cuts, "offspring are not a single shared cut of the parents"
         # every offspring mixes both parents
-        assert set(_grams(c1)) & set(_grams(a)) and set(_grams(c1)) & set(_grams(b))
+        assert set(c1.tolist()) & set(a.tolist()) and set(c1.tolist()) & set(b.tolist())
 
 
 def test_crossover_identical_parents_fixed_point():
-    a = Chromosome(_keys(("abc", "bcd", "cde")))
-    b = Chromosome(_keys(("abc", "bcd", "cde")))
+    a = np.array([0, 1, 2])
+    b = np.array([0, 1, 2])
     for seed in range(10):
         c1, c2 = crossover(a, b, random.Random(seed))
-        assert _grams(c1) == _grams(a) and _grams(c2) == _grams(a)
+        assert c1.tolist() == a.tolist() and c2.tolist() == a.tolist()
 
 
 def test_crossover_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        crossover(Chromosome(_keys(("abc",))), Chromosome(_keys(("abc", "bcd"))), random.Random(0))
+        crossover(np.array([0]), np.array([0, 1]), random.Random(0))
 
 
 def test_mutation_count_rule():
@@ -138,22 +146,23 @@ def test_mutation_count_rule():
 
 
 def test_mutate_replaces_exact_positions():
-    original = Chromosome(_keys(("aaa",) * 1000))
-    pool = _pool_of(["bbb", "ccc"])  # disjoint from the chromosome
+    original = np.full(1000, 7)
+    pool = _pool_of(["bbb", "ccc"])  # no draw from it is index 7
     mutated = mutate(original, pool, random.Random(3))
-    diffs = sum(1 for x, y in zip(_grams(original), _grams(mutated)) if x != y)
-    assert diffs == 100
-    assert len(_grams(mutated)) == 1000
-    assert _grams(original) == ("aaa",) * 1000  # input untouched
+    assert np.count_nonzero(original != mutated) == 100
+    assert set(mutated[original != mutated].tolist()) <= {0, 1}
+    assert len(mutated) == 1000
+    assert (original == 7).all()  # input untouched
 
 
 def test_mutate_short_chromosome_and_degenerate_pool():
-    original = Chromosome(_keys(("aaa",) * 10))
+    original = np.full(10, 7)
     mutated = mutate(original, _pool_of(["bbb"]), random.Random(1))
-    assert sum(1 for x, y in zip(_grams(original), _grams(mutated)) if x != y) == 1
+    assert np.count_nonzero(original != mutated) == 1
     # pool containing only the existing gram: content may be unchanged
-    unchanged = mutate(original, _pool_of(["aaa"]), random.Random(1))
-    assert _grams(unchanged) == _grams(original)
+    zeros = np.zeros(10, int)
+    unchanged = mutate(zeros, _pool_of(["aaa"]), random.Random(1))
+    assert unchanged.tolist() == zeros.tolist()
 
 
 def test_pool_closure_through_operators():
@@ -165,16 +174,15 @@ def test_pool_closure_through_operators():
         a, b = rng.sample(population, 2)
         c1, c2 = crossover(a, b, rng)
         population.extend([mutate(c1, pool, rng), mutate(c2, pool, rng)])
-    allowed = set(_grams(pool))
-    assert all(set(_grams(c)) <= allowed for c in population)
+    assert all(set(genes.tolist()) <= set(range(len(pool))) for genes in population)
 
 
 def test_fitness_single_pair_formula():
     docs = (Document.from_raw("0", "abcd"), Document.from_raw("1", "bcde"))
-    sample = draw_fitness_sample(docs, 2, random.Random(0))
-    chromosome = Chromosome(_keys(("abc", "bcd", "cde", "def")))
-    [got] = fitness([chromosome], sample, partitions=2)
-    ref = ReferenceText(chromosome.keys, 2)
+    pool = _pool_of(("abc", "bcd", "cde", "def"))
+    sample = draw_fitness_sample(docs, pool, 2, random.Random(0))
+    [got] = fitness([np.arange(4)], sample, partitions=2)
+    ref = ReferenceText(pool.keys, 2)
     rows = signature_matrix(docs, ref)
     sim = pairwise_signature_similarity(rows[:1], rows[1:])[0, 0]
     oracle = cosine(docs[0], docs[1])
@@ -183,24 +191,31 @@ def test_fitness_single_pair_formula():
 
 def test_fitness_zero_for_full_vocabulary_reference():
     docs = _word_salad_docs(10, seed=2, length=60)
-    sample = draw_fitness_sample(docs, 10, random.Random(0))
     grams = sorted({g for d in docs for g in gram_strings(d.keys)})
-    chromosome = Chromosome(_keys(grams))
-    assert fitness([chromosome], sample, partitions=len(grams))[0] <= 1e-9
+    sample = draw_fitness_sample(docs, _pool_of(grams), 10, random.Random(0))
+    assert fitness([np.arange(len(grams))], sample, partitions=len(grams))[0] <= 1e-9
 
 
 def test_draw_fitness_sample_contract():
     docs = _word_salad_docs(6, seed=3)
-    sample = draw_fitness_sample(docs, 4, random.Random(9))
+    pool = _pool_of(["zzz", *gram_strings(docs[0].keys[:5])])  # no salad holds "zzz"
+    sample = draw_fitness_sample(docs, pool, 4, random.Random(9))
     drawn = random.Random(9).sample(docs, 4)
     assert len({d.id for d in drawn}) == 4
     (oracle,) = brute_force_pairwise(drawn)
     assert [block.tobytes() for block in sample.oracle] == [oracle.tobytes()]
     assert sample.sq_norms.tolist() == [d.sq_norm for d in drawn]
+    # each pool gram's row holds its counts; "zzz" and a -1 pad read the spare zero row
+    assert len(sample.rows) == len(pool) + 1
+    assert sample.rows[0] == sample.rows[-1] == len(sample.counts) - 1
+    assert not sample.counts[-1].any()
+    for key, row in zip(pool.keys.tolist(), sample.rows.tolist()):
+        held = [dict(zip(d.keys.tolist(), d.counts.tolist())).get(key, 0) for d in drawn]
+        assert sample.counts[row].tolist() == held
     # no document is drawn twice: distinct word salads never score 1.0
     assert (oracle[~np.eye(4, dtype=bool)] < 1.0).all()
     with pytest.raises(ValueError):
-        draw_fitness_sample(docs, 7, random.Random(0))
+        draw_fitness_sample(docs, pool, 7, random.Random(0))
 
 
 def _small_cfg(**overrides):
@@ -250,13 +265,15 @@ def test_evolve_length_conservation_and_pool_closure():
 
 def _traced_evolve(monkeypatch, values, **overrides):
     """Run evolve with fitness drawn from ``values``; return the result, each
-    generation's offspring, and each later generation's survivors as evolve
-    hands them to the shuffle that pairs them."""
-    offspring, survivors = [], []
+    generation's offspring, each later generation's survivors as evolve
+    hands them to the shuffle that pairs them, and each genome's fitness by
+    its ``id``."""
+    offspring, survivors, scored = [], [], {}
 
-    def scripted_fitness(chromosomes, sample, partitions):
-        offspring.append(list(chromosomes))
-        return [next(values) for _ in chromosomes]
+    def scripted_fitness(genes, sample, partitions):
+        offspring.append(list(genes))
+        scored.update((id(g), next(values)) for g in genes)
+        return [scored[id(g)] for g in genes]
 
     def recording_init(pool, cfg, rng):
         shuffle = rng.shuffle
@@ -271,31 +288,32 @@ def _traced_evolve(monkeypatch, values, **overrides):
     monkeypatch.setattr("refsig.ga.fitness", scripted_fitness)
     monkeypatch.setattr("refsig.ga.init_population", recording_init)
     result = evolve(_word_salad_docs(16, seed=4), _small_cfg(**overrides))
-    return result, offspring, survivors
+    return result, offspring, survivors, scored
 
 
 def test_evolve_ties_keep_survivors_ahead_of_offspring(monkeypatch):
-    result, offspring, survivors = _traced_evolve(monkeypatch, itertools.repeat(0.25))
-    first = [id(c) for c in offspring[0]]
+    result, offspring, survivors, _ = _traced_evolve(monkeypatch, itertools.repeat(0.25))
+    first = [id(g) for g in offspring[0]]
     assert len(offspring) == 7 and len(survivors) == 6
     # Every offspring ties every survivor, so generation 0 survives whole,
-    # as the same objects in the same order, however its grams hash.
-    assert result.best is offspring[0][0]
-    assert all([id(c) for c in generation] == first for generation in survivors)
+    # as the same objects in the same order, whatever its grams.
+    assert result.best.keys.tolist() == result.pool.keys[offspring[0][0]].tolist()
+    assert result.best.fitness == 0.25
+    assert all([id(g) for g in generation] == first for generation in survivors)
     assert [(s.best_mae, s.mean_mae) for s in result.history] == [(0.25, 0.25)] * 7
 
 
 def test_evolve_keeps_the_lowest_fitnesses_in_ascending_order(monkeypatch):
     values = iter(random.Random(7).random, None)
-    result, offspring, survivors = _traced_evolve(monkeypatch, values, population_size=7)
-    assert len({c.fitness for generation in offspring for c in generation}) == 7 + 6 * 6
+    result, offspring, survivors, scored = _traced_evolve(monkeypatch, values, population_size=7)
+    assert len(set(scored.values())) == len(scored) == 7 + 6 * 6
     population = []
     for generation, stats in enumerate(result.history):
-        kept = sorted(c.fitness for c in population + offspring[generation])[:7]
+        kept = sorted(scored[id(g)] for g in population + offspring[generation])[:7]
         assert (stats.best_mae, stats.mean_mae) == (kept[0], math.fsum(kept) / 7)
         if generation < len(survivors):
             population = survivors[generation]
-            assert [c.fitness for c in population] == kept
+            assert [scored[id(g)] for g in population] == kept
 
 
 def test_evolve_early_stop():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsig import ga, reference, text
-from refsig.ga import Chromosome, draw_fitness_sample, fitness
+from refsig.ga import draw_fitness_sample, fitness
 from refsig.reference import (
     EXACT_FLOOR,
     ReferenceText,
@@ -29,6 +29,7 @@ from refsig.text import (
     gram_keys,
     gram_strings,
 )
+from refsig.tfidf import GramPool
 
 TEXTS = [
     "",
@@ -55,8 +56,12 @@ def _keys(grams):
     return gram_keys("".join(grams))[::3]
 
 
-def _chromosome(grams):
-    return Chromosome(_keys(grams))
+def _pool_and_genes(population):
+    """A pool of every gram of ``population``, and each member's genes over it."""
+    grams = sorted({g for member in population for g in member})
+    return GramPool(_keys(grams), len(grams)), [
+        np.array([grams.index(g) for g in member]) for member in population
+    ]
 
 
 def _cosine_rows(docs, grams, partitions):
@@ -90,29 +95,26 @@ def test_fitness_equals_signature_matrix_error(monkeypatch):
         ["".join(rng.choice("abcde 😀") for _ in range(rng.randint(0, 60))) for _ in range(12)]
         + TEXTS
     )
-    sample = draw_fitness_sample(corpus, 15, random.Random(2))
     drawn = random.Random(2).sample(list(corpus), 15)  # the documents the sample holds
     present = sorted({g for doc in drawn for g in gram_strings(doc.keys)})
     absent = ["qqq", "𝔘𝔘𝔘", "zz "]  # no sample document contains these
     assert not set(absent) & set(present)
+    pool = GramPool(_keys(present + absent), len(present + absent))
+    sample = draw_fitness_sample(corpus, pool, 15, random.Random(2))
     for _ in range(30):
         length = rng.randint(1, 40)
         partitions = rng.randint(1, length)
-        population = [rng.choices(present + absent, k=length) for _ in range(3)]
-        expected = [
-            mean_signature_error(signature_matrix(drawn, ReferenceText(_keys(grams), partitions)),
-                                 sample.oracle)
-            for grams in population
-        ]
-        chromosomes = [_chromosome(grams) for grams in population]
-        assert fitness(chromosomes, sample, partitions) == expected
+        population = [np.array(rng.choices(range(len(pool)), k=length)) for _ in range(3)]
+        refs = [ReferenceText(pool.keys[genes], partitions) for genes in population]
+        expected = [mean_signature_error(signature_matrix(drawn, r), sample.oracle) for r in refs]
+        assert fitness(population, sample, partitions) == expected
         # chunks of 2 and a last chunk of 1 give the same values
         monkeypatch.setattr(ga, "FITNESS_CELLS", 2 * 15 * length)
-        assert fitness(chromosomes, sample, partitions) == expected
+        assert fitness(population, sample, partitions) == expected
         monkeypatch.undo()
-    # a chromosome made only of absent grams signs every document all-zero
+    # genes of absent grams only sign every document all-zero
     expected = mean_signature_error(np.zeros((15, 2)), sample.oracle)
-    assert fitness([_chromosome(absent * 2)], sample, 2) == [expected]
+    assert fitness([np.arange(len(present), len(pool)).repeat(2)], sample, 2) == [expected]
     assert fitness([], sample, 2) == []
 
 
@@ -202,11 +204,11 @@ def test_fitness_probe_never_reads_a_pair_with_i_at_or_above_j(monkeypatch):
 
     monkeypatch.setattr(reference, "_exact_ones", spy)
     docs = _docs(["abcabc", "abcabc", "the cat sat", "xyz", "abcabc", ""])
-    sample = draw_fitness_sample(docs, len(docs), random.Random(0))
-    population = [
+    pool, population = _pool_and_genes([
         ("abc", "bca", "the", "cat"), ("cat", "the", "abc", "abc"), ("xyz", "sat", "bca", "cat")
-    ]
-    fitness([_chromosome(grams) for grams in population], sample, 2)
+    ])
+    sample = draw_fitness_sample(docs, pool, len(docs), random.Random(0))
+    fitness(population, sample, 2)
     [(stack, rows, cols)] = probed
     assert (cols > rows).all()
     # The three equal documents are three pairs per chromosome; no diagonal entry is probed.
@@ -234,14 +236,14 @@ def test_stacked_pair_kernel_equals_each_matrix_bit_for_bit(monkeypatch):
     assert errors.tolist() == [mean_signature_error(m, oracle) for m in stack]
     # A fitness population of 5 in chunks of 2 crosses a chunk boundary and 3 row blocks.
     docs = _docs(["".join(random.Random(k).choices("abcd ", k=30)) for k in range(19)] + TEXTS)
-    sample = draw_fitness_sample(docs, 20, random.Random(1))
+    pool, population = _pool_and_genes([random.Random(k).choices(GRAMS, k=9) for k in range(5)])
+    sample = draw_fitness_sample(docs, pool, 20, random.Random(1))
     drawn = random.Random(1).sample(docs, 20)
-    population = [_chromosome(random.Random(k).choices(GRAMS, k=9)) for k in range(5)]
     monkeypatch.setattr(ga, "FITNESS_CELLS", 2 * 20 * 9)
     assert len(sample.oracle) == 3
     assert fitness(population, sample, 4) == [
-        mean_signature_error(signature_matrix(drawn, ReferenceText(c.keys, 4)), sample.oracle)
-        for c in population
+        mean_signature_error(signature_matrix(drawn, ReferenceText(pool.keys[g], 4)), sample.oracle)
+        for g in population
     ]
 
 
@@ -268,16 +270,16 @@ def test_kernels_equal_cosine_property(texts, grams, data):
             if i != j:
                 assert oracle[i, j] == cosine(a, b)
 
-    sample = draw_fitness_sample(docs, len(docs), random.Random(0))
-    drawn = random.Random(0).sample(docs, len(docs))
-    assert [b.tobytes() for b in sample.oracle] == [b.tobytes() for b in brute_force_pairwise(drawn)]
     # One population: the drawn grams, one of them repeated, and grams no document holds.
     repeated = [grams[0]] + grams[:-1]
     absent = data.draw(st.lists(st.sampled_from(["qqq", "xyz", "😀zz"]), min_size=len(grams),
                                 max_size=len(grams)))
-    population = [_chromosome(g) for g in (grams, repeated, absent, grams[::-1], grams)]
+    pool, population = _pool_and_genes([grams, repeated, absent, grams[::-1], grams])
+    sample = draw_fitness_sample(docs, pool, len(docs), random.Random(0))
+    drawn = random.Random(0).sample(docs, len(docs))
+    assert [b.tobytes() for b in sample.oracle] == [b.tobytes() for b in brute_force_pairwise(drawn)]
     scores = fitness(population, sample, partitions)
-    for chromosome, score in zip(population, scores):
-        direct = ReferenceText(chromosome.keys, partitions)
+    for genes, score in zip(population, scores):
+        direct = ReferenceText(pool.keys[genes], partitions)
         assert score == mean_signature_error(signature_matrix(drawn, direct), sample.oracle)
-        assert score == fitness([chromosome], sample, partitions)[0]
+        assert score == fitness([genes], sample, partitions)[0]

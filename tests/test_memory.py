@@ -248,9 +248,10 @@ def test_fitness_peak_memory_is_bounded_by_its_chunk():
     rng = random.Random(1)
     vocab = _vocab(rng)
     docs = [Document.from_raw(str(k), " ".join(rng.choices(vocab, k=60))) for k in range(100)]
-    sample = ga.draw_fitness_sample(docs, 100, random.Random(0))
+    pool = top_k(score_grams(docs), 3000)
+    sample = ga.draw_fitness_sample(docs, pool, 100, random.Random(0))
     cfg = ga.GaConfig(population_size=40, ref_len=1000, partitions=150, sample_size=100)
-    population = ga.init_population(top_k(score_grams(docs), 3000), cfg, random.Random(2))
+    population = ga.init_population(pool, cfg, random.Random(2))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -19,7 +19,14 @@ from refsig.reference import (
     save_reference,
     signature_matrix,
 )
-from refsig.text import Document, brute_force_pairwise, count_matrix, gram_keys, gram_strings
+from refsig.text import (
+    Document,
+    brute_force_pairwise,
+    count_matrix,
+    gram_keys,
+    gram_strings,
+    key_columns,
+)
 
 
 def _keys(grams):
@@ -30,7 +37,7 @@ def _partition_counts(ref):
     """Each partition's gram counts, read back from the reference's layout."""
     grams = gram_strings(ref.columns)
     return [
-        Counter(grams[row] for row in ref.slots[0, :, p] if row < len(grams))
+        Counter(grams[row] for row in ref.slots[0, :, p] if row >= 0)
         for p in range(ref.partitions)
     ]
 
@@ -48,10 +55,10 @@ def test_partition_examples():
     sizes = partition_sizes(1000, 150)
     assert sizes == [7] * 100 + [6] * 50
     assert sum(sizes) == 1000
-    slots, part_sq = partition_layout(np.arange(1000)[None], 150, np.arange(1000))
+    slots, part_sq = partition_layout(np.arange(1000)[None], 150)
     starts = [sum(sizes[:k]) for k in range(150)]
     assert slots[0].T.tolist() == [
-        [start + s if s < size else 1000 for s in range(7)] for start, size in zip(starts, sizes)
+        [start + s if s < size else -1 for s in range(7)] for start, size in zip(starts, sizes)
     ]
     assert part_sq.tolist() == [[float(size) for size in sizes]]
 
@@ -59,17 +66,23 @@ def test_partition_examples():
 def test_partition_accumulates_duplicate_grams():
     ref = ReferenceText(_keys(["abc", "abc", "xyz"]), 2)
     assert gram_strings(ref.columns) == ["abc", "xyz"]
-    assert ref.slots.tolist() == [[[0, 1], [0, 2]]]  # the pad reads the spare last row, 2
+    assert ref.slots.tolist() == [[[0, 1], [0, -1]]]  # the pad, -1, reads the spare last row
     assert _partition_counts(ref) == [{"abc": 2}, {"xyz": 1}]
     assert ref.part_sq.tolist() == [[4.0, 1.0]]
     # a gram shared between partitions is counted in each; each sequence of a
-    # stack is laid out on its own; over a vocabulary that lacks "qrs", that
-    # key and the pad past the shorter partition both read the spare row, 2
+    # stack is laid out on its own, here as codes that index a pool of grams
     keys = gram_keys("abcxyzabcabcqrs")[::3]
-    vocab = _keys(["abc", "xyz"])
-    rows, part_sq = partition_layout(np.stack([keys, keys[::-1]]), 2, vocab)
-    assert rows.tolist() == [[[0, 0], [1, 2], [0, 2]], [[2, 1], [0, 0], [0, 2]]]
+    pool = _keys(["abc", "xyz", "qrs"])
+    codes = np.array([0, 1, 0, 0, 2])
+    assert pool[codes].tolist() == keys.tolist()
+    slots, part_sq = partition_layout(np.stack([codes, codes[::-1]]), 2)
+    assert slots.tolist() == [[[0, 0], [1, 2], [0, -1]], [[2, 1], [0, 0], [0, -1]]]
     assert part_sq.tolist() == [[5.0, 2.0], [5.0, 2.0]]
+    # over a vocabulary that lacks "qrs", one lookup sends that code and the
+    # pad past the shorter partition to the spare row, 2
+    vocab = _keys(["abc", "xyz"])
+    rows = np.append(key_columns(vocab, pool), len(vocab))[slots]
+    assert rows.tolist() == [[[0, 0], [1, 2], [0, 2]], [[2, 1], [0, 0], [0, 2]]]
     # over the documents' own vocabulary, the stack scores as each sequence's own reference
     docs = [Document("a", vocab, [2, 1]), Document("b", vocab[1:], [3]), Document("e", [], [])]
     scores = partition_scores(*count_matrix(docs, vocab), rows, part_sq)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from refsig import store
 from refsig.cli import main
 from refsig.reference import ReferenceText, signature_matrix
 from refsig.store import (
@@ -13,6 +14,8 @@ from refsig.store import (
     db_read,
     db_write,
     ingest,
+    iter_documents,
+    sign_documents,
     strip_html,
 )
 from refsig.text import Document, extract_3grams, gram_keys, gram_strings
@@ -101,6 +104,27 @@ def _ref_and_db(doc_texts):
     ref = ReferenceText(_keys(grams), min(4, len(grams)))
     ids = tuple(d.id for d in docs)
     return ref, SignatureDb(ref.fingerprint, ids, signature_matrix(docs, ref))
+
+
+def test_sign_documents_warns_of_documents_sharing_no_gram_with_the_reference(
+    tmp_path, monkeypatch
+):
+    # Identical documents that share no 3-gram with the reference sign
+    # all-zero and score 0.0 against each other, so dedup pairs none of them.
+    records = tmp_path / "records.txt"
+    records.write_text("hello world\n" * 5 + "hi\nthe quick fox\n", encoding="utf-8")
+    ref = ReferenceText(_keys(["the", "qui", "fox"]), 3)
+    monkeypatch.setattr(store, "SIGN_BLOCK", 2)  # the count spans blocks
+    with pytest.warns(UserWarning) as caught:
+        db = sign_documents(iter_documents(records), ref)
+    assert [str(w.message) for w in caught] == [
+        "1 document has no 3-gram after normalization: '5'",
+        "5 documents have no 3-gram in common with the reference, so each signs all-zero: "
+        "'0', '1', '2', ...",
+    ]
+    assert not db.scores[:6].any() and db.scores[6].any()
+    with pytest.warns(UserWarning, match="^1 document has no 3-gram in common"):
+        sign_documents([Document.from_raw("x", "hello")], ref)
 
 
 def test_db_round_trip_bit_exact(tmp_path):
