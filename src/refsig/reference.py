@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .gramio import key_lines, line_keys, read_lines, write_whole
-from .text import SCAN_BLOCK, Document, count_cosine, count_matrix, sorted_counts
+from .text import SCAN_BLOCK, Document, column_table, count_cosine, count_matrix, sorted_counts
 
 
 def partition_sizes(length: int, parts: int) -> list[int]:
@@ -73,13 +73,15 @@ class ReferenceText:
     The partition layout is computed once, as :func:`partition_layout` of a
     stack of one holding each key's position in ``columns``, the sorted
     distinct keys: ``slots`` are rows of a count matrix over ``columns``,
-    and a -1 pad reads its spare last row. The fingerprint is a content
-    hash over the grams and the partition count; a signature database
-    records it so that scores produced against different references can
-    never be compared silently.
+    and a -1 pad reads its spare last row. ``table`` is the
+    :func:`~refsig.text.column_table` of ``columns``, built once, through
+    which :func:`signature_matrix` finds a document gram's row with one
+    probe. The fingerprint is a content hash over the grams and the
+    partition count; a signature database records it so that scores
+    produced against different references can never be compared silently.
     """
 
-    __slots__ = ("keys", "partitions", "columns", "slots", "part_sq", "fingerprint")
+    __slots__ = ("keys", "partitions", "columns", "table", "slots", "part_sq", "fingerprint")
 
     def __init__(self, keys: np.ndarray, partitions: int):
         self.keys = np.array(keys, dtype=np.int64)
@@ -88,6 +90,7 @@ class ReferenceText:
             raise ValueError("reference text needs at least one 3-gram")
         self.partitions = partitions
         self.columns = sorted_counts(self.keys)[0]
+        self.table = column_table(self.columns)
         codes = np.searchsorted(self.columns, self.keys)
         self.slots, self.part_sq = partition_layout(codes[None], partitions)
         self.fingerprint = hashlib.sha256(_serialize(self).encode("utf-8")).hexdigest()
@@ -118,11 +121,13 @@ def signature_matrix(docs: Sequence[Document], ref: ReferenceText) -> np.ndarray
     """Stack the signatures of ``docs`` into an N x P matrix.
 
     Each row equals ``text.cosine`` of the document against each partition
-    bit for bit: counts, dots and squared norms are exact integers.
+    bit for bit: counts, dots and squared norms are exact integers. Each
+    block of :data:`SIGN_BLOCK` documents is one count matrix over the
+    reference's columns, its cells placed through ``ref.table``.
     """
     out = np.empty((len(docs), ref.partitions))
     for lo in range(0, len(docs), SIGN_BLOCK):
-        counts, sq_norms = count_matrix(docs[lo : lo + SIGN_BLOCK], ref.columns)
+        counts, sq_norms = count_matrix(docs[lo : lo + SIGN_BLOCK], ref.columns, ref.table)
         out[lo : lo + SIGN_BLOCK] = partition_scores(counts, sq_norms, ref.slots, ref.part_sq)[0]
     return out
 

@@ -136,7 +136,14 @@ class Document:
 
     @classmethod
     def from_raw(cls, doc_id: str, raw: str) -> "Document":
-        return cls(doc_id, *extract_3grams(normalize(raw)))
+        """The document of ``raw``'s normalized text. Its keys and counts come
+        from :func:`extract_3grams`, sorted, unique and >= 1 by construction,
+        so they are not checked again as ``Document(...)`` checks them."""
+        keys, counts = extract_3grams(normalize(raw))
+        doc = cls.__new__(cls)
+        doc.id, doc.keys, doc.counts = doc_id, keys, counts
+        doc.sq_norm = int(counts @ counts)
+        return doc
 
     def __repr__(self) -> str:
         return f"Document({self.id!r}, {len(self.keys)} grams, sq_norm={self.sq_norm})"
@@ -184,21 +191,62 @@ def count_cells(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.nd
     return rows, *gram_cells(docs)
 
 
-def key_columns(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The column of each key in the sorted ``vocab``; ``len(vocab)`` where absent."""
-    cols = np.searchsorted(vocab, keys)
-    cols[np.append(vocab, -1)[cols] != keys] = len(vocab)
+# A key's slot in a column table of 2**bits slots is the top bits of key *
+# _SPREAD mod 2**64 (Fibonacci hashing), in uint64 arithmetic on the keys' view.
+_SPREAD = np.uint64(0x9E3779B97F4A7C15)
+SLOTS_PER_COLUMN = 16
+
+
+def _table_slots(keys: np.ndarray, size: int) -> np.ndarray:
+    slots = keys.view(np.uint64) * _SPREAD
+    slots >>= np.uint64(65 - size.bit_length())  # in place: a second array raised train's peak
+    return slots.view(np.int64)  # below size, and int64 indexes without a cast
+
+
+def column_table(vocab: np.ndarray) -> np.ndarray:
+    """The direct-mapped table of the sorted, distinct ``vocab`` that
+    :func:`key_columns` probes: the smallest power of two of int32 slots at
+    least :data:`SLOTS_PER_COLUMN` times ``len(vocab)``, each a column, or
+    ``len(vocab)`` when empty (64 bytes per column). Of keys sharing a slot,
+    the first in sorted order keeps it."""
+    size = 1 << max(SLOTS_PER_COLUMN * len(vocab) - 1, 0).bit_length()
+    held, first = np.unique(_table_slots(vocab, size), return_index=True)
+    table = np.full(size, len(vocab), dtype=np.int32)
+    table[held] = first
+    return table
+
+
+def key_columns(
+    vocab: np.ndarray, keys: np.ndarray, table: np.ndarray | None = None
+) -> np.ndarray:
+    """The column of each key in the sorted ``vocab``; ``len(vocab)`` where
+    absent, by binary search. Given ``vocab``'s :func:`column_table`, one
+    probe settles each key whose slot holds it or is empty, and only keys
+    whose slot holds another key are searched."""
+    held = np.append(vocab, -1)  # each column's key, then the spare row's -1
+    if table is None:
+        cols = np.searchsorted(vocab, keys)
+        cols[held[cols] != keys] = len(vocab)
+        return cols
+    cols = table[_table_slots(keys, len(table))]
+    held = held[cols]  # the key each cell's slot holds, or -1
+    clash = np.flatnonzero((held != keys) & (held >= 0))
+    cols[clash] = key_columns(vocab, keys[clash])
     return cols
 
 
-def count_matrix(docs: Sequence[Document], vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def count_matrix(
+    docs: Sequence[Document], vocab: np.ndarray, table: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Float64 counts of ``docs`` over the sorted packed keys ``vocab``, one row
     per key, so that looking up grams gathers whole rows, and the documents'
     squared norms. A spare last row stays all zero: :func:`key_columns` sends a
-    gram outside ``vocab`` there, so looking one up reads a count of 0."""
+    gram outside ``vocab`` there, so looking one up reads a count of 0. The
+    cells find their rows through ``vocab``'s :func:`column_table` if given."""
     rows, keys, cells = count_cells(docs)
+    cols = key_columns(vocab, keys, table)
     counts = np.zeros((len(vocab) + 1, len(docs)))
-    counts[key_columns(vocab, keys), rows] = cells
+    counts[cols, rows] = cells
     counts[-1] = 0.0
     return counts, np.array([doc.sq_norm for doc in docs], dtype=float)
 

@@ -16,6 +16,7 @@ from refsig.reference import (
     ReferenceText,
     mean_signature_error,
     pairwise_signature_similarity,
+    partition_scores,
     partition_sizes,
     sign,
     signature_matrix,
@@ -24,10 +25,12 @@ from refsig.reference import (
 from refsig.text import (
     Document,
     brute_force_pairwise,
+    column_table,
     cosine,
     count_matrix,
     gram_keys,
     gram_strings,
+    key_columns,
 )
 from refsig.tfidf import GramPool
 
@@ -130,6 +133,104 @@ def test_count_matrix_spare_row_is_zero():
         assert column[:-1].tolist() == [held.get(key, 0) for key in vocab.tolist()]
     assert sq_norms.tolist() == [d.sq_norm for d in docs]
     assert not counts[text.key_columns(vocab, every[1::2])].any()
+
+
+MAX_KEY = (0x10FFFF << 42) | (0x10FFFF << 21) | 0x10FFFF  # the largest packed 3-gram
+
+
+def _slot(key, size):
+    """A key's slot in a column table of ``size`` slots, in Python integers:
+    the top bits of key * 0x9E3779B97F4A7C15 mod 2**64."""
+    return (key * 0x9E3779B97F4A7C15 % 2**64) >> (64 - size.bit_length() + 1)
+
+
+def _lookup(vocab, needles):
+    vocab = np.array(vocab, dtype=np.int64)
+    needles = np.array(needles, dtype=np.int64)
+    cols = key_columns(vocab, needles, column_table(vocab))
+    assert cols.tolist() == key_columns(vocab, needles).tolist()
+    return cols
+
+
+def test_column_table_size_and_layout():
+    for n in (1, 2, 3, 5, 857, 1024, 1025):
+        vocab = np.arange(n, dtype=np.int64) * 7919
+        table = column_table(vocab)
+        size = 16
+        while size < 16 * n:
+            size *= 2
+        assert len(table) == size and table.dtype == np.int32  # 16 slots a column, a power of two
+        held = table < n
+        assert sorted(table[held].tolist()) == list(range(n))  # these keys share no slot
+        for col, key in enumerate(vocab.tolist()):
+            assert table[_slot(key, size)] == col
+
+
+def test_column_table_edge_cases():
+    assert _lookup([5], []).tolist() == []
+    assert _lookup([5], [5, 4, 6, 0, MAX_KEY]).tolist() == [0, 1, 1, 1, 1]
+    assert _lookup([0, MAX_KEY], [MAX_KEY, 0, 1, MAX_KEY - 1]).tolist() == [1, 0, 2, 2]
+    assert _lookup([0], [0, MAX_KEY]).tolist() == [0, 1]
+    assert _lookup([MAX_KEY], [0, MAX_KEY]).tolist() == [1, 0]
+
+
+def test_column_table_resolves_clashes_by_search():
+    vocab = [10, 20, 30]  # 3 columns x 16 slots, rounded up to 64
+    occupied = {_slot(k, 64) for k in vocab}
+    absent = [k for k in range(1000) if _slot(k, 64) in occupied and k not in vocab][:20]
+    assert len(absent) == 20
+    assert _lookup(vocab, absent + vocab).tolist() == [3] * 20 + [0, 1, 2]
+
+    # Two columns built to share a slot: the first in sorted order keeps it.
+    by_slot = {}
+    for k in range(1, 1000):
+        by_slot.setdefault(_slot(k, 32), []).append(k)
+    a, b = next(keys[:2] for keys in by_slot.values() if len(keys) >= 2)
+    assert column_table(np.array([a, b]))[_slot(a, 32)] == 0
+    assert _lookup([a, b], [b, a, 0, b]).tolist() == [1, 0, 2, 1]
+
+
+_key = st.integers(0, MAX_KEY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vocab=st.lists(st.one_of(_key, st.integers(0, 300)), min_size=1, max_size=60, unique=True),
+    absent=st.lists(st.one_of(_key, st.integers(0, 300)), max_size=80),
+    data=st.data(),
+)
+def test_column_table_lookup_equals_key_columns_property(vocab, absent, data):
+    present = data.draw(st.lists(st.sampled_from(vocab), max_size=80))
+    needles = data.draw(st.permutations(present + absent))
+    _lookup(sorted(vocab), needles)
+
+
+def test_signature_matrix_through_clashing_columns_equals_the_search():
+    # Grams whose keys share slots in the reference's table, with document
+    # grams outside the reference that land on its occupied slots.
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    grams = [x + y + "z" for x in letters for y in letters]  # 676 keys in 128 slots
+    keys = _keys(grams).tolist()
+    size = 16 * 8  # eight distinct columns
+    by_slot = {}
+    for gram, key in zip(grams, keys):
+        by_slot.setdefault(_slot(key, size), []).append(gram)
+    shared = [g for grams_at in by_slot.values() if len(grams_at) >= 3 for g in grams_at][:6]
+    ref_grams = shared + [g for g in grams if g not in shared][:2]
+    ref = ReferenceText(_keys(ref_grams * 2), 4)
+    assert len(ref.columns) == 8 and len(ref.table) == size
+    occupied = {_slot(k, size) for k in ref.columns.tolist()}
+    clashing = [g for g, k in zip(grams, keys) if _slot(k, size) in occupied and g not in ref_grams]
+    assert len(shared) == 6 and clashing
+    rng = random.Random(4)
+    texts = ["".join(rng.choices(ref_grams + clashing, k=rng.randint(0, 30))) for _ in range(70)]
+    docs = _docs(texts + [""])
+    searched = np.concatenate([
+        partition_scores(*count_matrix(docs[lo : lo + 64], ref.columns), ref.slots, ref.part_sq)[0]
+        for lo in range(0, len(docs), 64)
+    ])
+    assert signature_matrix(docs, ref).tobytes() == searched.tobytes()
+    assert searched.tobytes() == _cosine_rows(docs, tuple(ref_grams * 2), 4).tobytes()
 
 
 def test_brute_force_pairwise_equals_cosine(monkeypatch):

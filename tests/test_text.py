@@ -3,6 +3,8 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from refsig.text import (
     Document,
@@ -158,6 +160,23 @@ def test_brute_force_pairwise():
 def test_document_from_raw_consistency():
     doc = Document.from_raw("d", "The  QUICK fox")
     assert np.array_equal((doc.keys, doc.counts), extract_3grams("the quick fox"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.text(alphabet=st.characters(exclude_categories=()), max_size=60))
+@example(raw="")
+@example(raw="ab")
+@example(raw=" \t\n\u3000 \r ")
+@example(raw="e\u0301\u0301 A\u030a\u0327 \u0344")
+@example(raw="𝔘𝔫𝔦 😀😀😀😀 \U0010ffff\U0010ffff \ud800")
+def test_from_raw_builds_what_document_validates(raw):
+    doc = Document.from_raw("d", raw)
+    checked = Document("d", *extract_3grams(normalize(raw)))
+    assert (doc.id, doc.sq_norm) == (checked.id, checked.sq_norm)
+    assert type(doc.sq_norm) is int
+    for built, valid in ((doc.keys, checked.keys), (doc.counts, checked.counts)):
+        assert built.dtype == valid.dtype == np.int64 and built.ndim == 1
+        assert built.tolist() == valid.tolist()
 
 
 def test_count_cells_vocabulary_is_sorted_union():
