@@ -37,8 +37,6 @@ _REPORT_COLUMNS = (
     "dataset",
     "ref_len",
     "partitions",
-    "population",
-    "generations",
     "mae",
     "precision",
     "recall",
@@ -191,8 +189,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args.corpus,
         len(ref),
         ref.partitions,
-        "",
-        "",
         f"{error:.6f}",
         precision_s,
         recall_s,

@@ -30,12 +30,10 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import SignatureDb, db_read, db_write
-from refsig.text import brute_force_pairwise, cosine, gram_keys, gram_strings
+from refsig.text import brute_force_pairwise, cosine, gram_strings
 from refsig.tfidf import score_grams, top_k
 
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
+from helpers import _keys
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:

@@ -14,11 +14,9 @@ from refsig.cli import main
 from refsig.evaluate import split_corpus
 from refsig.reference import SIGN_BLOCK, ReferenceText, save_reference
 from refsig.store import ingest
-from refsig.text import gram_keys
 
+from helpers import _keys
 
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

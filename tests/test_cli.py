@@ -18,12 +18,9 @@ from refsig.reference import (
     signature_matrix,
 )
 from refsig.store import SignatureDb, db_read, db_write, ingest
-from refsig.text import gram_keys
 from refsig.tfidf import load_pool
 
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
+from helpers import _keys
 
 
 def _run(*argv):
@@ -217,12 +214,11 @@ def test_full_pipeline(tmp_path, capsys):
                 "--out", report_path) == 0
     header, row = report_path.read_text(encoding="utf-8").strip().split("\n")
     assert header.split("\t") == [
-        "dataset", "ref_len", "partitions", "population", "generations",
-        "mae", "precision", "recall", "f1", "runtime_s",
+        "dataset", "ref_len", "partitions", "mae", "precision", "recall", "f1", "runtime_s",
     ]
     cells = row.split("\t")
     assert cells[1] == "60" and cells[2] == "10"
-    assert 0.0 <= float(cells[5]) <= 1.0
+    assert 0.0 <= float(cells[3]) <= 1.0
 
 
 def test_dedup_two_identical_docs(tmp_path):
@@ -423,6 +419,29 @@ def test_every_command_rejects_an_output_that_is_an_input(tmp_path, capsys, argv
     assert _files(tmp_path) == before
 
 
+def test_eval_report_holds_only_the_columns_it_measures(tmp_path):
+    corpus = _make_corpus(tmp_path, "the first document", "the second document", "the third")
+    ref = tmp_path / "ref.txt"
+    save_reference(ReferenceText(_keys(["the", "doc", "ume"]), 3), ref)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("id_a\tid_b\tlabel\ndoc-0.txt\tdoc-1.txt\tnear-duplicate\n",
+                      encoding="utf-8")
+    columns = ["dataset", "ref_len", "partitions", "mae", "precision", "recall", "f1",
+               "runtime_s"]
+
+    def report(*flags):
+        out = tmp_path / "report.tsv"
+        assert _run("eval", "--ref", ref, "--corpus", corpus, *flags, "--out", out) == 0
+        header, row = out.read_text(encoding="utf-8").split("\n")[:2]
+        assert header.split("\t") == columns
+        cells = row.split("\t")
+        assert len(cells) == len(columns)
+        return [name for name, cell in zip(columns, cells) if not cell]
+
+    assert report("--labels", labels) == []
+    assert report() == ["precision", "recall", "f1"]
+
+
 def test_eval_one_document_corpus_fails_with_one_error_line(tmp_path, capsys):
     corpus = _make_corpus(tmp_path, "the only document")
     ref = tmp_path / "ref.txt"
@@ -571,7 +590,7 @@ def test_eval_skips_distinct_label_rows(tmp_path, capsys):
         code = _run("eval", "--ref", ref, "--corpus", docs, "--labels", path,
                     "--out", tmp_path / "report.tsv")
         report = (tmp_path / "report.tsv").read_text(encoding="utf-8").split("\n")[1]
-        return code, report.split("\t")[6:9]
+        return code, report.split("\t")[4:7]
 
     assert scores("base-0000.txt\tbase-0001.txt\tdistinct\n") == scores("")
     capsys.readouterr()

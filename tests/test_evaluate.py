@@ -36,28 +36,16 @@ from refsig.text import (
     Document,
     cosine,
     extract_3grams,
-    gram_keys,
     gram_strings,
     normalize,
 )
 
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
+from helpers import _keys, _word_salad_docs
 
 
 def _corpus_grams(docs):
     """All distinct 3-grams of ``docs``, sorted."""
     return sorted({g for d in docs for g in gram_strings(d.keys)})
-
-
-def _word_salad_docs(count, seed, length=120):
-    rng = random.Random(seed)
-    alphabet = "abcdefghij "
-    return [
-        Document.from_raw(str(i), "".join(rng.choice(alphabet) for _ in range(length)))
-        for i in range(count)
-    ]
 
 
 def test_mae_full_vocabulary_reference_is_exact():

@@ -20,25 +20,10 @@ from refsig.ga import (
     mutation_count,
 )
 from refsig.reference import ReferenceText, pairwise_signature_similarity, signature_matrix
-from refsig.text import Document, brute_force_pairwise, cosine, gram_keys, gram_strings
+from refsig.text import Document, brute_force_pairwise, cosine, gram_strings
 from refsig.tfidf import GramPool
 
-
-def _word_salad_docs(count, seed, length=120):
-    rng = random.Random(seed)
-    alphabet = "abcdefghij "
-    return [
-        Document.from_raw(str(i), "".join(rng.choice(alphabet) for _ in range(length)))
-        for i in range(count)
-    ]
-
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
-
-
-def _grams(chromosome_or_pool):
-    return tuple(gram_strings(chromosome_or_pool.keys))
+from helpers import _grams, _keys, _word_salad_docs
 
 
 def _gene_grams(genes, pool):

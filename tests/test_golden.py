@@ -25,7 +25,8 @@ REF_SHA256 = "8543c41f27c5f63a464fc0757ebbeacd5232e59219a5a22f446110e655dbefb5"
 HISTORY_SHA256 = "19a8550b751a48444a36a65ee8cadf223f6a2ccaae5c48e360df6a2fd6569e54"
 DB_SHA256 = "dd3e4b67cc562fbfdee11cee3ae9bcdb69a6d5c9a41d44b43e33e1e395cf1398"
 PAIRS_SHA256 = "ff8590740403502318104b2dcfce0679201832cae7cd5641b6fdb57a145e948a"
-EVAL_SHA256 = "16c7ffb9107a5826a961135b2bbab7945ff80637e5f78f7c4460e7c34062efaa"
+# Recorded when the report lost its never-filled `population` and `generations` columns.
+EVAL_SHA256 = "5e9fea93d1824f08e82827288c87ed5e05c6fcc1c4c05faf46616cf3fae7fb43"
 # Recorded while `cross_validate` still tracked its own running best and
 # each run report carried its index and train MAE.
 TRAIN_STDOUT_SHA256 = "f17e3580e0a29c2be74b2f2513c2f984f8b71185a8be1c3802ed5956e7e7835a"

@@ -2,11 +2,9 @@ import pytest
 
 from refsig.gramio import escape_gram, parse_gram_line
 from refsig.reference import ReferenceText
-from refsig.text import gram_keys
 
+from helpers import _keys
 
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
 
 TRICKY_GRAMS = [
     "abc",

@@ -34,6 +34,8 @@ from refsig.text import (
 )
 from refsig.tfidf import GramPool
 
+from helpers import _keys
+
 TEXTS = [
     "",
     "a",
@@ -53,10 +55,6 @@ GRAMS = (
 
 def _docs(texts):
     return [Document.from_raw(str(i), t) for i, t in enumerate(texts)]
-
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
 
 
 def _pool_and_genes(population):

@@ -33,12 +33,11 @@ import refsig
 from refsig import ga
 from refsig.reference import ReferenceText, save_reference
 from refsig.store import SignatureDb, db_write, ingest
-from refsig.text import Document, gram_keys, normalize
+from refsig.text import Document, normalize
 from refsig.tfidf import score_grams, top_k
 
+from helpers import _keys
 
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
 
 SMALL, LARGE = 300, 1300
 # A records file is read whole if it is not streamed: its peak then grows by
@@ -196,10 +195,10 @@ def test_eval_labels_peak_memory_does_not_grow_per_hit(tmp_path):
     peak = _peak_kb(*common, "--t1", 0.99, "--t2", 0.5, "--out", many)
     hits = DEDUP_ROWS * (DEDUP_ROWS - 1) // 2
     # precision = 2 / hits and recall = 1 only if every pair is a hit.
-    assert many.read_text().split("\n")[1].split("\t")[6:9] == [
+    assert many.read_text().split("\n")[1].split("\t")[4:7] == [
         f"{2 / hits:.6f}", "1.000000", f"{2 * (2 / hits) / (2 / hits + 1):.6f}"
     ]
-    assert few.read_text().split("\n")[1].split("\t")[7] == "0.000000"
+    assert few.read_text().split("\n")[1].split("\t")[5] == "0.000000"
     per_hit = (peak - base) * 1024 / hits
     assert per_hit < DEDUP_BOUND_BYTES_PER_HIT, (
         f"peak grew {peak - base} kB for {hits} hits ({per_hit:.0f} B per hit)"

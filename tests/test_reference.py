@@ -28,9 +28,7 @@ from refsig.text import (
     key_columns,
 )
 
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
+from helpers import _keys
 
 
 def _partition_counts(ref):

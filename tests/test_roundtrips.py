@@ -14,12 +14,11 @@ from refsig.cli import _write_tsv
 from refsig.gramio import escape_gram, parse_gram_line
 from refsig.reference import ReferenceText, load_reference, save_reference
 from refsig.store import SignatureDb, db_read, db_write
-from refsig.text import gram_keys, normalize
+from refsig.text import normalize
 from refsig.tfidf import GramPool, save_pool
 
+from helpers import _keys
 
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
 
 # Unicode scalar values: files are UTF-8, which cannot carry lone surrogates.
 _char = st.one_of(

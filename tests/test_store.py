@@ -18,11 +18,9 @@ from refsig.store import (
     sign_documents,
     strip_html,
 )
-from refsig.text import Document, extract_3grams, gram_keys, gram_strings
+from refsig.text import Document, extract_3grams, gram_strings
 
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
+from helpers import _keys
 
 
 def test_ingest_directory(tmp_path):

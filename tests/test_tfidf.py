@@ -7,8 +7,10 @@ import pytest
 
 from refsig import tfidf
 from refsig.reference import SIGN_BLOCK
-from refsig.text import Document, count_cells, gram_keys, gram_strings
+from refsig.text import Document, count_cells, gram_strings
 from refsig.tfidf import GramPool, load_pool, save_pool, score_grams, top_k
+
+from helpers import _grams, _keys
 
 
 class Entry(NamedTuple):
@@ -25,14 +27,6 @@ def _entries(ranked):
     """score_grams's columns as one (gram, score, df) row per gram."""
     keys, score, df = ranked
     return [Entry(*row) for row in zip(gram_strings(keys), score.tolist(), df.tolist())]
-
-
-def _keys(grams):
-    return gram_keys("".join(grams))[::3]
-
-
-def _grams(pool):
-    return tuple(gram_strings(pool.keys))
 
 
 def test_single_document_scores():
