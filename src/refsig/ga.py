@@ -75,7 +75,7 @@ class Chromosome:
 class FitnessSample:
     """The fixed documents every candidate is scored on: their exact cosines in
     :func:`~refsig.text.brute_force_pairwise`'s row blocks, and their counts
-    over every gram they hold. ``rows[i]`` is the count-matrix row of pool
+    over the pool grams they hold. ``rows[i]`` is the count-matrix row of pool
     gram i, the spare zero row if the sample lacks it, as is a -1 pad's."""
 
     oracle: tuple[np.ndarray, ...]
@@ -110,8 +110,10 @@ def draw_fitness_sample(
     if len(corpus) < size:
         raise ValueError(f"corpus has {len(corpus)} documents, sample needs {size}")
     docs = rng.sample(list(corpus), size)
-    # One sort: np.unique's hash set raised train's peak RSS by 0.6 MB.
-    vocab = sorted_counts(gram_cells(docs)[0])[0]
+    # Sorts, not np.unique's hash set, which raised train's peak RSS by 0.6 MB;
+    # both key arrays are distinct, so intersect1d only sorts their concatenation.
+    held = sorted_counts(gram_cells(docs)[0])[0]
+    vocab = np.intersect1d(held, pool.keys, assume_unique=True)
     counts, sq_norms = count_matrix(docs, vocab)
     rows = np.append(key_columns(vocab, pool.keys), len(vocab))
     return FitnessSample(tuple(brute_force_pairwise(docs)), rows, counts, sq_norms)

@@ -31,14 +31,9 @@ def _fold_pass(text: str) -> tuple[str, bool]:
     return " ".join(text.split()), text == folded
 
 
-def normalize(raw: str) -> str:
-    """Return a lowercase, whitespace-collapsed, NFC-composed copy of ``raw``.
-
-    All whitespace runs become a single ASCII space and leading/trailing
-    whitespace is dropped. The pipeline is applied until it stops changing
-    the string, so normalize(normalize(t)) == normalize(t).
-    """
-    text, settled = _fold_pass(raw)
+def _fold_token(token: str) -> str:
+    """``token`` taken through :func:`_fold_pass` until it stops changing."""
+    text, settled = _fold_pass(token)
     for _ in range(_MAX_FOLD_PASSES):
         if settled:  # a fixed point: skip the confirming pass
             break
@@ -47,6 +42,19 @@ def normalize(raw: str) -> str:
             break
         text = again
     return text
+
+
+def normalize(raw: str) -> str:
+    """Return a lowercase, whitespace-collapsed, NFC-composed copy of ``raw``.
+
+    All whitespace runs become a single ASCII space and leading/trailing
+    whitespace is dropped. An ASCII token is lower-cased; a token holding a
+    non-ASCII code point takes NFC, casefold and NFC until it stops changing,
+    so normalize(normalize(t)) == normalize(t). Token by token is the same as
+    the whole text at once: no pass makes or removes whitespace, and none
+    composes across it.
+    """
+    return " ".join([t.lower() if t.isascii() else _fold_token(t) for t in raw.split()])
 
 
 # A code point fits in 21 bits, so a 3-gram packs exactly into one int64 as

@@ -194,6 +194,8 @@ def test_draw_fitness_sample_contract():
     assert len(sample.rows) == len(pool) + 1
     assert sample.rows[0] == sample.rows[-1] == len(sample.counts) - 1
     assert not sample.counts[-1].any()
+    # the matrix holds only rows that a pool gram reads
+    assert np.array_equal(np.unique(sample.rows), np.arange(len(sample.counts)))
     for key, row in zip(pool.keys.tolist(), sample.rows.tolist()):
         held = [dict(zip(d.keys.tolist(), d.counts.tolist())).get(key, 0) for d in drawn]
         assert sample.counts[row].tolist() == held

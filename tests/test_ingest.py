@@ -4,13 +4,14 @@ warning."""
 
 import importlib.util
 import os
+import string
 import sys
 import unicodedata
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refsig.store import _list_directory, _read_utf8, ingest
@@ -58,8 +59,31 @@ _TRICKY = (
 )
 
 
+_SPACES = "".join(c for c in _TRICKY if c.isspace())
+# Tokens ASCII in mixed case or drawn from _TRICKY, between runs of its whitespace.
+_TOKENS = st.one_of(
+    st.text(alphabet=string.ascii_letters, min_size=1, max_size=8),
+    st.text(alphabet=[c for c in _TRICKY if not c.isspace()], min_size=1, max_size=6),
+)
+_MIXED_TEXTS = st.builds(
+    lambda lead, words: lead + "".join(token + run for token, run in words),
+    st.text(alphabet=_SPACES, max_size=2),
+    st.lists(st.tuples(_TOKENS, st.text(alphabet=_SPACES, min_size=1, max_size=3)), max_size=12),
+)
+
+
 @settings(max_examples=1000, deadline=None)
-@given(st.one_of(st.text(alphabet=st.sampled_from(_TRICKY), max_size=24), st.text()))
+@given(
+    st.one_of(st.text(alphabet=st.sampled_from(_TRICKY), max_size=24), st.text(), _MIXED_TEXTS)
+)
+@example("\u212a")  # KELVIN SIGN: a non-ASCII token that NFC makes ASCII
+@example("100\u212a Kelvin")
+@example("a\u2000B\u2001c")  # NFC maps these separators to U+2002 and U+2003
+@example("\u0130stanbul ISTANBUL")
+@example("\u00e9t\u00e9 \u00c9T\u00c9")
+@example("e\u0301te\u0301 E\u0301TE\u0301")
+@example(" \t\u3000\u2001\n\x1c")
+@example("")
 def test_normalize_matches_confirming_loop_and_bench_oracle(raw):
     out = normalize(raw)
     assert out == _confirming_normalize(raw)
@@ -93,13 +117,30 @@ def test_casefold_is_idempotent_and_never_makes_whitespace():
     # What lets a pass whose second NFC changed nothing skip the confirming
     # casefold: casefolding its own output changes nothing, code point by
     # code point, and no non-whitespace code point folds to text holding
-    # whitespace, which collapsing would then change.
+    # whitespace, which collapsing would then change. What lets normalize fold
+    # token by token: splitting at whitespace also commutes with NFC, so each
+    # token reaches its own fixed point.
+    spaces, named = [], {}
     for code in range(sys.maxunicode + 1):
         char = chr(code)
         folded = char.casefold()
         if folded != char:
             assert folded.casefold() == folded, f"U+{code:04X}"
-            assert char.isspace() or not any(c.isspace() for c in folded), f"U+{code:04X}"
+        for out in (folded, unicodedata.normalize("NFC", char)):
+            if char.isspace():  # whitespace stays one whitespace code point
+                assert len(out) == 1 and out.isspace(), f"U+{code:04X}"
+            else:  # nothing else ever holds whitespace
+                assert not any(c.isspace() for c in out), f"U+{code:04X}"
+        if char.isspace():
+            spaces.append(code)
+            assert unicodedata.combining(char) == 0, f"U+{code:04X}"  # never reordered
+        parts = unicodedata.decomposition(char).split()
+        if parts and not parts[0].startswith("<"):  # a canonical decomposition
+            if any(chr(int(part, 16)).isspace() for part in parts):
+                named[code] = [int(part, 16) for part in parts]
+    assert len(spaces) == 29
+    # Only two singletons name whitespace, and singletons never compose.
+    assert named == {0x2000: [0x2002], 0x2001: [0x2003]}
 
 
 def _rglob_listing(root):
